@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from repro.errors import DmaApiError, ReproError
 from repro.hw.cpu import Core
@@ -59,8 +59,7 @@ class DmaDirection(enum.Enum):
         return self in (DmaDirection.FROM_DEVICE, DmaDirection.BIDIRECTIONAL)
 
 
-@dataclass(frozen=True)
-class DmaHandle:
+class DmaHandle(NamedTuple):
     """What ``dma_map`` returns: the bus address the driver programs into
     the device, plus the size/direction needed at unmap time."""
 

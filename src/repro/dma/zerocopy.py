@@ -45,13 +45,13 @@ from repro.obs.trace import EV_INV_DEFER
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_align_up
 
 
-@dataclass
+@dataclass(slots=True)
 class _PageRef:
     refcount: int
     perm: Perm
 
 
-@dataclass
+@dataclass(slots=True)
 class _MapCookie:
     """Unmap-time context recorded at map time."""
 
@@ -152,7 +152,7 @@ class ZeroCopyDmaApi(DmaApi):
         if ref is None:
             stale = self.iommu.iotlb.peek(self.domain.domain_id, iova_page)
             if stale is not None and not (stale.pfn == pfn
-                                          and (stale.perm & perm) == perm):
+                                          and stale.perm.covers(perm)):
                 # Deferred unmap left a stale cached translation for this
                 # IOVA page (possible under identity mapping, where IOVAs
                 # are reused immediately).  A stale entry for the same
@@ -172,8 +172,8 @@ class ZeroCopyDmaApi(DmaApi):
         # mapping).  Widen permissions if needed — which is itself part of
         # the page-granularity security problem.
         ref.refcount += 1
-        widened = ref.perm | perm
-        if widened != ref.perm:
+        if not ref.perm.covers(perm):
+            widened = ref.perm | perm
             self.domain.page_table.unmap_page(iova_page)
             self.domain.page_table.map_page(iova_page, pfn, widened)
             core.charge(self.cost.pt_map_cycles, CAT_OTHER)

@@ -14,7 +14,7 @@ shadow pool uses this to keep copies NUMA-local (§5.3).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.errors import MemoryAccessError
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
@@ -22,6 +22,18 @@ from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 #: Physical address stride between NUMA node regions (64 GiB).
 NODE_REGION_SHIFT = 36
 NODE_REGION_BYTES = 1 << NODE_REGION_SHIFT
+_NODE_OFFSET_MASK = NODE_REGION_BYTES - 1
+_PAGE_MASK = PAGE_SIZE - 1
+
+
+class _Frames(dict):
+    """Page frames by pfn, materialized (zeroed) on first touch — reads
+    included, so :attr:`PhysicalMemory.resident_pages` counts every
+    frame ever accessed."""
+
+    def __missing__(self, pfn: int) -> bytearray:
+        frame = self[pfn] = bytearray(PAGE_SIZE)
+        return frame
 
 
 class PhysicalMemory:
@@ -36,7 +48,7 @@ class PhysicalMemory:
             )
         self.num_nodes = num_nodes
         self.node_bytes = node_bytes
-        self._frames: Dict[int, bytearray] = {}
+        self._frames = _Frames()
 
     # ------------------------------------------------------------------
     # Address-space geometry.
@@ -59,43 +71,41 @@ class PhysicalMemory:
 
     def contains(self, pa: int, size: int = 1) -> bool:
         """Whether ``[pa, pa+size)`` lies entirely inside one node's region."""
-        if size <= 0:
-            return False
-        try:
-            node = self.node_of(pa)
-        except MemoryAccessError:
-            return False
-        base = self.node_base(node)
-        return pa + size <= base + self.node_bytes
+        node = pa >> NODE_REGION_SHIFT
+        return (size > 0 and 0 <= node < self.num_nodes
+                and (pa & _NODE_OFFSET_MASK) + size <= self.node_bytes)
 
     # ------------------------------------------------------------------
     # Byte access.
     # ------------------------------------------------------------------
-    def _frame(self, pfn: int) -> bytearray:
-        frame = self._frames.get(pfn)
-        if frame is None:
-            frame = bytearray(PAGE_SIZE)
-            self._frames[pfn] = frame
-        return frame
-
     def write(self, pa: int, data: bytes) -> None:
-        """Write ``data`` starting at physical address ``pa``."""
-        if not data:
+        """Write ``data`` starting at physical address ``pa``.
+
+        The whole range is checked before any byte lands.
+        """
+        size = len(data)
+        if not size:
             return
-        if not self.contains(pa, len(data)):
+        if not self.contains(pa, size):
             raise MemoryAccessError(
-                f"write of {len(data)} bytes at {pa:#x} leaves physical memory"
+                f"write of {size} bytes at {pa:#x} leaves physical memory"
             )
-        offset = 0
-        remaining = len(data)
+        frames = self._frames
+        pfn = pa >> PAGE_SHIFT
+        start = pa & _PAGE_MASK
+        if start + size <= PAGE_SIZE:
+            frames[pfn][start:start + size] = data
+            return
         view = memoryview(data)
-        while remaining:
-            pfn = (pa + offset) >> PAGE_SHIFT
-            in_page = (pa + offset) & (PAGE_SIZE - 1)
-            chunk = min(remaining, PAGE_SIZE - in_page)
-            self._frame(pfn)[in_page:in_page + chunk] = view[offset:offset + chunk]
+        offset = 0
+        while offset < size:
+            chunk = PAGE_SIZE - start
+            if chunk > size - offset:
+                chunk = size - offset
+            frames[pfn][start:start + chunk] = view[offset:offset + chunk]
             offset += chunk
-            remaining -= chunk
+            pfn += 1
+            start = 0
 
     def read(self, pa: int, size: int) -> bytes:
         """Read ``size`` bytes starting at physical address ``pa``."""
@@ -105,20 +115,33 @@ class PhysicalMemory:
             raise MemoryAccessError(
                 f"read of {size} bytes at {pa:#x} leaves physical memory"
             )
-        parts: List[bytes] = []
-        offset = 0
+        frames = self._frames
+        pfn = pa >> PAGE_SHIFT
+        start = pa & _PAGE_MASK
+        if start + size <= PAGE_SIZE:
+            return bytes(frames[pfn][start:start + size])
+        # Multi-page: join whole frames and frame views, so each byte is
+        # copied once, into the result.
+        parts: List[object] = []
         remaining = size
         while remaining:
-            pfn = (pa + offset) >> PAGE_SHIFT
-            in_page = (pa + offset) & (PAGE_SIZE - 1)
-            chunk = min(remaining, PAGE_SIZE - in_page)
-            parts.append(bytes(self._frame(pfn)[in_page:in_page + chunk]))
-            offset += chunk
+            chunk = PAGE_SIZE - start
+            if chunk > remaining:
+                chunk = remaining
+            frame = frames[pfn]
+            parts.append(frame if chunk == PAGE_SIZE
+                         else memoryview(frame)[start:start + chunk])
             remaining -= chunk
+            pfn += 1
+            start = 0
         return b"".join(parts)
 
     def copy(self, dst_pa: int, src_pa: int, size: int) -> None:
-        """Copy ``size`` bytes between physical ranges (the memcpy engine)."""
+        """Copy ``size`` bytes between physical ranges (the memcpy engine).
+
+        memmove semantics: the source is read out whole before the
+        destination is written, so overlapping ranges copy correctly.
+        """
         if size == 0:
             return
         self.write(dst_pa, self.read(src_pa, size))

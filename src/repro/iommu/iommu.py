@@ -34,6 +34,8 @@ from repro.obs.exposure import KIND_OS
 from repro.obs.trace import EV_IOMMU_FAULT
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 
+_PAGE_MASK = PAGE_SIZE - 1
+
 
 @dataclass(frozen=True)
 class FaultRecord:
@@ -166,10 +168,14 @@ class Iommu:
         data the OS lends to the device (the default), ``"dedicated"``
         for scheme-owned state (shadow buffers, coherent rings) that
         carries no co-located foreign data.
+
+        All or nothing: a range that runs into a live mapping is refused
+        (:class:`DmaApiError`) before any page is installed, any cycle
+        charged or any exposure noted.
         """
         if size <= 0:
             raise ConfigurationError("mapping of non-positive size")
-        if (iova & (PAGE_SIZE - 1)) != (pa & (PAGE_SIZE - 1)):
+        if (iova & _PAGE_MASK) != (pa & _PAGE_MASK):
             raise ConfigurationError(
                 f"IOVA {iova:#x} and PA {pa:#x} offsets disagree"
             )
@@ -178,10 +184,9 @@ class Iommu:
             raise KallocError(
                 "injected page-table allocation failure (fault plan)")
         first_iova_page = iova >> PAGE_SHIFT
-        first_pfn = pa >> PAGE_SHIFT
         npages = ((iova + size - 1) >> PAGE_SHIFT) - first_iova_page + 1
-        for i in range(npages):
-            domain.page_table.map_page(first_iova_page + i, first_pfn + i, perm)
+        domain.page_table.map_range(first_iova_page, pa >> PAGE_SHIFT,
+                                    npages, perm)
         if core is not None:
             core.charge(self.cost.pt_map_range_cycles(npages), CAT_PT_MGMT)
         if self.obs.enabled:
@@ -196,12 +201,12 @@ class Iommu:
 
         Returns the number of pages unmapped.  Does **not** touch the
         IOTLB — strict callers must invalidate synchronously, deferred
-        callers queue the range (§2.2.1).
+        callers queue the range (§2.2.1).  A range with an unmapped page
+        is refused whole (:class:`DmaApiError`) before anything changes.
         """
         first_page = iova >> PAGE_SHIFT
         npages = ((iova + size - 1) >> PAGE_SHIFT) - first_page + 1
-        for i in range(npages):
-            domain.page_table.unmap_page(first_page + i)
+        domain.page_table.unmap_range(first_page, npages)
         if core is not None:
             core.charge(self.cost.pt_unmap_range_cycles(npages), CAT_PT_MGMT)
         if self.obs.enabled:
@@ -224,12 +229,13 @@ class Iommu:
         since changed — stale entries are precisely the deferred window.
         """
         iova_page = iova >> PAGE_SHIFT
-        entry = self.iotlb.lookup(domain.domain_id, iova_page)
+        iotlb = self.iotlb
+        entry = iotlb.lookup(domain.domain_id, iova_page)
         if entry is None:
             entry = domain.page_table.lookup(iova_page)
             if entry is None:
                 self._fault(domain, iova, is_write, "no mapping")
-            self.iotlb.insert(domain.domain_id, iova_page, entry)
+            iotlb.insert(domain.domain_id, iova_page, entry)
         if not entry.perm.allows(is_write=is_write):
             self._fault(domain, iova, is_write,
                         f"permission ({entry.perm.name})")
@@ -271,29 +277,45 @@ class DmaPort(Protocol):
 
 
 class TranslatingDmaPort:
-    """A device's bus connection when the IOMMU is enabled."""
+    """A device's bus connection when the IOMMU is enabled.
+
+    Each access is split at page boundaries and every page chunk is
+    translated through :meth:`Iommu.translate`, in order: the IOTLB is
+    consulted once per chunk, and a fault stops the access at the chunk
+    it hits — a write has already landed on the chunks before it.
+    """
 
     def __init__(self, iommu: Iommu, domain: Domain):
         self.iommu = iommu
         self.domain = domain
 
     def dma_read(self, iova: int, size: int) -> bytes:
+        translate = self.iommu.translate
+        read = self.iommu.machine.memory.read
+        domain = self.domain
         parts: List[bytes] = []
-        for chunk_iova, chunk_size in _page_chunks(iova, size):
-            entry = self.iommu.translate(self.domain, chunk_iova,
-                                         is_write=False)
-            pa = entry.pa | (chunk_iova & (PAGE_SIZE - 1))
-            parts.append(self.iommu.machine.memory.read(pa, chunk_size))
+        end = iova + size
+        while iova < end:
+            stop = min((iova | _PAGE_MASK) + 1, end)
+            pfn = translate(domain, iova, is_write=False).pfn
+            parts.append(read((pfn << PAGE_SHIFT) | (iova & _PAGE_MASK),
+                              stop - iova))
+            iova = stop
         return b"".join(parts)
 
     def dma_write(self, iova: int, data: bytes) -> None:
-        offset = 0
-        for chunk_iova, chunk_size in _page_chunks(iova, len(data)):
-            entry = self.iommu.translate(self.domain, chunk_iova,
-                                         is_write=True)
-            pa = entry.pa | (chunk_iova & (PAGE_SIZE - 1))
-            self.iommu.machine.memory.write(pa, data[offset:offset + chunk_size])
-            offset += chunk_size
+        translate = self.iommu.translate
+        write = self.iommu.machine.memory.write
+        domain = self.domain
+        view = memoryview(data)
+        start = iova
+        end = iova + len(data)
+        while iova < end:
+            stop = min((iova | _PAGE_MASK) + 1, end)
+            pfn = translate(domain, iova, is_write=True).pfn
+            write((pfn << PAGE_SHIFT) | (iova & _PAGE_MASK),
+                  view[iova - start:stop - start])
+            iova = stop
 
 
 class PassthroughDmaPort:
@@ -309,13 +331,3 @@ class PassthroughDmaPort:
     def dma_write(self, iova: int, data: bytes) -> None:
         self.machine.memory.write(iova, data)
 
-
-def _page_chunks(addr: int, size: int):
-    """Split ``[addr, addr+size)`` at page boundaries."""
-    offset = 0
-    while offset < size:
-        current = addr + offset
-        in_page = current & (PAGE_SIZE - 1)
-        chunk = min(size - offset, PAGE_SIZE - in_page)
-        yield current, chunk
-        offset += chunk

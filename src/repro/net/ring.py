@@ -13,7 +13,7 @@ Descriptor layout (16 bytes, little endian): ``addr:u64 len:u32 flags:u32``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.dma.api import CoherentBuffer, DmaApi
 from repro.errors import ConfigurationError, SimulationError
@@ -22,7 +22,7 @@ from repro.hw.machine import Machine
 from repro.iommu.iommu import DmaPort
 
 DESC_SIZE = 16
-_DESC_FMT = "<QII"
+_DESC = struct.Struct("<QII")
 
 #: Descriptor flag bits.
 FLAG_READY = 0x1   # driver → device: descriptor is armed
@@ -30,8 +30,7 @@ FLAG_DONE = 0x2    # device → driver: DMA completed
 FLAG_EOP = 0x4     # end of packet
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(NamedTuple):
     """One decoded ring descriptor."""
 
     addr: int
@@ -83,13 +82,11 @@ class DescriptorRing:
         return self.coherent.iova + (index % self.entries) * DESC_SIZE
 
     def write_descriptor(self, index: int, desc: Descriptor) -> None:
-        raw = struct.pack(_DESC_FMT, desc.addr, desc.length, desc.flags)
-        self.machine.memory.write(self._slot_pa(index), raw)
+        self.machine.memory.write(self._slot_pa(index), _DESC.pack(*desc))
 
     def read_descriptor(self, index: int) -> Descriptor:
         raw = self.machine.memory.read(self._slot_pa(index), DESC_SIZE)
-        addr, length, flags = struct.unpack(_DESC_FMT, raw)
-        return Descriptor(addr=addr, length=length, flags=flags)
+        return Descriptor._make(_DESC.unpack(raw))
 
     def post(self, desc: Descriptor) -> int:
         """Driver arms the next slot; returns its index."""
@@ -120,10 +117,8 @@ class DescriptorRing:
     # ------------------------------------------------------------------
     def device_read(self, port: DmaPort, index: int) -> Descriptor:
         raw = port.dma_read(self._slot_iova(index), DESC_SIZE)
-        addr, length, flags = struct.unpack(_DESC_FMT, raw)
-        return Descriptor(addr=addr, length=length, flags=flags)
+        return Descriptor._make(_DESC.unpack(raw))
 
     def device_write_back(self, port: DmaPort, index: int,
                           desc: Descriptor) -> None:
-        raw = struct.pack(_DESC_FMT, desc.addr, desc.length, desc.flags)
-        port.dma_write(self._slot_iova(index), raw)
+        port.dma_write(self._slot_iova(index), _DESC.pack(*desc))

@@ -118,3 +118,71 @@ def test_disjoint_writes_do_not_interfere(a, b, data):
     mem.write(a, data)
     mem.write(b, data[::-1])
     assert mem.read(a, len(data)) == data
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=st.integers(min_value=0, max_value=3 * PAGE_SIZE),
+       delta=st.integers(min_value=-2 * PAGE_SIZE, max_value=2 * PAGE_SIZE),
+       size=st.integers(min_value=1, max_value=3 * PAGE_SIZE))
+def test_overlapping_copy_is_memmove(src, delta, size):
+    """``copy`` over overlapping ranges, in both directions, behaves like
+    memmove: the destination ends up holding the source's old bytes."""
+    base = 2 * PAGE_SIZE
+    src += base
+    dst = src + delta
+    span = 12 * PAGE_SIZE  # holds the farthest destination end
+    mem = PhysicalMemory(num_nodes=1)
+    pattern = bytes((i * 7 + 3) & 0xFF for i in range(span))
+    mem.write(0, pattern)
+    model = bytearray(pattern)
+    model[dst:dst + size] = model[src:src + size]
+    mem.copy(dst, src, size)
+    assert mem.read(0, span) == bytes(model)
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_overlapping_copy_by_one_byte_across_pages(forward):
+    mem = PhysicalMemory(num_nodes=1)
+    pattern = bytes(range(256)) * 48  # three pages
+    mem.write(PAGE_SIZE, pattern)
+    src = PAGE_SIZE + 10
+    dst = src + 1 if forward else src - 1
+    size = 2 * PAGE_SIZE + 100
+    model = bytearray(PAGE_SIZE) + bytearray(pattern) + bytearray(PAGE_SIZE)
+    model[dst:dst + size] = model[src:src + size]
+    mem.copy(dst, src, size)
+    assert mem.read(0, len(model)) == bytes(model)
+
+
+@pytest.mark.parametrize("node", [0, 1])
+def test_multi_page_write_across_node_end_writes_nothing(node):
+    node_bytes = 1 << 20
+    mem = PhysicalMemory(num_nodes=2, node_bytes=node_bytes)
+    end = mem.node_base(node) + node_bytes
+    start = end - PAGE_SIZE - 100  # two in-range pages, then past the end
+    with pytest.raises(MemoryAccessError):
+        mem.write(start, b"\xaa" * (3 * PAGE_SIZE))
+    assert mem.resident_pages == 0
+    assert mem.read(start, end - start) == bytes(end - start)
+
+
+@pytest.mark.parametrize("node", [0, 1])
+def test_multi_page_read_across_node_end_rejected(node):
+    node_bytes = 1 << 20
+    mem = PhysicalMemory(num_nodes=2, node_bytes=node_bytes)
+    end = mem.node_base(node) + node_bytes
+    mem.write(end - 2 * PAGE_SIZE, b"\x55" * (2 * PAGE_SIZE))
+    with pytest.raises(MemoryAccessError):
+        mem.read(end - 2 * PAGE_SIZE, 2 * PAGE_SIZE + 1)
+    with pytest.raises(MemoryAccessError):
+        mem.copy(0x1000, end - PAGE_SIZE, 2 * PAGE_SIZE)
+    assert mem.read(0x1000, 2 * PAGE_SIZE) == bytes(2 * PAGE_SIZE)
+
+
+def test_range_touching_last_byte_of_node_is_inside():
+    mem = PhysicalMemory(num_nodes=2, node_bytes=1 << 20)
+    end = mem.node_base(1) + (1 << 20)
+    mem.write(end - 3 * PAGE_SIZE, b"\x11" * (3 * PAGE_SIZE))
+    assert mem.read(end - 1, 1) == b"\x11"
+    with pytest.raises(MemoryAccessError):
+        mem.write(-PAGE_SIZE, b"\x00" * (2 * PAGE_SIZE))

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, IommuFault
+from repro.errors import ConfigurationError, DmaApiError, IommuFault
 from repro.hw.cpu import CAT_PT_MGMT
 from repro.hw.machine import Machine
 from repro.iommu.iommu import Iommu, PassthroughDmaPort, TranslatingDmaPort
 from repro.iommu.page_table import Perm
+from repro.obs.context import Observability
 from repro.sim.units import PAGE_SIZE
 
 
@@ -61,6 +62,49 @@ def test_unmap_range(iommu, machine):
     iommu.map_range(domain, 0x10000, 0x40000, 2 * PAGE_SIZE, Perm.RW, core)
     assert iommu.unmap_range(domain, 0x10000, 2 * PAGE_SIZE, core) == 2
     assert domain.page_table.mapped_pages == 0
+
+
+def _captured_iommu():
+    machine = Machine.build(cores=1, numa_nodes=1,
+                            obs=Observability.capture())
+    return machine, Iommu(machine)
+
+
+def _state(iommu, domain, core):
+    table = domain.page_table
+    return (sorted(table.entries()), table.mapped_pages, table.table_nodes,
+            core.now, iommu.obs.exposure.summary())
+
+
+def test_map_range_over_a_mapped_page_changes_nothing():
+    """A range that runs into a live mapping is refused whole: no PTE of
+    it is installed, no cycles are charged and no exposure is noted, so
+    callers that free the memory on the error leave nothing reachable."""
+    machine, iommu = _captured_iommu()
+    domain = iommu.attach_device(1)
+    core = machine.core(0)
+    iommu.map_range(domain, 0x11000, 0x99000, PAGE_SIZE, Perm.RW, core)
+    before = _state(iommu, domain, core)
+    with pytest.raises(DmaApiError, match="0x11 already mapped"):
+        iommu.map_range(domain, 0x10000, 0x40000, 3 * PAGE_SIZE, Perm.RW,
+                        core)
+    assert domain.page_table.lookup(0x10) is None
+    assert domain.page_table.mapped_pages == 1
+    assert _state(iommu, domain, core) == before
+
+
+def test_unmap_range_over_an_unmapped_page_changes_nothing():
+    machine, iommu = _captured_iommu()
+    domain = iommu.attach_device(1)
+    core = machine.core(0)
+    iommu.map_range(domain, 0x10000, 0x40000, PAGE_SIZE, Perm.RW, core)
+    iommu.map_range(domain, 0x12000, 0x42000, PAGE_SIZE, Perm.RW, core)
+    before = _state(iommu, domain, core)
+    with pytest.raises(DmaApiError, match="unmapped IOVA page 0x11"):
+        iommu.unmap_range(domain, 0x10000, 3 * PAGE_SIZE, core)
+    assert domain.page_table.lookup(0x10).pfn == 0x40
+    assert domain.page_table.mapped_pages == 2
+    assert _state(iommu, domain, core) == before
 
 
 def test_translate_walks_and_caches(iommu):

@@ -100,6 +100,9 @@ def test_map_unmap_roundtrip_property(pages):
     for i, page in enumerate(pages):
         pt.map_page(page, i, Perm.RW)
     assert pt.mapped_pages == len(pages)
+    # Root + one node per distinct path prefix at each lower level.
+    assert pt.table_nodes == 1 + sum(len({p >> shift for p in pages})
+                                     for shift in (27, 18, 9))
     for i, page in enumerate(pages):
         assert pt.lookup(page).pfn == i
     for page in pages:

@@ -7,6 +7,11 @@ machine-readable record plus a markdown report
 baseline record (:mod:`repro.bench.regression`).  The resource
 accounting smoke checks live in :mod:`repro.bench.invariants`.
 
+Every run behind ``bench``, ``report``, ``scale``, ``fleet`` and
+``diff`` is a :class:`~repro.bench.points.RunPoint` executed by
+:func:`repro.bench.points.run_point`, and every ``--jobs`` fan-out is
+:func:`repro.bench.points.fan_out`.
+
 The per-figure ``benchmarks/bench_fig*.py`` scripts keep working — their
 shared helpers (``stream_sweep``, ``rr_sweep``, …) now live in
 :mod:`repro.bench.runner` and ``benchmarks/common.py`` re-exports them.

@@ -6,15 +6,15 @@ module runs a deterministic capacity search per scheme: bracket the
 knee by doubling the user population until the
 :class:`~repro.obs.slo.SloRecorder` reports a breached window, then
 bisect the bracket down to a relative tolerance.  Every evaluation is
-one independent :func:`repro.workloads.fleet.run_fleet` simulation
-under a capturing :class:`~repro.obs.context.Observability`, so the
-whole search is reproducible bit-for-bit; "sustained" means *zero*
-breached windows across the measured diurnal trace.
+one independent ``fleet`` :class:`~repro.bench.points.RunPoint` run by
+:func:`repro.bench.points.run_point`, so the whole search is
+reproducible bit-for-bit; "sustained" means *zero* breached windows
+across the measured diurnal trace.
 
-Schemes are independent, so ``--jobs N`` fans them over worker
-processes exactly like ``repro scale`` (top-level picklable worker,
-results merged in scheme order) — the written record is byte-identical
-at any job count once the host-dependent fields are stripped
+Schemes are independent :func:`repro.bench.points.fan_out` tasks, so
+``--jobs N`` fans them over worker processes and merges them back in
+scheme order — the written record is byte-identical at any job count
+once the host-dependent fields are stripped
 (:func:`repro.bench.record.stable_view`), which
 ``tests/bench/test_fleet.py`` asserts.
 
@@ -31,26 +31,21 @@ Artifacts land under fixed names so CI globs stay trivial:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.points import RunPoint, fan_out, run_point, throughput_entry
 from repro.bench.record import SCHEMA_VERSION, build_record
-from repro.bench.runner import (
-    _throughput_entry,
-    _TRACE_CAPACITY,
-    default_results_dir,
-)
+from repro.bench.runner import default_results_dir
 from repro.bench.scale import resolve_schemes
-from repro.obs.context import Observability
 from repro.obs.perfetto import perfetto_trace
 from repro.obs.slo import SloObjective
 from repro.stats.export import result_to_row
-from repro.workloads.fleet import FleetConfig, run_fleet
 
 #: Default search pair: the paper's verdict ("copy beats zero-copy under
 #: protection") re-asked as capacity.
@@ -119,11 +114,10 @@ def fleet_objective(sizing: FleetSizing) -> SloObjective:
 def _eval_point(scheme: str, users: int, sizing: FleetSizing,
                 with_trace: bool = False) -> Dict[str, object]:
     """Run the fleet at ``users`` and flatten the SLO verdict."""
-    obs = Observability.capture(trace_capacity=_TRACE_CAPACITY)
-    result = run_fleet(FleetConfig(
-        scheme=scheme, cores=sizing.cores, users=users,
-        duration_us=sizing.duration_us, warmup_us=sizing.warmup_us,
-        objective=fleet_objective(sizing), obs=obs))
+    result, obs = run_point(RunPoint("fleet", scheme, {
+        "cores": sizing.cores, "users": users,
+        "duration_us": sizing.duration_us, "warmup_us": sizing.warmup_us,
+        "objective": fleet_objective(sizing)}))
     slo = result.extras["slo"]
     point: Dict[str, object] = {
         "users": users,
@@ -153,15 +147,23 @@ def search_capacity(scheme: str, sizing: FleetSizing,
 
     Purely integer arithmetic over deterministic evaluations, so the
     search path — and therefore the record — is identical on every
-    host and at every job count.
+    host and at every job count.  ``sim_cycles`` counts every fleet run
+    the search made, the Perfetto re-run included.
     """
     evaluated: Dict[int, Dict[str, object]] = {}
     order: List[int] = []
+    sim_cycles = 0
+
+    def run(users: int, with_trace: bool = False) -> Dict[str, object]:
+        nonlocal sim_cycles
+        point = _eval_point(scheme, users, sizing, with_trace=with_trace)
+        sim_cycles += int(point["row"]["wall_cycles"])
+        return point
 
     def evaluate(users: int) -> Dict[str, object]:
         point = evaluated.get(users)
         if point is None:
-            point = evaluated[users] = _eval_point(scheme, users, sizing)
+            point = evaluated[users] = run(users)
             order.append(users)
         return point
 
@@ -201,8 +203,7 @@ def search_capacity(scheme: str, sizing: FleetSizing,
         # Re-run the first failing point with a Perfetto export: the
         # slo.p99_window / slo.burn_rate counter tracks show the
         # objective being lost.
-        breach_point = _eval_point(scheme, hi, sizing, with_trace=True)
-        evaluated[hi] = breach_point
+        breach_point = evaluated[hi] = run(hi, with_trace=True)
 
     def curve_entry(users: int) -> Dict[str, object]:
         point = evaluated[users]
@@ -220,16 +221,8 @@ def search_capacity(scheme: str, sizing: FleetSizing,
         "curve": [curve_entry(users) for users in order],
         "capacity_point": evaluated.get(capacity),
         "breach_point": breach_point,
+        "sim_cycles": sim_cycles,
     }
-
-
-def _scheme_worker(task: Tuple[str, FleetSizing, bool]
-                   ) -> Tuple[str, Dict[str, object], float]:
-    """Top-level (hence picklable) per-process worker: one scheme."""
-    scheme, sizing, with_trace = task
-    t0 = time.perf_counter()
-    search = search_capacity(scheme, sizing, with_trace=with_trace)
-    return scheme, search, time.perf_counter() - t0
 
 
 def build_searches(schemes: Sequence[str], sizing: FleetSizing,
@@ -238,37 +231,24 @@ def build_searches(schemes: Sequence[str], sizing: FleetSizing,
                    ) -> Tuple[Dict[str, Dict], Dict[str, dict]]:
     """Run the capacity search for every scheme; fan over ``jobs``.
 
-    Searches run in any order across processes but merge back **in
-    scheme order**, so the result is deterministic at any job count.
+    Searches are :func:`repro.bench.points.fan_out` tasks merged back
+    **in scheme order**, so the result is deterministic at any job
+    count.
     """
-    if jobs < 1:
-        raise SystemExit(f"error: jobs must be positive: {jobs}")
-    tasks = [(scheme, sizing, with_trace) for scheme in schemes]
-    built: Dict[str, Tuple[Dict, float]] = {}
-
-    def note(scheme: str, search: Dict, elapsed: float) -> None:
-        built[scheme] = (search, elapsed)
+    def note(scheme: str, search: Dict, seconds: float) -> None:
         print(f"[{label}] {scheme:<18} capacity "
               f"{search['capacity_users']:>12,} users  "
-              f"({len(search['curve'])} evals, {elapsed:5.1f}s)",
+              f"({len(search['curve'])} evals, {seconds:5.1f}s)",
               file=sys.stderr)
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for scheme, search, elapsed in pool.map(_scheme_worker, tasks):
-                note(scheme, search, elapsed)
-    else:
-        for task in tasks:
-            note(*_scheme_worker(task))
-
-    searches = {scheme: built[scheme][0] for scheme in schemes}
-    total_sim = sum(int(p["row"]["wall_cycles"])
-                    for search in searches.values()
-                    for p in (search["capacity_point"],
-                              search["breach_point"])
-                    if p is not None)
-    total_wall = sum(elapsed for _, elapsed in built.values())
-    throughput = {"overall": _throughput_entry(total_sim, total_wall)}
+    built = fan_out(functools.partial(search_capacity, sizing=sizing,
+                                      with_trace=with_trace),
+                    list(schemes), jobs, note)
+    searches = {scheme: search
+                for scheme, (search, _) in zip(schemes, built)}
+    throughput = {"overall": throughput_entry(
+        sum(search["sim_cycles"] for search, _ in built),
+        sum(seconds for _, seconds in built))}
     return searches, throughput
 
 
@@ -295,12 +275,13 @@ def capacity_row(search: Dict[str, object]) -> Dict[str, object]:
 
 def build_fleet_figure(sizing: FleetSizing = FIGURE_FLEET,
                        schemes: Sequence[str] = DEFAULT_FLEET_SCHEMES,
-                       ) -> Dict[str, object]:
+                       ) -> Tuple[Dict[str, object], int]:
     """The ``fleet`` entry of the BENCH figure registry: a coarse
     capacity search whose rows land the gated ``fleet_capacity_users``
-    and ``slo_breach_windows`` columns."""
-    searches, _ = build_searches(list(schemes), sizing, jobs=1,
-                                 label="bench:fleet")
+    and ``slo_breach_windows`` columns.  Returns the figure and the
+    simulated cycles of every search evaluation."""
+    searches, throughput = build_searches(list(schemes), sizing, jobs=1,
+                                          label="bench:fleet")
     rows = []
     spans: Dict[str, object] = {}
     for scheme in schemes:
@@ -322,8 +303,9 @@ def build_fleet_figure(sizing: FleetSizing = FIGURE_FLEET,
         breach = point["breach_windows"] if point else "-"
         lines.append(f"  {scheme:<20}{search['capacity_users']:>18,}"
                      f"{p99:>14.3f}{breach:>12}")
-    return {"title": title, "series": rows, "spans": spans,
-            "report": "\n".join(lines)}
+    figure = {"title": title, "series": rows, "spans": spans,
+              "report": "\n".join(lines)}
+    return figure, throughput["overall"]["sim_cycles"]
 
 
 def build_fleet_record(schemes: Sequence[str], sizing: FleetSizing,

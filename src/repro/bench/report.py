@@ -27,6 +27,7 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.points import run_point, sized_point
 from repro.bench.record import build_record, render_markdown
 from repro.bench.runner import (
     FIGURE_SCHEMES,
@@ -35,10 +36,8 @@ from repro.bench.runner import (
     default_results_dir,
     select_figures,
 )
-from repro.obs.context import Observability
 from repro.obs.requests import REQ_RX, tail_report
 from repro.stats.timeline import render_tail_report
-from repro.workloads.netperf import StreamConfig, run_tcp_stream_rx
 
 #: Sizing of the contrast captures in the tail-attribution section:
 #: enough 16-core MTU frames for a stable p99 without dominating the
@@ -148,12 +147,10 @@ def _tail_attribution(tail: float) -> Tuple[List[str], List]:
     lines: List[str] = []
     sides: List = []
     for scheme in ("identity-strict", "copy"):
-        obs = Observability.capture(trace_capacity=256)
-        result = run_tcp_stream_rx(StreamConfig(
-            scheme=scheme, direction="rx",
-            message_size=_ATTRIBUTION_SIZE, cores=_ATTRIBUTION_CORES,
-            units_per_core=_ATTRIBUTION_UNITS,
-            warmup_units=_ATTRIBUTION_WARMUP, obs=obs))
+        result, obs = run_point(sized_point(
+            "stream", scheme, cores=_ATTRIBUTION_CORES,
+            size=_ATTRIBUTION_SIZE, units=_ATTRIBUTION_UNITS,
+            warmup=_ATTRIBUTION_WARMUP))
         sides.append(side_from_capture(result, obs, label=scheme,
                                        tail_percentile=tail))
         report = tail_report(obs.requests, kind=REQ_RX, percentile=tail)

@@ -8,12 +8,15 @@ Two layers live here:
    ``benchmarks/common.py`` shim exactly as before.
 2. **The figure registry + runner** — every figure/table of the paper as
    a :class:`FigureSpec` that runs at a selectable scale
-   (:data:`QUICK_SCALE` / :data:`FULL_SCALE`), captures span-attribution
-   trees per scheme, and feeds one fingerprinted record
+   (:data:`QUICK_SCALE` / :data:`FULL_SCALE`): a list of
+   :class:`~repro.bench.points.RunPoint` plus the renderer of its text
+   table.  :func:`build_figures` fans the figures out through
+   :func:`repro.bench.points.fan_out` and feeds one fingerprinted record
    (:mod:`repro.bench.record`) plus the optional regression gate
    (:mod:`repro.bench.regression`).
 
-Every run in the registry executes under a capturing
+Every run in the registry goes through
+:func:`repro.bench.points.run_point`, under a capturing
 :class:`~repro.obs.context.Observability`; the zero-overhead guarantee
 (``tests/obs/test_zero_overhead.py``) means the numbers are identical to
 an uninstrumented run, so span capture is unconditionally on here.
@@ -21,14 +24,20 @@ an uninstrumented run, so span capture is unconditionally on here.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.context import Observability
+from repro.bench.points import (
+    RunPoint,
+    fan_out,
+    run_point,
+    sized_point,
+    throughput_entry,
+)
 from repro.obs.spans import SpanNode, merge_span_trees
 from repro.stats.export import result_to_row, write_csv
 from repro.stats.reporting import (
@@ -39,7 +48,6 @@ from repro.stats.reporting import (
 )
 from repro.stats.results import RunResult
 from repro.stats.timeline import render_span_tree
-from repro.workloads.memcached import MemcachedConfig, run_memcached
 from repro.workloads.netperf import (
     PAPER_MESSAGE_SIZES,
     RRConfig,
@@ -48,7 +56,6 @@ from repro.workloads.netperf import (
     run_tcp_stream_rx,
     run_tcp_stream_tx,
 )
-from repro.workloads.storage import StorageConfig, run_storage
 
 #: The four systems of the paper's figures, in the legend's order.
 FIGURE_SCHEMES = ("no-iommu", "copy", "identity-deferred", "identity-strict")
@@ -58,11 +65,6 @@ FIGURE_SCHEMES = ("no-iommu", "copy", "identity-deferred", "identity-strict")
 UNITS_SINGLE_CORE = int(os.environ.get("REPRO_BENCH_UNITS", "1200"))
 UNITS_MULTI_CORE = int(os.environ.get("REPRO_BENCH_UNITS_MC", "350"))
 WARMUP = 120
-
-#: Ring capacity for bench-mode capture.  Spans and metrics aggregate in
-#: place; the event ring is only kept small and warm so record extras
-#: stay cheap.
-_TRACE_CAPACITY = 256
 
 
 def default_results_dir() -> str:
@@ -227,97 +229,95 @@ FULL_SCALE = BenchScale(
 
 
 # ----------------------------------------------------------------------
-# Captured runs: every registry run records spans.
+# The figure registry: a figure is a list of run points plus the
+# renderer of its text table.
 # ----------------------------------------------------------------------
-def _captured(runner: Callable, config) -> Tuple[RunResult, SpanNode]:
-    obs = Observability.capture(trace_capacity=_TRACE_CAPACITY)
-    config.obs = obs
-    result = runner(config)
-    return result, obs.spans.tree()
-
-
-def _series_rows(figure: str,
-                 results: Dict[str, List[RunResult]]) -> List[dict]:
-    rows = []
-    for per_scheme in results.values():
-        for result in per_scheme:
-            row = result_to_row(result)
-            row["figure"] = figure
-            rows.append(row)
-    return rows
+Results = Dict[str, List[RunResult]]
 
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One registry entry: a named figure and how to run it."""
+    """One registry entry: a named figure and how to build it.
+
+    ``build(scale)`` returns the figure's record data and the simulated
+    cycles of every run behind it — more than its series rows hold when
+    the figure is a capacity search.
+    """
 
     name: str
     title: str
-    build: Callable[[BenchScale], dict]
+    build: Callable[[BenchScale], Tuple[dict, int]]
 
 
-def _figure_data(spec_name: str, title: str,
-                 results: Dict[str, List[RunResult]],
-                 spans: Dict[str, SpanNode], report: str) -> dict:
-    return {
-        "title": title,
-        "series": _series_rows(spec_name, results),
-        "spans": {scheme: tree.to_dict() for scheme, tree in spans.items()},
-        "report": report,
-    }
+def _point_figure(name: str, title: str,
+                  points: Callable[[BenchScale], List[RunPoint]],
+                  render: Callable[[Results], str]) -> FigureSpec:
+    """A figure built by running its points in order: one series row per
+    point, one merged span tree per scheme, and the rendered table."""
+    def build(scale: BenchScale) -> Tuple[dict, int]:
+        results: Results = {}
+        trees: Dict[str, List[SpanNode]] = {}
+        for point in points(scale):
+            result, obs = run_point(point)
+            results.setdefault(point.scheme, []).append(result)
+            trees.setdefault(point.scheme, []).append(obs.spans.tree())
+        runs = [result for scheme_runs in results.values()
+                for result in scheme_runs]
+        figure = {
+            "title": title,
+            "series": [dict(result_to_row(result), figure=name)
+                       for result in runs],
+            "spans": {scheme: merge_span_trees(scheme_trees).to_dict()
+                      for scheme, scheme_trees in trees.items()},
+            "report": render(results),
+        }
+        return figure, sum(result.wall_cycles for result in runs)
+
+    return FigureSpec(name, title, build)
 
 
-def _stream_figure(name: str, title: str, direction: str,
+def _stream_points(scale: BenchScale, workload: str,
+                   schemes: Sequence[str], cores: Sequence[int],
+                   sizes: Sequence[int]) -> List[RunPoint]:
+    """Stream points, scheme-major; single-core points take the
+    single-core sizing."""
+    return [sized_point(workload, scheme, cores=n, size=size,
+                        units=scale.units_single if n == 1
+                        else scale.units_multi,
+                        warmup=scale.warmup_single if n == 1
+                        else scale.warmup_multi)
+            for scheme in schemes for n in cores for size in sizes]
+
+
+def _throughput_table(title: str) -> Callable[[Results], str]:
+    return lambda results: render_throughput_table(results, title=title)
+
+
+def _breakdown_table(title: str) -> Callable[[Results], str]:
+    return lambda results: render_breakdown_table(
+        {scheme: runs[0] for scheme, runs in results.items()}, title=title)
+
+
+def _stream_figure(name: str, title: str, workload: str,
                    multi: bool, breakdown: bool = False) -> FigureSpec:
-    def build(scale: BenchScale) -> dict:
+    def points(scale: BenchScale) -> List[RunPoint]:
         cores = scale.multi_cores if multi else 1
-        units = scale.units_multi if multi else scale.units_single
-        warmup = scale.warmup_multi if multi else scale.warmup_single
         if breakdown:
             sizes: Tuple[int, ...] = (scale.breakdown_size,)
         else:
             sizes = scale.sizes_multi if multi else scale.sizes_single
-        runner = run_tcp_stream_rx if direction == "rx" \
-            else run_tcp_stream_tx
-        results: Dict[str, List[RunResult]] = {}
-        spans: Dict[str, SpanNode] = {}
-        for scheme in FIGURE_SCHEMES:
-            runs, trees = [], []
-            for size in sizes:
-                result, tree = _captured(runner, StreamConfig(
-                    scheme=scheme, direction=direction, message_size=size,
-                    cores=cores, units_per_core=units, warmup_units=warmup))
-                runs.append(result)
-                trees.append(tree)
-            results[scheme] = runs
-            spans[scheme] = merge_span_trees(trees)
-        if breakdown:
-            report = render_breakdown_table(
-                {s: rs[0] for s, rs in results.items()}, title=title)
-        else:
-            report = render_throughput_table(results, title=title)
-        return _figure_data(name, title, results, spans, report)
+        return _stream_points(scale, workload, FIGURE_SCHEMES, (cores,),
+                              sizes)
 
-    return FigureSpec(name=name, title=title, build=build)
+    render = _breakdown_table(title) if breakdown \
+        else _throughput_table(title)
+    return _point_figure(name, title, points, render)
 
 
-def _fig01_build(scale: BenchScale) -> dict:
-    """Protection cost overview: RX at 16 KB on 1 and N cores."""
-    results: Dict[str, List[RunResult]] = {}
-    spans: Dict[str, SpanNode] = {}
-    for scheme in FIGURE_SCHEMES:
-        runs, trees = [], []
-        for cores in (1, scale.multi_cores):
-            units = scale.units_single if cores == 1 else scale.units_multi
-            warmup = (scale.warmup_single if cores == 1
-                      else scale.warmup_multi)
-            result, tree = _captured(run_tcp_stream_rx, StreamConfig(
-                scheme=scheme, message_size=16384, cores=cores,
-                units_per_core=units, warmup_units=warmup))
-            runs.append(result)
-            trees.append(tree)
-        results[scheme] = runs
-        spans[scheme] = merge_span_trees(trees)
+_FIG01_TITLE = "Figure 1: IOMMU protection cost, RX 16KB, 1 vs N cores"
+
+
+def _render_fig01(results: Results) -> str:
     lines = [_FIG01_TITLE,
              f"  {'scheme':<20}{'cores':>6}{'Gb/s':>10}{'us/unit':>10}"]
     for scheme, runs in results.items():
@@ -325,81 +325,16 @@ def _fig01_build(scale: BenchScale) -> dict:
             lines.append(f"  {scheme:<20}{result.cores:>6}"
                          f"{result.throughput_gbps:>10.2f}"
                          f"{result.us_per_unit:>10.3f}")
-    return _figure_data("fig01", _FIG01_TITLE, results, spans,
-                        "\n".join(lines))
+    return "\n".join(lines)
 
 
-_FIG01_TITLE = "Figure 1: IOMMU protection cost, RX 16KB, 1 vs N cores"
+def _rr_points(scale: BenchScale, sizes: Sequence[int]) -> List[RunPoint]:
+    return [sized_point("rr", scheme, size=size,
+                        units=scale.rr_transactions, warmup=scale.rr_warmup)
+            for scheme in FIGURE_SCHEMES for size in sizes]
 
 
-def _fig09_build(scale: BenchScale) -> dict:
-    results: Dict[str, List[RunResult]] = {}
-    spans: Dict[str, SpanNode] = {}
-    for scheme in FIGURE_SCHEMES:
-        runs, trees = [], []
-        for size in scale.rr_sizes:
-            result, tree = _captured(run_tcp_rr, RRConfig(
-                scheme=scheme, message_size=size,
-                transactions=scale.rr_transactions,
-                warmup_transactions=scale.rr_warmup))
-            runs.append(result)
-            trees.append(tree)
-        results[scheme] = runs
-        spans[scheme] = merge_span_trees(trees)
-    report = render_latency_table(
-        results, title="Figure 9: TCP_RR latency (netperf TCP_RR)")
-    return _figure_data("fig09", "Figure 9: TCP_RR latency",
-                        results, spans, report)
-
-
-def _fig10_build(scale: BenchScale) -> dict:
-    results: Dict[str, List[RunResult]] = {}
-    spans: Dict[str, SpanNode] = {}
-    for scheme in FIGURE_SCHEMES:
-        result, tree = _captured(run_tcp_rr, RRConfig(
-            scheme=scheme, message_size=scale.breakdown_size,
-            transactions=scale.rr_transactions,
-            warmup_transactions=scale.rr_warmup))
-        results[scheme] = [result]
-        spans[scheme] = tree
-    report = render_breakdown_table(
-        {s: rs[0] for s, rs in results.items()},
-        title="Figure 10: TCP_RR CPU breakdown per transaction [us], 64KB")
-    return _figure_data("fig10", "Figure 10: TCP_RR CPU breakdown",
-                        results, spans, report)
-
-
-def _fig11_build(scale: BenchScale) -> dict:
-    results: Dict[str, List[RunResult]] = {}
-    spans: Dict[str, SpanNode] = {}
-    for scheme in FIGURE_SCHEMES:
-        result, tree = _captured(run_memcached, MemcachedConfig(
-            scheme=scheme, cores=scale.memcached_cores,
-            transactions_per_core=scale.memcached_tpc,
-            warmup_transactions=scale.memcached_warmup))
-        results[scheme] = [result]
-        spans[scheme] = tree
-    report = render_memcached_table(
-        {s: rs[0] for s, rs in results.items()},
-        title="Figure 11: memcached + memslap")
-    return _figure_data("fig11", "Figure 11: memcached",
-                        results, spans, report)
-
-
-def _storage_build(scale: BenchScale) -> dict:
-    results: Dict[str, List[RunResult]] = {}
-    spans: Dict[str, SpanNode] = {}
-    for scheme in FIGURE_SCHEMES:
-        runs, trees = [], []
-        for block_size in scale.storage_block_sizes:
-            result, tree = _captured(run_storage, StorageConfig(
-                scheme=scheme, block_size=block_size,
-                ops_per_core=scale.storage_ops,
-                warmup_ops=scale.storage_warmup))
-            runs.append(result)
-            trees.append(tree)
-        results[scheme] = runs
-        spans[scheme] = merge_span_trees(trees)
+def _render_storage(results: Results) -> str:
     lines = ["Storage (§5.5): block I/O ops/s by block size",
              f"  {'scheme':<20}{'block':>8}{'ops/s':>12}{'Gb/s':>10}"]
     for scheme, runs in results.items():
@@ -408,8 +343,7 @@ def _storage_build(scale: BenchScale) -> dict:
             lines.append(
                 f"  {scheme:<20}{result.params['block_size']:>8}"
                 f"{tps:>12,.0f}{result.throughput_gbps:>10.2f}")
-    return _figure_data("storage", "Storage block I/O", results, spans,
-                        "\n".join(lines))
+    return "\n".join(lines)
 
 
 #: Schemes of the scalable-invalidation figure: the paper's strict
@@ -423,29 +357,10 @@ _FIG_SCALINV_TITLE = ("Scalable invalidation: strict vs per-core queues "
                       "vs copy, RX 16KB core sweep")
 
 
-def _fig_scalinv_build(scale: BenchScale) -> dict:
-    """Strict vs the scalable-invalidation schemes vs copy, across cores.
-
-    Exposure columns ride along in the series rows (the capturing
-    observability is on for every registry run), so the record gates
-    both sides of the trade: throughput scaling *and* stale-window
-    byte·cycles per remedy.
-    """
-    results: Dict[str, List[RunResult]] = {}
-    spans: Dict[str, SpanNode] = {}
-    for scheme in SCALINV_SCHEMES:
-        runs, trees = [], []
-        for cores in scale.scalinv_cores:
-            units = scale.units_single if cores == 1 else scale.units_multi
-            warmup = (scale.warmup_single if cores == 1
-                      else scale.warmup_multi)
-            result, tree = _captured(run_tcp_stream_rx, StreamConfig(
-                scheme=scheme, message_size=16384, cores=cores,
-                units_per_core=units, warmup_units=warmup))
-            runs.append(result)
-            trees.append(tree)
-        results[scheme] = runs
-        spans[scheme] = merge_span_trees(trees)
+def _render_scalinv(results: Results) -> str:
+    """Exposure columns ride along in the series rows (every registry
+    run is captured), so the record gates both sides of the trade:
+    throughput scaling *and* stale-window byte·cycles per remedy."""
     lines = [_FIG_SCALINV_TITLE,
              f"  {'scheme':<28}{'cores':>6}{'Gb/s':>10}{'us/unit':>10}"
              f"{'stale byte-cycles':>20}"]
@@ -457,11 +372,10 @@ def _fig_scalinv_build(scale: BenchScale) -> dict:
                          f"{result.throughput_gbps:>10.2f}"
                          f"{result.us_per_unit:>10.3f}"
                          f"{stale:>20,}")
-    return _figure_data("fig_scalinv", _FIG_SCALINV_TITLE, results, spans,
-                        "\n".join(lines))
+    return "\n".join(lines)
 
 
-def _fleet_build(scale: BenchScale) -> dict:
+def _fleet_build(scale: BenchScale) -> Tuple[dict, int]:
     # Lazy import: repro.bench.fleet imports this module's helpers.
     from repro.bench.fleet import build_fleet_figure
     return build_fleet_figure()
@@ -469,23 +383,57 @@ def _fleet_build(scale: BenchScale) -> dict:
 
 #: The registry, in the paper's figure order.
 FIGURES: Tuple[FigureSpec, ...] = (
-    FigureSpec("fig01", _FIG01_TITLE, _fig01_build),
+    _point_figure(
+        "fig01", _FIG01_TITLE,
+        lambda scale: _stream_points(scale, "stream", FIGURE_SCHEMES,
+                                     (1, scale.multi_cores), (16384,)),
+        _render_fig01),
     _stream_figure("fig03", "Figure 3: single-core TCP RX",
-                   "rx", multi=False),
+                   "stream", multi=False),
     _stream_figure("fig04", "Figure 4: single-core TCP TX",
-                   "tx", multi=False),
+                   "stream-tx", multi=False),
     _stream_figure("fig05", "Figure 5: single-core RX breakdown [us], 64KB",
-                   "rx", multi=False, breakdown=True),
-    _stream_figure("fig06", "Figure 6: 16-core TCP RX", "rx", multi=True),
-    _stream_figure("fig07", "Figure 7: 16-core TCP TX", "tx", multi=True),
+                   "stream", multi=False, breakdown=True),
+    _stream_figure("fig06", "Figure 6: 16-core TCP RX", "stream",
+                   multi=True),
+    _stream_figure("fig07", "Figure 7: 16-core TCP TX", "stream-tx",
+                   multi=True),
     _stream_figure("fig08", "Figure 8: 16-core RX breakdown [us], 64KB",
-                   "rx", multi=True, breakdown=True),
-    FigureSpec("fig09", "Figure 9: TCP_RR latency", _fig09_build),
-    FigureSpec("fig10", "Figure 10: TCP_RR CPU breakdown", _fig10_build),
-    FigureSpec("fig11", "Figure 11: memcached", _fig11_build),
-    FigureSpec("storage", "Storage block I/O", _storage_build),
+                   "stream", multi=True, breakdown=True),
+    _point_figure(
+        "fig09", "Figure 9: TCP_RR latency",
+        lambda scale: _rr_points(scale, scale.rr_sizes),
+        lambda results: render_latency_table(
+            results, title="Figure 9: TCP_RR latency (netperf TCP_RR)")),
+    _point_figure(
+        "fig10", "Figure 10: TCP_RR CPU breakdown",
+        lambda scale: _rr_points(scale, (scale.breakdown_size,)),
+        _breakdown_table(
+            "Figure 10: TCP_RR CPU breakdown per transaction [us], 64KB")),
+    _point_figure(
+        "fig11", "Figure 11: memcached",
+        lambda scale: [sized_point("memcached", scheme,
+                                   cores=scale.memcached_cores,
+                                   units=scale.memcached_tpc,
+                                   warmup=scale.memcached_warmup)
+                       for scheme in FIGURE_SCHEMES],
+        lambda results: render_memcached_table(
+            {scheme: runs[0] for scheme, runs in results.items()},
+            title="Figure 11: memcached + memslap")),
+    _point_figure(
+        "storage", "Storage block I/O",
+        lambda scale: [sized_point("storage", scheme, size=block_size,
+                                   units=scale.storage_ops,
+                                   warmup=scale.storage_warmup)
+                       for scheme in FIGURE_SCHEMES
+                       for block_size in scale.storage_block_sizes],
+        _render_storage),
     FigureSpec("fleet", "Fleet capacity at the SLO", _fleet_build),
-    FigureSpec("fig_scalinv", _FIG_SCALINV_TITLE, _fig_scalinv_build),
+    _point_figure(
+        "fig_scalinv", _FIG_SCALINV_TITLE,
+        lambda scale: _stream_points(scale, "stream", SCALINV_SCHEMES,
+                                     scale.scalinv_cores, (16384,)),
+        _render_scalinv),
 )
 
 FIGURE_NAMES = tuple(spec.name for spec in FIGURES)
@@ -504,32 +452,9 @@ def select_figures(only: Optional[Sequence[str]]) -> List[FigureSpec]:
     return [by_name[name] for name in only]
 
 
-def _figure_sim_cycles(figure: dict) -> int:
-    """Total simulated cycles behind one figure's series rows."""
-    return sum(int(row.get("wall_cycles") or 0)
-               for row in figure.get("series", ()))
-
-
-def _throughput_entry(sim_cycles: int, wall_seconds: float) -> dict:
-    rate = sim_cycles / wall_seconds if wall_seconds > 0 else 0.0
-    return {
-        "sim_cycles": sim_cycles,
-        "wall_seconds": round(wall_seconds, 3),
-        "sim_cycles_per_wall_second": round(rate),
-    }
-
-
-def _build_worker(task: Tuple[str, BenchScale]) -> Tuple[str, dict, float]:
-    """Top-level (hence picklable) per-process worker: build one figure.
-
-    The build is timed inside the worker so per-figure wall seconds mean
-    the same thing at any ``--jobs`` count.
-    """
-    name, scale = task
-    spec = next(spec for spec in FIGURES if spec.name == name)
-    t0 = time.perf_counter()
-    data = spec.build(scale)
-    return name, data, time.perf_counter() - t0
+def _build_figure(name: str, scale: BenchScale) -> Tuple[dict, int]:
+    """Build one registry figure by name (a picklable worker)."""
+    return next(spec for spec in FIGURES if spec.name == name).build(scale)
 
 
 def build_figures(specs: Sequence[FigureSpec], scale: BenchScale,
@@ -539,45 +464,30 @@ def build_figures(specs: Sequence[FigureSpec], scale: BenchScale,
     ``bench`` and ``report`` (one implementation, so the two progress/
     timing paths cannot drift).
 
-    Figures are independent, so ``jobs > 1`` simply distributes specs
-    over worker processes; results are merged back **in spec order**,
-    making both return values deterministic regardless of job count.
-    Returns ``(figures, throughput)``: the per-figure record data plus a
-    ``sim_cycles_per_wall_second`` entry per figure and ``"overall"``
-    (summed figure build times, not makespan — comparable across job
-    counts).
+    Figures are independent tasks of :func:`repro.bench.points.fan_out`,
+    so ``jobs > 1`` distributes them over worker processes and merges
+    them back **in spec order**: both return values are deterministic
+    regardless of job count.  Returns ``(figures, throughput)``: the
+    per-figure record data plus a ``sim_cycles_per_wall_second`` entry
+    per figure and ``"overall"``.  Each entry counts every simulation
+    run inside the timed build and sums figure build times, not
+    makespan — comparable across job counts.
     """
-    if jobs < 1:
-        raise SystemExit(f"error: jobs must be positive: {jobs}")
     titles = {spec.name: spec.title for spec in specs}
-    built: Dict[str, Tuple[dict, float]] = {}
 
-    def note(name: str, data: dict, elapsed: float) -> None:
-        built[name] = (data, elapsed)
+    def note(name: str, result: Tuple[dict, int], seconds: float) -> None:
         print(f"[{label}] {name:<8} {titles[name]:<50} "
-              f"{elapsed:6.1f}s", file=sys.stderr)
+              f"{seconds:6.1f}s", file=sys.stderr)
 
-    if jobs > 1 and len(specs) > 1:
-        tasks = [(spec.name, scale) for spec in specs]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-            for name, data, elapsed in pool.map(_build_worker, tasks):
-                note(name, data, elapsed)
-    else:
-        for spec in specs:
-            t0 = time.perf_counter()
-            data = spec.build(scale)
-            note(spec.name, data, time.perf_counter() - t0)
-
-    figures = {spec.name: built[spec.name][0] for spec in specs}
-    throughput: Dict[str, dict] = {}
-    total_sim, total_wall = 0, 0.0
-    for spec in specs:
-        data, elapsed = built[spec.name]
-        sim = _figure_sim_cycles(data)
-        total_sim += sim
-        total_wall += elapsed
-        throughput[spec.name] = _throughput_entry(sim, elapsed)
-    throughput["overall"] = _throughput_entry(total_sim, total_wall)
+    names = [spec.name for spec in specs]
+    built = fan_out(functools.partial(_build_figure, scale=scale), names,
+                    jobs, note)
+    figures = {name: data for name, ((data, _), _) in zip(names, built)}
+    throughput = {name: throughput_entry(sim_cycles, seconds)
+                  for name, ((_, sim_cycles), seconds) in zip(names, built)}
+    throughput["overall"] = throughput_entry(
+        sum(entry["sim_cycles"] for entry in throughput.values()),
+        sum(seconds for _, seconds in built))
     return figures, throughput
 
 

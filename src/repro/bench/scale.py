@@ -8,12 +8,13 @@ to :mod:`repro.obs.scaling` for the post-hoc analysis: speedup curves,
 Amdahl/USL serial-fraction fits, the per-lock contention matrix, and
 the invalidation-queue decomposition.
 
-Points are independent, so ``--jobs N`` distributes them over worker
-processes exactly like the bench fan-out (top-level picklable worker,
-results merged in task order) — the written record is byte-identical at
-any job count once the host-dependent fields are stripped
-(:func:`repro.bench.record.stable_view` applies unchanged, which is
-what ``tests/bench/test_scale.py`` asserts).
+Every point is a :class:`~repro.bench.points.RunPoint` run by
+:func:`repro.bench.points.run_point`, and points are independent tasks
+of :func:`repro.bench.points.fan_out`, so ``--jobs N`` distributes them
+over worker processes and merges them back in task order — the written
+record is byte-identical at any job count once the host-dependent
+fields are stripped (:func:`repro.bench.record.stable_view` applies
+unchanged, which is what ``tests/bench/test_scale.py`` asserts).
 
 Artifacts land as fixed-name ``scale.json`` + ``scale.md`` (CI uploads
 the JSON next to the bench records; fixed names keep the workflow glob
@@ -26,18 +27,19 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.record import SCHEMA_VERSION, build_record
-from repro.bench.runner import (
-    _throughput_entry,
-    _TRACE_CAPACITY,
-    default_results_dir,
+from repro.bench.points import (
+    RunPoint,
+    fan_out,
+    run_point,
+    sized_point,
+    throughput_entry,
 )
+from repro.bench.record import SCHEMA_VERSION, build_record
+from repro.bench.runner import default_results_dir
 from repro.dma.registry import ALL_SCHEMES, PAPER_ALIASES
-from repro.obs.context import Observability
 from repro.obs.scaling import (
     analyze_scheme,
     contention_matrix,
@@ -51,15 +53,15 @@ from repro.obs.scaling import (
 from repro.obs.spans import SPAN_LOCK_WAIT
 from repro.sim.units import cycles_to_us
 from repro.stats.results import RunResult
-from repro.workloads.memcached import MemcachedConfig, run_memcached
-from repro.workloads.netperf import StreamConfig, run_tcp_stream
-from repro.workloads.storage import StorageConfig, run_storage
 
 #: The ROADMAP's target sweep for the "strict vs per-core vs copy" figure.
 DEFAULT_CORES = (1, 2, 4, 8, 16, 32, 64)
 
-#: Workloads the sweep can drive.
-SCALE_WORKLOADS = ("stream", "stream-tx", "storage", "memcached")
+#: Workloads the sweep can drive, with the message, block or value size
+#: of their points.
+SCALE_SIZES = {"stream": 16384, "stream-tx": 16384, "storage": 4096,
+               "memcached": 4096}
+SCALE_WORKLOADS = tuple(SCALE_SIZES)
 
 
 @dataclass(frozen=True)
@@ -70,22 +72,13 @@ class ScaleSizing:
     name: str
     units_per_core: int
     warmup_units: int
-    message_size: int
-    storage_block_size: int
-    memcached_value_size: int
 
 
 #: CI smoke sizing: a strict-vs-copy 1/2/4 sweep in a few seconds.
-QUICK_SIZING = ScaleSizing(
-    name="quick", units_per_core=60, warmup_units=15,
-    message_size=16384, storage_block_size=4096,
-    memcached_value_size=4096)
+QUICK_SIZING = ScaleSizing(name="quick", units_per_core=60, warmup_units=15)
 
 #: Report sizing: stable curves through 64 cores.
-FULL_SIZING = ScaleSizing(
-    name="full", units_per_core=200, warmup_units=40,
-    message_size=16384, storage_block_size=4096,
-    memcached_value_size=4096)
+FULL_SIZING = ScaleSizing(name="full", units_per_core=200, warmup_units=40)
 
 SIZINGS = {"quick": QUICK_SIZING, "full": FULL_SIZING}
 
@@ -133,35 +126,13 @@ def _invalidation_section(result: RunResult) -> Dict[str, object]:
     }
 
 
-def _run_point(workload: str, scheme: str, cores: int,
-               sizing: ScaleSizing) -> Dict[str, object]:
+def _sweep_point(point: RunPoint) -> Dict[str, object]:
     """Run one (scheme, cores) point and flatten it into a point dict."""
-    obs = Observability.capture(trace_capacity=_TRACE_CAPACITY)
-    if workload in ("stream", "stream-tx"):
-        result = run_tcp_stream(StreamConfig(
-            scheme=scheme,
-            direction="rx" if workload == "stream" else "tx",
-            message_size=sizing.message_size, cores=cores,
-            units_per_core=sizing.units_per_core,
-            warmup_units=sizing.warmup_units, obs=obs))
-    elif workload == "storage":
-        result = run_storage(StorageConfig(
-            scheme=scheme, block_size=sizing.storage_block_size,
-            cores=cores, ops_per_core=sizing.units_per_core,
-            warmup_ops=sizing.warmup_units, obs=obs))
-    elif workload == "memcached":
-        result = run_memcached(MemcachedConfig(
-            scheme=scheme, cores=cores,
-            value_size=sizing.memcached_value_size,
-            transactions_per_core=sizing.units_per_core,
-            warmup_transactions=sizing.warmup_units, obs=obs))
-    else:
-        raise SystemExit(f"error: unknown scale workload {workload!r}; "
-                         f"choices: {', '.join(SCALE_WORKLOADS)}")
+    result, obs = run_point(point)
     lock_wait_share, serial_fraction = serialized_shares(
         result.breakdown_cycles, result.busy_cycles)
     return {
-        "cores": cores,
+        "cores": result.cores,
         "units": result.units,
         "payload_bytes": result.payload_bytes,
         "wall_cycles": result.wall_cycles,
@@ -174,15 +145,6 @@ def _run_point(workload: str, scheme: str, cores: int,
         "invalidation": _invalidation_section(result),
         "lock_wait_paths": _lock_wait_paths(obs.spans.tree()),
     }
-
-
-def _point_worker(task: Tuple[str, str, int, ScaleSizing]
-                  ) -> Tuple[str, int, Dict[str, object], float]:
-    """Top-level (hence picklable) per-process worker: one sweep point."""
-    workload, scheme, cores, sizing = task
-    t0 = time.perf_counter()
-    point = _run_point(workload, scheme, cores, sizing)
-    return scheme, cores, point, time.perf_counter() - t0
 
 
 # ----------------------------------------------------------------------
@@ -215,46 +177,34 @@ def resolve_cores(cores: Sequence[int]) -> List[int]:
 
 
 def build_sweep(workload: str, schemes: Sequence[str],
-                cores: Sequence[int], sizing: ScaleSizing,
-                jobs: int = 1, label: str = "scale",
+                cores: Sequence[int], sizing: ScaleSizing, jobs: int = 1,
                 ) -> Tuple[Dict[str, List[Dict]], Dict[str, dict]]:
     """Run every (scheme, cores) point; returns ``(points, throughput)``.
 
-    Mirrors :func:`repro.bench.runner.build_figures`: points run in any
-    order across processes but merge back **in task order**, so the
-    result is deterministic at any ``jobs`` count.  The throughput
-    section sums per-point wall times (not makespan), comparable across
-    job counts the way the bench section is.
+    Mirrors :func:`repro.bench.runner.build_figures`: points are
+    :func:`repro.bench.points.fan_out` tasks merged back **in task
+    order**, so the result is deterministic at any ``jobs`` count.  The
+    throughput section sums per-point wall times (not makespan),
+    comparable across job counts the way the bench section is.
     """
-    if jobs < 1:
-        raise SystemExit(f"error: jobs must be positive: {jobs}")
-    tasks = [(workload, scheme, n, sizing)
+    tasks = [sized_point(workload, scheme, cores=n,
+                         size=SCALE_SIZES[workload],
+                         units=sizing.units_per_core,
+                         warmup=sizing.warmup_units)
              for scheme in schemes for n in cores]
-    built: Dict[Tuple[str, int], Tuple[Dict, float]] = {}
 
-    def note(scheme: str, n: int, point: Dict, elapsed: float) -> None:
-        built[(scheme, n)] = (point, elapsed)
-        print(f"[{label}] {scheme:<18} cores={n:<3} "
-              f"{point['throughput_gbps']:8.2f} Gb/s  {elapsed:5.1f}s",
+    def note(task: RunPoint, point: Dict, seconds: float) -> None:
+        print(f"[scale] {task.scheme:<18} cores={point['cores']:<3} "
+              f"{point['throughput_gbps']:8.2f} Gb/s  {seconds:5.1f}s",
               file=sys.stderr)
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for scheme, n, point, elapsed in pool.map(_point_worker, tasks):
-                note(scheme, n, point, elapsed)
-    else:
-        for task in tasks:
-            scheme, n, point, elapsed = _point_worker(task)
-            note(scheme, n, point, elapsed)
-
-    points: Dict[str, List[Dict]] = {
-        scheme: [built[(scheme, n)][0] for n in cores]
-        for scheme in schemes}
-    total_sim = sum(point["wall_cycles"]
-                    for per_scheme in points.values()
-                    for point in per_scheme)
-    total_wall = sum(elapsed for _, elapsed in built.values())
-    throughput = {"overall": _throughput_entry(total_sim, total_wall)}
+    built = fan_out(_sweep_point, tasks, jobs, note)
+    points: Dict[str, List[Dict]] = {scheme: [] for scheme in schemes}
+    for task, (point, _) in zip(tasks, built):
+        points[task.scheme].append(point)
+    throughput = {"overall": throughput_entry(
+        sum(point["wall_cycles"] for point, _ in built),
+        sum(seconds for _, seconds in built))}
     return points, throughput
 
 

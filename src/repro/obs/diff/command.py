@@ -58,11 +58,8 @@ def _live_sides(workload: Optional[str], schemes: Sequence[str],
     for knob, value in overrides.items():
         if value is not None:
             sizing[knob] = value
-    return run_live_pair(
-        workload, schemes[0], schemes[1],
-        cores=sizing["cores"], size=sizing["size"],
-        units=sizing["units"], warmup=sizing["warmup"],
-        tail_percentile=tail, jobs=jobs, quiet=quiet)
+    return run_live_pair(workload, schemes[0], schemes[1], **sizing,
+                         tail_percentile=tail, jobs=jobs, quiet=quiet)
 
 
 def run_diff(paths: Sequence[str] = (),
@@ -72,7 +69,6 @@ def run_diff(paths: Sequence[str] = (),
              cores: Optional[int] = None,
              size: Optional[int] = None,
              units: Optional[int] = None,
-             warmup: Optional[int] = None,
              tail: float = 99.0,
              jobs: int = 1,
              out_dir: Optional[str] = None,
@@ -100,7 +96,7 @@ def run_diff(paths: Sequence[str] = (),
     else:
         a, b = _live_sides(workload, schemes, mode,
                            {"cores": cores, "size": size,
-                            "units": units, "warmup": warmup},
+                            "units": units},
                            tail, jobs, quiet)
 
     diff = build_diff(a, b)

@@ -18,17 +18,19 @@ Three constructors cover the CLI's modes:
   shape;
 * :func:`side_from_capture` — one completed instrumented run (how
   ``repro report`` reuses its tail-attribution captures);
-* :func:`run_live_pair` — run two schemes under identical load, one
-  process each when ``jobs > 1``; results merge in fixed order so the
-  built sides are identical at any job count.
+* :func:`run_live_pair` — run two schemes under identical load as two
+  :class:`~repro.bench.points.RunPoint` tasks of
+  :func:`repro.bench.points.fan_out`, one process each when
+  ``jobs > 1``; results merge in fixed order so the built sides are
+  identical at any job count.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ProcessPoolExecutor
+import functools
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.spans import SpanNode
 
@@ -37,9 +39,6 @@ LIVE_SIZINGS: Dict[str, Dict[str, int]] = {
     "quick": {"cores": 8, "size": 16384, "units": 80, "warmup": 20},
     "full": {"cores": 16, "size": 16384, "units": 300, "warmup": 60},
 }
-
-#: Workloads a live diff can drive.
-LIVE_WORKLOADS = ("stream", "stream-tx", "rr", "memcached", "storage")
 
 Key = Tuple[str, ...]
 
@@ -163,64 +162,27 @@ def side_from_capture(result, obs, label: str,
     return side
 
 
-def _run_live(workload: str, scheme: str, cores: int, size: int,
-              units: int, warmup: int):
-    """Run one instrumented workload; returns ``(result, obs)``."""
-    from repro.bench.runner import _TRACE_CAPACITY
-    from repro.obs.context import Observability
-    from repro.workloads.memcached import MemcachedConfig, run_memcached
-    from repro.workloads.netperf import (RRConfig, StreamConfig,
-                                         run_tcp_rr, run_tcp_stream)
-    from repro.workloads.storage import StorageConfig, run_storage
-
-    obs = Observability.capture(trace_capacity=_TRACE_CAPACITY)
-    if workload in ("stream", "stream-tx"):
-        result = run_tcp_stream(StreamConfig(
-            scheme=scheme,
-            direction="rx" if workload == "stream" else "tx",
-            message_size=size, cores=cores, units_per_core=units,
-            warmup_units=warmup, obs=obs))
-    elif workload == "rr":
-        result = run_tcp_rr(RRConfig(
-            scheme=scheme, message_size=size, transactions=units,
-            warmup_transactions=warmup, obs=obs))
-    elif workload == "memcached":
-        result = run_memcached(MemcachedConfig(
-            scheme=scheme, cores=cores, value_size=size,
-            transactions_per_core=units, warmup_transactions=warmup,
-            obs=obs))
-    elif workload == "storage":
-        result = run_storage(StorageConfig(
-            scheme=scheme, block_size=size, cores=cores,
-            ops_per_core=units, warmup_ops=warmup, obs=obs))
-    else:
-        raise SystemExit(f"error: unknown diff workload {workload!r}; "
-                         f"choices: {', '.join(LIVE_WORKLOADS)}")
-    return result, obs
-
-
-def _live_worker(task: Tuple[str, str, int, int, int, int, float]
-                 ) -> Tuple[str, Dict, float]:
-    """Top-level (hence picklable) worker: one live side, serialized.
+def _live_payload(point, tail_percentile: float) -> Dict:
+    """One live side, serialized (a picklable :func:`fan_out` worker).
 
     Everything crossing the process boundary is plain JSON-able data;
     the parent rebuilds the :class:`SpanNode` tree, so the built side
     is identical whether the run happened in-process or in a worker.
     """
-    workload, scheme, cores, size, units, warmup, tail_pct = task
-    t0 = time.perf_counter()
-    result, obs = _run_live(workload, scheme, cores, size, units, warmup)
-    side = side_from_capture(result, obs, label=scheme,
-                             tail_percentile=tail_pct)
-    key, point = next(iter(side.points.items()))
-    payload = {
+    from repro.bench.points import run_point
+
+    result, obs = run_point(point)
+    side = side_from_capture(result, obs, label=point.scheme,
+                             tail_percentile=tail_percentile)
+    key, captured = next(iter(side.points.items()))
+    return {
         "key": list(key),
-        "metrics": point.metrics,
-        "units": point.units,
-        "spans": point.spans.to_dict() if point.spans is not None else None,
-        "tail": point.tail,
+        "metrics": captured.metrics,
+        "units": captured.units,
+        "spans": (captured.spans.to_dict()
+                  if captured.spans is not None else None),
+        "tail": captured.tail,
     }
-    return scheme, payload, time.perf_counter() - t0
 
 
 def _rebuild_side(scheme: str, payload: Dict) -> DiffSide:
@@ -243,25 +205,19 @@ def run_live_pair(workload: str, scheme_a: str, scheme_b: str,
     always round-trip through the same serialized form and merge in
     fixed (A, B) order, so the pair is byte-identical at any job count.
     """
-    import sys
+    from repro.bench.points import fan_out, sized_point
 
-    tasks: Sequence[Tuple] = (
-        (workload, scheme_a, cores, size, units, warmup, tail_percentile),
-        (workload, scheme_b, cores, size, units, warmup, tail_percentile),
-    )
-    built: List[Tuple[str, Dict]] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            for scheme, payload, elapsed in pool.map(_live_worker, tasks):
-                built.append((scheme, payload))
-                if not quiet:
-                    print(f"[diff] {scheme:<18} {workload} cores={cores} "
-                          f"{elapsed:5.1f}s", file=sys.stderr)
-    else:
-        for task in tasks:
-            scheme, payload, elapsed = _live_worker(task)
-            built.append((scheme, payload))
-            if not quiet:
-                print(f"[diff] {scheme:<18} {workload} cores={cores} "
-                      f"{elapsed:5.1f}s", file=sys.stderr)
-    return (_rebuild_side(*built[0]), _rebuild_side(*built[1]))
+    points = [sized_point(workload, scheme, cores=cores, size=size,
+                          units=units, warmup=warmup)
+              for scheme in (scheme_a, scheme_b)]
+
+    def note(point, payload: Dict, seconds: float) -> None:
+        print(f"[diff] {point.scheme:<18} {workload} cores={cores} "
+              f"{seconds:5.1f}s", file=sys.stderr)
+
+    built = fan_out(functools.partial(_live_payload,
+                                      tail_percentile=tail_percentile),
+                    points, jobs, None if quiet else note)
+    side_a, side_b = (_rebuild_side(point.scheme, payload)
+                      for point, (payload, _) in zip(points, built))
+    return side_a, side_b

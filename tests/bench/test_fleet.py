@@ -14,9 +14,17 @@ import json
 
 import pytest
 
+from repro.bench.fleet import (
+    FleetSizing,
+    build_fleet_figure,
+    build_searches,
+    fleet_objective,
+)
 from repro.bench.record import build_record, stable_view
 from repro.bench.regression import compare_records
 from repro.cli import main as cli_main
+from repro.obs.context import Observability
+from repro.workloads.fleet import FleetConfig, run_fleet
 
 _FLEET_ARGS = ["fleet", "--schemes", "strict,copy", "--quick"]
 
@@ -122,6 +130,49 @@ def test_window_series_and_trace_exports(searches):
     # The Perfetto export carries the SLO counter tracks.
     assert "slo.p99_window" in searches[1]["_trace"]
     assert "slo.burn_rate" in searches[1]["_trace"]
+
+
+# ----------------------------------------------------------------------
+# Simulator throughput: every fleet run inside the timed search counts.
+# ----------------------------------------------------------------------
+#: A search of a few short runs: bracket, one bisection, one re-run.
+_TINY_FLEET = FleetSizing(
+    name="tiny", cores=1, duration_us=400.0, warmup_us=100.0,
+    start_users=1_000_000, max_doublings=3, rel_tol=0.5,
+    p99_objective_us=60.0, availability=0.999, window_us=200.0,
+    timeout_us=240.0)
+
+
+def _fleet_cycles(scheme: str, users: int) -> int:
+    return run_fleet(FleetConfig(
+        scheme=scheme, cores=_TINY_FLEET.cores, users=users,
+        duration_us=_TINY_FLEET.duration_us,
+        warmup_us=_TINY_FLEET.warmup_us,
+        objective=fleet_objective(_TINY_FLEET),
+        obs=Observability.capture())).wall_cycles
+
+
+def test_search_throughput_counts_every_run():
+    """``sim_cycles`` covers each curve evaluation plus the Perfetto
+    re-run of the first failing point, not just the two rows the record
+    keeps."""
+    scheme = "identity-strict"
+    searches, throughput = build_searches([scheme], _TINY_FLEET,
+                                          with_trace=True)
+    search = searches[scheme]
+    hi = search["first_failing_users"]
+    assert hi is not None and len(search["curve"]) >= 3
+    expected = sum(_fleet_cycles(scheme, point["users"])
+                   for point in search["curve"])
+    expected += _fleet_cycles(scheme, hi)
+    assert throughput["overall"]["sim_cycles"] == expected
+
+
+def test_bench_fleet_figure_counts_every_search_run():
+    figure, sim_cycles = build_fleet_figure(_TINY_FLEET, ["copy"])
+    _, throughput = build_searches(["copy"], _TINY_FLEET)
+    assert sim_cycles == throughput["overall"]["sim_cycles"]
+    assert sim_cycles > sum(row["wall_cycles"] for row in figure["series"])
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,8 @@ TINY = BenchScale(
 @pytest.fixture(scope="module")
 def fig03_data():
     spec = next(s for s in FIGURES if s.name == "fig03")
-    return spec.build(TINY)
+    data, _ = spec.build(TINY)
+    return data
 
 
 def test_registry_names_are_unique_and_ordered():
@@ -130,7 +131,7 @@ def test_fig_scalinv_build_tiny():
     from repro.bench.runner import SCALINV_SCHEMES
 
     spec = next(s for s in FIGURES if s.name == "fig_scalinv")
-    data = spec.build(TINY)
+    data, _ = spec.build(TINY)
     rows = data["series"]
     assert len(rows) == len(SCALINV_SCHEMES) * len(TINY.scalinv_cores)
     by_scheme = {}

@@ -17,7 +17,10 @@ invalidated*:
 Both operate at page granularity, so data co-located with a DMA buffer on
 the same page is exposed for the mapping's lifetime (§4).  Page mappings
 are reference-counted, since sub-page buffers (or identity mappings of
-neighbouring buffers) can legitimately overlap on a page.
+neighbouring buffers) can legitimately overlap on a page.  Like Linux's
+intel-iommu, a buffer's PTEs are installed and cleared by run: one
+``map_range``/``unmap_range`` per run of consecutive pages, still
+charged page-granular cost per page.
 """
 
 from __future__ import annotations
@@ -87,32 +90,53 @@ class ZeroCopyDmaApi(DmaApi):
     # ------------------------------------------------------------------
     def _map(self, core: Core, buf: KBuffer,
              direction: DmaDirection) -> tuple[DmaHandle, _MapCookie]:
+        """Map the buffer's pages, each maximal run of fresh pages with
+        one ``map_range``.
+
+        A page that needs work of its own — a live reference (shared or
+        widened) or a cached IOTLB entry with another frame or narrower
+        rights — ends the run and goes through :meth:`_map_one_page` at
+        the point a page-by-page loop reaches it; the range cost is
+        linear and nothing in a run reads the clock, so every charge,
+        lock and invalidation lands on the same cycle.  A one-page
+        buffer goes straight to :meth:`_map_one_page`, and so does every
+        page under ``prefetch``: a hint insert can evict a later page's
+        cached entry before that page is checked.
+        """
         perm = direction.perm
         pa_base = (buf.pa >> PAGE_SHIFT) << PAGE_SHIFT
         offset = buf.pa - pa_base
         npages = ((offset + buf.size - 1) >> PAGE_SHIFT) + 1
         iova_base = self.iova_allocator.alloc(npages, core, pa_base)
-        mapped = 0
+        first = iova_base >> PAGE_SHIFT
+        run = first     # pages [first, run) hold a reference
         try:
-            for i in range(npages):
-                self._map_one_page(core, (iova_base >> PAGE_SHIFT) + i,
-                                   (pa_base >> PAGE_SHIFT) + i, perm)
-                mapped += 1
+            if npages == 1:
+                self._map_one_page(core, first, pa_base >> PAGE_SHIFT, perm)
+            else:
+                refs = self._page_refs
+                peek = self.iommu.iotlb.peek
+                domain_id = self.domain_id
+                batch = not self.prefetch
+                delta = (pa_base >> PAGE_SHIFT) - first  # page -> frame
+                end = first + npages
+                # Pages [run, page) are fresh, awaiting one map_range.
+                for page in range(first, end):
+                    if batch and page not in refs:
+                        cached = peek(domain_id, page)
+                        if cached is None or (cached.pfn == page + delta
+                                              and cached.perm.covers(perm)):
+                            continue
+                    self._install(core, run, page, delta, perm)
+                    run = page
+                    self._map_one_page(core, page, page + delta, perm)
+                    run = page + 1
+                self._install(core, run, end, delta, perm)
         except ReproError:
             # Page-table failure mid-map: release the pages already
-            # mapped (with a strict invalidation — over-invalidating is
-            # safe for both policies) and give the IOVA range back.
-            cleared: List[int] = []
-            first = iova_base >> PAGE_SHIFT
-            for i in range(mapped):
-                page = first + i
-                ref = self._page_refs[page]
-                ref.refcount -= 1
-                if ref.refcount == 0:
-                    del self._page_refs[page]
-                    self.iommu.unmap_range(self.domain, page << PAGE_SHIFT,
-                                           PAGE_SIZE, core)
-                    cleared.append(page)
+            # referenced (with a strict invalidation — over-invalidating
+            # is safe for both policies) and give the IOVA range back.
+            cleared = self._unmap_pages(core, first, run - first)
             if cleared:
                 self._invalidate_cleared(core, cleared)
             self.iova_allocator.free(iova_base, npages, core)
@@ -123,21 +147,37 @@ class ZeroCopyDmaApi(DmaApi):
                             pa_base=pa_base)
         return handle, cookie
 
+    def _install(self, core: Core, start: int, stop: int, delta: int,
+                 perm: Perm) -> None:
+        """Map the fresh IOVA pages ``[start, stop)`` onto frames
+        ``delta`` further on with one ``map_range``, and take their first
+        references (no-op for an empty run)."""
+        if stop <= start:
+            return
+        self.iommu.map_range(self.domain, start << PAGE_SHIFT,
+                             (start + delta) << PAGE_SHIFT,
+                             (stop - start) << PAGE_SHIFT, perm, core)
+        refs = self._page_refs
+        for page in range(start, stop):
+            refs[page] = _PageRef(refcount=1, perm=perm)
+
     def _invalidate_cleared(self, core: Core, cleared: List[int]) -> None:
         """Strictly invalidate the cleared pages of one unmap.
 
         ``cleared`` can have holes when refcounted sharing keeps some of
         the range's pages mapped; the ranged path names exactly the
         cleared pages, while the classic path posts one descriptor over
-        the covering range (over-invalidation — safe, and what a
-        single-descriptor submission can express).
+        the covering range ``cleared[0]..cleared[-1]``
+        (over-invalidation — safe, and what a single-descriptor
+        submission can express).
         """
         if self.ranged:
             self.iommu.invalidation_queue.invalidate_ranges_sync(
                 core, self.domain.domain_id, cleared)
         else:
             self.iommu.invalidation_queue.invalidate_sync(
-                core, self.domain.domain_id, cleared[0], len(cleared))
+                core, self.domain.domain_id, cleared[0],
+                cleared[-1] - cleared[0] + 1)
 
     def _prefetch_page(self, core: Core, iova_page: int, pfn: int,
                        perm: Perm) -> None:
@@ -185,21 +225,35 @@ class ZeroCopyDmaApi(DmaApi):
             if self.prefetch:
                 self._prefetch_page(core, iova_page, pfn, widened)
 
-    def _unmap_pages(self, core: Core, cookie: _MapCookie) -> List[int]:
-        """Drop page references; returns iova pages whose PTE was cleared."""
+    def _unmap_pages(self, core: Core, first: int,
+                     npages: int) -> List[int]:
+        """Drop one reference on each of ``npages`` pages from ``first``;
+        returns the pages whose PTE was cleared.
+
+        Each run of consecutive pages losing their last reference is
+        cleared with one ``unmap_range``; a page still shared ends the
+        run.
+        """
+        refs = self._page_refs
         cleared: List[int] = []
-        first = cookie.iova_base >> PAGE_SHIFT
-        for i in range(cookie.npages):
-            page = first + i
-            ref = self._page_refs.get(page)
+        start = first    # pages [start, page) are released, still mapped
+        end = first + npages
+        for page in range(first, end):
+            ref = refs.get(page)
+            if ref is not None and ref.refcount == 1:
+                del refs[page]
+                cleared.append(page)
+                continue
+            if page > start:
+                self.iommu.unmap_range(self.domain, start << PAGE_SHIFT,
+                                       (page - start) << PAGE_SHIFT, core)
+            start = page + 1
             if ref is None:
                 raise DmaApiError(f"unmap of untracked IOVA page {page:#x}")
             ref.refcount -= 1
-            if ref.refcount == 0:
-                del self._page_refs[page]
-                self.iommu.unmap_range(self.domain, page << PAGE_SHIFT,
-                                       PAGE_SIZE, core)
-                cleared.append(page)
+        if end > start:
+            self.iommu.unmap_range(self.domain, start << PAGE_SHIFT,
+                                   (end - start) << PAGE_SHIFT, core)
         return cleared
 
     # ------------------------------------------------------------------
@@ -267,7 +321,8 @@ class StrictZeroCopyDmaApi(ZeroCopyDmaApi):
 
     def _unmap(self, core: Core, buf: KBuffer, handle: DmaHandle,
                cookie: _MapCookie) -> None:
-        cleared = self._unmap_pages(core, cookie)
+        cleared = self._unmap_pages(core, cookie.iova_base >> PAGE_SHIFT,
+                                    cookie.npages)
         if cleared:
             # One (possibly ranged) invalidation per unmap call.
             self._invalidate_cleared(core, cleared)
@@ -328,18 +383,22 @@ class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
 
     def _unmap(self, core: Core, buf: KBuffer, handle: DmaHandle,
                cookie: _MapCookie) -> None:
-        cleared = self._unmap_pages(core, cookie)
+        cleared = self._unmap_pages(core, cookie.iova_base >> PAGE_SHIFT,
+                                    cookie.npages)
         slot = self._slot(core)
         self._list_lock.acquire(core)
         core.charge(self.cost.deferred_bookkeeping_cycles, CAT_OTHER)
         pending = self._pending[slot]
         if cleared:
+            # One entry over the covering range: shared pages inside it
+            # are over-invalidated, which is safe.
+            npages = cleared[-1] - cleared[0] + 1
             pending.append(PendingInvalidation(
                 domain_id=self.domain.domain_id, iova_page=cleared[0],
-                npages=len(cleared), queued_at=core.now))
+                npages=npages, queued_at=core.now))
             if self.obs.enabled:
                 self.obs.tracer.emit(EV_INV_DEFER, core.now, core.cid,
-                                     scheme=self.name, pages=len(cleared),
+                                     scheme=self.name, pages=npages,
                                      slot=slot, queued=len(pending))
         # IOVA deallocation is deferred too (§2.2.1): the range must not
         # be reused while stale IOTLB entries can still reach it.

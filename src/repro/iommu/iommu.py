@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Protocol
+from typing import Deque, Dict, Iterator, Protocol, Tuple
 
 from repro.errors import ConfigurationError, IommuFault, KallocError
 from repro.faults.plan import SITE_PT_MAP
@@ -190,10 +190,15 @@ class Iommu:
         if core is not None:
             core.charge(self.cost.pt_map_range_cycles(npages), CAT_PT_MGMT)
         if self.obs.enabled:
-            t = core.now if core is not None else self.machine.wall_clock()
+            # The range cost is linear, so page i of the call is stamped
+            # where a one-page call per page would have stamped it.
+            if core is not None:
+                t, step = core.now, self.cost.pt_map_cycles
+            else:
+                t, step = self.machine.wall_clock(), 0
             self.obs.exposure.note_map_range(t, domain.domain_id,
                                             domain.device_id, iova, size,
-                                            kind)
+                                            kind, page_cycles=step)
 
     def unmap_range(self, domain: Domain, iova: int, size: int,
                     core: Core | None = None) -> int:
@@ -210,12 +215,16 @@ class Iommu:
         if core is not None:
             core.charge(self.cost.pt_unmap_range_cycles(npages), CAT_PT_MGMT)
         if self.obs.enabled:
-            t = core.now if core is not None else self.machine.wall_clock()
+            if core is not None:
+                t, step = core.now, self.cost.pt_unmap_cycles
+            else:
+                t, step = self.machine.wall_clock(), 0
             cached = {first_page + i for i in range(npages)
                       if self.iotlb.peek(domain.domain_id,
                                          first_page + i) is not None}
             self.obs.exposure.note_unmap_range(t, domain.domain_id, iova,
-                                               size, cached)
+                                               size, cached,
+                                               page_cycles=step)
         return npages
 
     # ------------------------------------------------------------------
@@ -283,39 +292,78 @@ class TranslatingDmaPort:
     translated through :meth:`Iommu.translate`, in order: the IOTLB is
     consulted once per chunk, and a fault stops the access at the chunk
     it hits — a write has already landed on the chunks before it.
+
+    Bytes move once per run of chunks on consecutive frames of one node
+    region, not once per chunk; a run never spans a frame the
+    per-chunk move would have refused.
     """
 
     def __init__(self, iommu: Iommu, domain: Domain):
         self.iommu = iommu
         self.domain = domain
 
-    def dma_read(self, iova: int, size: int) -> bytes:
+    def _runs(self, iova: int, size: int,
+              is_write: bool) -> Iterator[Tuple[int, int, int]]:
+        """Translate ``[iova, iova+size)`` chunk by chunk and yield
+        ``(pa, lo, hi)`` for each physically contiguous run, where
+        ``lo:hi`` is the run's slice of the access.
+
+        A fault first yields the run before the faulting chunk, so its
+        bytes still move; a chunk outside memory is yielded on its own
+        at once, so its move raises before a later chunk is translated.
+        """
         translate = self.iommu.translate
-        read = self.iommu.machine.memory.read
+        contains = self.iommu.machine.memory.contains
         domain = self.domain
-        parts: List[bytes] = []
-        end = iova + size
-        while iova < end:
-            stop = min((iova | _PAGE_MASK) + 1, end)
-            pfn = translate(domain, iova, is_write=False).pfn
-            parts.append(read((pfn << PAGE_SHIFT) | (iova & _PAGE_MASK),
-                              stop - iova))
-            iova = stop
-        return b"".join(parts)
+        run_pa = lo = hi = 0
+        offset = 0
+        while offset < size:
+            current = iova + offset
+            chunk = PAGE_SIZE - (current & _PAGE_MASK)
+            if chunk > size - offset:
+                chunk = size - offset
+            try:
+                pfn = translate(domain, current, is_write=is_write).pfn
+            except IommuFault:
+                if hi > lo:
+                    yield run_pa, lo, hi
+                raise
+            pa = (pfn << PAGE_SHIFT) | (current & _PAGE_MASK)
+            if pa == run_pa + hi - lo and contains(run_pa, hi - lo + chunk):
+                hi += chunk
+            else:
+                if hi > lo:
+                    yield run_pa, lo, hi
+                run_pa, lo, hi = pa, offset, offset + chunk
+                if not contains(pa, chunk):
+                    yield run_pa, lo, hi
+            offset += chunk
+        if hi > lo:
+            yield run_pa, lo, hi
+
+    def dma_read(self, iova: int, size: int) -> bytes:
+        read = self.iommu.machine.memory.read
+        if size <= PAGE_SIZE - (iova & _PAGE_MASK):
+            if size <= 0:
+                return b""
+            pfn = self.iommu.translate(self.domain, iova, is_write=False).pfn
+            return read((pfn << PAGE_SHIFT) | (iova & _PAGE_MASK), size)
+        parts = [read(pa, hi - lo)
+                 for pa, lo, hi in self._runs(iova, size, False)]
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def dma_write(self, iova: int, data: bytes) -> None:
-        translate = self.iommu.translate
         write = self.iommu.machine.memory.write
-        domain = self.domain
+        size = len(data)
+        if size <= PAGE_SIZE - (iova & _PAGE_MASK):
+            if size:
+                pfn = self.iommu.translate(self.domain, iova,
+                                           is_write=True).pfn
+                write((pfn << PAGE_SHIFT) | (iova & _PAGE_MASK), data)
+            return
         view = memoryview(data)
-        start = iova
-        end = iova + len(data)
-        while iova < end:
-            stop = min((iova | _PAGE_MASK) + 1, end)
-            pfn = translate(domain, iova, is_write=True).pfn
-            write((pfn << PAGE_SHIFT) | (iova & _PAGE_MASK),
-                  view[iova - start:stop - start])
-            iova = stop
+        for pa, lo, hi in self._runs(iova, size, True):
+            write(pa, view[lo:hi])
 
 
 class PassthroughDmaPort:

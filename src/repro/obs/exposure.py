@@ -247,35 +247,44 @@ class ExposureAccountant:
     # IOMMU-side lifecycle (page granular).
     # ------------------------------------------------------------------
     def note_map_range(self, t: int, domain_id: int, device_id: int,
-                       iova: int, size: int, kind: str = KIND_OS) -> None:
-        """A ``map_range`` installed PTEs for ``[iova, iova+size)``."""
+                       iova: int, size: int, kind: str = KIND_OS,
+                       page_cycles: int = 0) -> None:
+        """A ``map_range`` installed PTEs for ``[iova, iova+size)``,
+        finishing at ``t``.  Its pages were installed ``page_cycles``
+        apart, the last at ``t``: page *i* of an *n*-page call is
+        stamped ``t - (n-1-i)·page_cycles``, as one call per page would
+        have been.  The surface is sampled once, at ``t``."""
         dom = self._domain(domain_id, device_id)
         first = iova >> PAGE_SHIFT
         last = (iova + size - 1) >> PAGE_SHIFT
         for page in range(first, last + 1):
+            stamp = t - (last - page) * page_cycles
             # An identity remap of a stale frame re-legitimises the
             # cached translation: the window closes here, not at the
             # (possibly much later) batch flush.
             sp = dom.stale.pop(page, None)
             if sp is not None:
-                self._finalize_stale(dom, sp, t)
+                self._finalize_stale(dom, sp, stamp)
             state = dom.pages.get(page)
             if state is None:
                 dom.pages[page] = _PageState(kind=kind, refcount=1,
-                                             installed_at=t)
+                                             installed_at=stamp)
             else:
                 state.refcount += 1
                 state.os_released_at = None
-            dom.remember(page, map_t=t)
+            dom.remember(page, map_t=stamp)
+        # Mapping never shrinks the surface, so its peak is at the end.
         dom.peak_surface_bytes = max(dom.peak_surface_bytes,
                                      dom.surface_bytes)
         self._sample_surface(t)
 
     def note_unmap_range(self, t: int, domain_id: int, iova: int,
-                         size: int, cached_pages: Set[int]) -> None:
-        """An ``unmap_range`` cleared PTEs; ``cached_pages`` are the
-        pages whose translations the IOTLB still holds (they go stale
-        rather than vanishing)."""
+                         size: int, cached_pages: Set[int],
+                         page_cycles: int = 0) -> None:
+        """An ``unmap_range`` cleared PTEs, finishing at ``t``;
+        ``cached_pages`` are the pages whose translations the IOTLB
+        still holds (they go stale rather than vanishing).  Pages are
+        stamped ``page_cycles`` apart, as in :meth:`note_map_range`."""
         dom = self._domain(domain_id)
         first = iova >> PAGE_SHIFT
         last = (iova + size - 1) >> PAGE_SHIFT
@@ -286,11 +295,12 @@ class ExposureAccountant:
             state.refcount -= 1
             if state.refcount > 0:
                 continue
+            stamp = t - (last - page) * page_cycles
             del dom.pages[page]
-            dom.remember(page, unmap_t=t)
+            dom.remember(page, unmap_t=stamp)
             if page in cached_pages:
                 dom.stale[page] = _StalePage(
-                    kind=state.kind, unmapped_at=t,
+                    kind=state.kind, unmapped_at=stamp,
                     released_at=state.os_released_at)
         self._sample_surface(t)
 

@@ -20,6 +20,7 @@ from repro.faults.plan import (
     SiteRule,
 )
 from repro.kalloc.slab import KBuffer
+from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 from repro.system import System, SystemConfig
 
 
@@ -76,6 +77,49 @@ def test_induced_map_failure_unwinds(scheme, site):
         api.dma_map(core, buf, DmaDirection.FROM_DEVICE)
     injector.stop()
     assert injector.fire_count(site) == 1
+    assert_clean(api)
+    roundtrip(api, core)
+
+
+@pytest.mark.parametrize("scheme", ["identity-strict", "identity-deferred",
+                                    "identity-strict-percore",
+                                    "identity-deferred-bounded"])
+def test_zero_copy_failed_second_run_unwinds_the_first(scheme):
+    """A 5-page map whose middle page another mapping holds installs two
+    runs; when the second run's page-table update fails, the first run's
+    PTEs are cleared and strictly invalidated (even translations a
+    deferred unmap left cached), and the shared page keeps one
+    reference."""
+    system, injector = build(scheme, {SITE_PT_MAP: SiteRule(at=(2,))})
+    api = system.dma_api
+    iommu = system.iommu
+    core = system.machine.core(0)
+    base = 0x600000
+    first = base >> PAGE_SHIFT
+    earlier = api.dma_map(core, KBuffer(pa=base, size=2 * PAGE_SIZE, node=0),
+                          DmaDirection.FROM_DEVICE)
+    api.port().dma_write(earlier.iova, bytes(2 * PAGE_SIZE))
+    api.dma_unmap(core, earlier)
+    shared = api.dma_map(core, KBuffer(pa=base + 2 * PAGE_SIZE, size=64,
+                                       node=0), DmaDirection.FROM_DEVICE)
+    invalidations = iommu.invalidation_queue.sync_invalidations
+    injector.start()
+    with pytest.raises(ReproError):
+        api.dma_map(core, KBuffer(pa=base, size=5 * PAGE_SIZE, node=0),
+                    DmaDirection.FROM_DEVICE)
+    injector.stop()
+    assert injector.fire_count(SITE_PT_MAP) == 1
+    assert api.live_mappings == 1
+    assert iommu.invalidation_queue.sync_invalidations == invalidations + 1
+    table = api.domain.page_table
+    for page in (first, first + 1, first + 3, first + 4):
+        assert table.lookup(page) is None
+        assert iommu.iotlb.peek(api.domain_id, page) is None
+    assert table.lookup(first + 2) is not None
+    assert {page: ref.refcount for page, ref in api._page_refs.items()} \
+        == {first + 2: 1}
+    api.dma_unmap(core, shared)
+    api.quiesce(core)
     assert_clean(api)
     roundtrip(api, core)
 

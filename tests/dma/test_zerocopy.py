@@ -4,8 +4,13 @@ refcounting, permission widening."""
 import pytest
 
 from repro.dma.api import DmaDirection
+from repro.dma.registry import create_dma_api
 from repro.errors import IommuFault
+from repro.hw.machine import Machine
+from repro.iommu.iommu import Iommu
 from repro.iommu.page_table import Perm
+from repro.kalloc.slab import KBuffer, KernelAllocators
+from repro.obs.context import Observability
 from repro.sim.units import PAGE_SIZE, us_to_cycles
 
 
@@ -161,3 +166,50 @@ def test_quiesce_flushes(make_api, machine, allocators):
     api.dma_unmap(core, h)
     api.quiesce(core)
     assert not api.window_open()
+
+
+@pytest.mark.parametrize("scheme", ["identity-strict",
+                                    "identity-deferred-bounded",
+                                    "identity-strict-percore",
+                                    "identity-deferred"])
+def test_unmap_revokes_pages_past_a_shared_middle_page(make_api, machine,
+                                                       allocators, scheme):
+    """A 3-page buffer whose middle page another live mapping still
+    holds clears only its first and last page.  Both must be revoked:
+    strict schemes before ``dma_unmap`` returns, deferred ones by the
+    flush — the one invalidation per unmap covers the whole span."""
+    api = make_api(scheme)
+    core = machine.core(0)
+    pa = allocators.buddies[0].alloc_pages(2, core)
+    middle = api.dma_map(core, KBuffer(pa=pa + PAGE_SIZE, size=64, node=0),
+                         DmaDirection.FROM_DEVICE)
+    handle = api.dma_map(core, KBuffer(pa=pa, size=3 * PAGE_SIZE, node=0),
+                         DmaDirection.FROM_DEVICE)
+    api.port().dma_write(handle.iova, bytes(3 * PAGE_SIZE))  # cache all 3
+    api.dma_unmap(core, handle)
+    if not api.properties.no_window:
+        api.flush_deferred(core)
+    for page in (0, 2):
+        with pytest.raises(IommuFault):
+            api.port().dma_write(handle.iova + page * PAGE_SIZE, b"late")
+    api.port().dma_write(middle.iova, b"still mapped")
+    api.dma_unmap(core, middle)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "flush_deferred closes every pending window at the flushing core's "
+    "clock, even an entry another core queued later (ROADMAP item 5)"))
+def test_flush_from_a_lagging_core_keeps_windows_non_negative():
+    """An entry queued by a core that is ahead, flushed by a core that
+    lags: its window must not come out negative."""
+    obs = Observability.capture()
+    machine = Machine.build(cores=2, numa_nodes=1, obs=obs)
+    allocators = KernelAllocators(machine)
+    api = create_dma_api("identity-deferred", machine, Iommu(machine),
+                         device_id=7, allocators=allocators)
+    behind, ahead = machine.core(0), machine.core(1)
+    ahead.advance_to(behind.now + 1_000_000)
+    buf = allocators.kmalloc(PAGE_SIZE, node=0)
+    api.dma_unmap(ahead, api.dma_map(ahead, buf, DmaDirection.TO_DEVICE))
+    api.flush_deferred(behind)
+    assert min(api.window_samples) >= 0

@@ -6,6 +6,7 @@ from repro.faults.plan import (
     SITE_INV_STALL,
     SITE_IOVA_ALLOC,
     SITE_POOL_GROW,
+    SITE_PT_MAP,
     SITE_RING_OVERFLOW,
     FaultPlan,
     SiteRule,
@@ -90,3 +91,20 @@ def test_soak_matrix_and_report():
     assert "0 invariant failure(s)" in report
     baseline = next(row for row in rows if row.mix == "none")
     assert baseline.degradation_pct == 0.0
+
+
+@pytest.mark.parametrize("scheme", ["identity-strict", "identity-deferred",
+                                    "identity-strict-percore",
+                                    "identity-deferred-bounded"])
+def test_multi_page_zero_copy_maps_survive_resource_faults(scheme):
+    """64 KB TX buffers map as multi-page runs: page-table, IOVA and
+    invalidation faults on them must unwind and quiesce clean."""
+    plan = FaultPlan(seed=4, rules={
+        SITE_PT_MAP: SiteRule(rate=0.2),
+        SITE_IOVA_ALLOC: SiteRule(rate=0.1),
+        SITE_INV_STALL: SiteRule(rate=0.2),
+    })
+    result = run_chaos(scheme, plan, cores=2, units=40, chunk_bytes=65536)
+    assert result.ok, result.violations
+    assert result.fault_summary[SITE_PT_MAP]["fires"] > 0
+    assert result.tx_segments > 0

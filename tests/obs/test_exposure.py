@@ -16,12 +16,20 @@ Two layers of tests:
 import pytest
 
 from repro.attacks.scenarios import measure_scheme_exposure
+from repro.dma.api import DmaDirection
+from repro.dma.registry import create_dma_api
+from repro.errors import IommuFault
+from repro.hw.machine import Machine
+from repro.iommu.iommu import Iommu
+from repro.kalloc.slab import KBuffer, KernelAllocators
+from repro.obs.context import Observability
 from repro.obs.exposure import (
     KIND_DEDICATED,
     KIND_OS,
     PAGE_SIZE,
     ExposureAccountant,
 )
+from repro.sim.units import PAGE_SHIFT
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +188,78 @@ def test_fault_forensics_page_lifecycle():
     assert last.last_map_t == 10
     assert last.last_unmap_t == 30
     assert acc.faults[0].last_map_t is None
+
+
+def test_range_notes_stamp_each_page_a_page_cost_apart():
+    """A 3-page range ending at ``t`` stamps its pages ``page_cycles``
+    apart, the last at ``t`` — where one call per page would have — so
+    a remap closes each page's stale window at that page's instant."""
+    acc = ExposureAccountant()
+    acc.note_map_range(t=100, domain_id=1, device_id=0x10, iova=0x1000,
+                       size=3 * PAGE_SIZE, page_cycles=10)
+    acc.note_unmap_range(t=200, domain_id=1, iova=0x1000,
+                         size=3 * PAGE_SIZE, cached_pages={0x1, 0x2, 0x3},
+                         page_cycles=5)
+    acc.note_dma_unmap(t=200, scheme="identity-deferred", domain_id=1,
+                       iova=0x1000, size=3 * PAGE_SIZE)
+    acc.note_map_range(t=400, domain_id=1, device_id=0x10, iova=0x1000,
+                       size=3 * PAGE_SIZE, page_cycles=10)
+    assert acc.summary()["stale_byte_cycles"] == \
+        (180 + 190 + 200) * PAGE_SIZE
+    acc.note_unmap_range(t=500, domain_id=1, iova=0x1000,
+                         size=3 * PAGE_SIZE, cached_pages=set(),
+                         page_cycles=5)
+    for page, (map_t, unmap_t) in enumerate([(380, 490), (390, 495),
+                                             (400, 500)], start=1):
+        acc.note_fault(t=600, domain_id=1, device_id=0x10,
+                       iova=page * PAGE_SIZE, is_write=False,
+                       reason="not-present")
+        assert (acc.faults[-1].last_map_t,
+                acc.faults[-1].last_unmap_t) == (map_t, unmap_t)
+
+
+def test_copy_hybrid_ranges_stamp_each_page_where_it_was_installed():
+    """Every multi-page range caller gets per-page stamps, not only
+    zero-copy: the copy scheme maps a huge buffer's aligned middle with
+    one ``map_range`` and tears the whole hybrid mapping down with one
+    ``unmap_range``, and fault forensics date page *i* of each call at
+    the call's start plus *i + 1* page costs."""
+    obs = Observability.capture()
+    machine = Machine.build(cores=1, numa_nodes=1, obs=obs)
+    allocators = KernelAllocators(machine)
+    iommu = Iommu(machine)
+    api = create_dma_api("copy", machine, iommu, device_id=7,
+                         allocators=allocators)
+    core = machine.core(0)
+    calls = []      # (name, iova, npages, core.now at the call)
+
+    def spy(name):
+        inner = getattr(iommu, name)
+
+        def call(domain, iova, *args, **kwargs):
+            size = args[1] if name == "map_range" else args[0]
+            calls.append((name, iova, size >> PAGE_SHIFT, core.now))
+            return inner(domain, iova, *args, **kwargs)
+        return call
+
+    iommu.map_range, iommu.unmap_range = spy("map_range"), spy("unmap_range")
+    pa = allocators.buddies[0].alloc_pages(5, core)
+    buf = KBuffer(pa=pa + 100, size=20 * PAGE_SIZE, node=0)
+    handle = api.dma_map(core, buf, DmaDirection.FROM_DEVICE)
+    api.dma_unmap(core, handle)
+    (_, middle, npages, map_t0), = [c for c in calls
+                                    if c[0] == "map_range" and c[2] > 1]
+    (_, base, total, unmap_t0), = [c for c in calls
+                                   if c[0] == "unmap_range" and c[2] > 1]
+    assert (npages, middle - base, total) == (19, PAGE_SIZE, 21)
+    cost = machine.cost
+    for i in range(npages):
+        with pytest.raises(IommuFault):
+            api.port().dma_read(middle + i * PAGE_SIZE, 8)
+        fault = obs.exposure.faults[-1]
+        assert (fault.last_map_t, fault.last_unmap_t) == (
+            map_t0 + (i + 1) * cost.pt_map_cycles,
+            unmap_t0 + (i + 2) * cost.pt_unmap_cycles)
 
 
 def test_fault_ring_is_bounded():

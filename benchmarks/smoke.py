@@ -5,15 +5,18 @@ Runs, in order, in well under a minute:
 
 1. the resource-accounting invariant checks
    (:mod:`repro.bench.invariants`), then
-2. the quick figure registry (``python -m repro bench --quick``) gated
-   against the checked-in ``benchmarks/results/baseline.json``, then
-3. an exact check: the new record must equal ``baseline.json`` under
+2. the quick figure registry (``python -m repro bench --quick``): its
+   paper-fidelity ledger, gated against the checked-in
+   ``benchmarks/results/baseline.json``, then
+3. a simulator-speed check: every figure of the new record must carry a
+   nonzero ``sim_cycles_per_wall_second`` throughput entry, then
+4. an exact check: the new record must equal ``baseline.json`` under
    :func:`repro.bench.record.stable_view` (``fingerprint.git_sha``
    aside).  The gate's tolerance bands let a 1% shift through; this
    check does not, so a refactor cannot move a simulated number
    unnoticed.  It prints up to 10 differing JSON paths.
 
-Exit status 0 means all three passed.  A change that intends to move
+Exit status 0 means all four passed.  A change that intends to move
 the simulation regenerates the baseline in the same commit::
 
     PYTHONPATH=src python -m repro bench --quick
@@ -69,27 +72,45 @@ def baseline_drift(baseline: dict, record: dict) -> List[str]:
     return list(_differences(views[0], views[1], "$"))
 
 
+def missing_throughput(record: dict) -> List[str]:
+    """Figures whose ``sim_cycles_per_wall_second`` is missing or zero."""
+    throughput = record.get("throughput") or {}
+    return [name for name in record.get("figures", {})
+            if not (throughput.get(name) or {})
+            .get("sim_cycles_per_wall_second")]
+
+
 def main() -> int:
     print("== invariants ==")
     status = invariants.main()
     if status:
         return status
     print()
-    print("== quick bench (gated against baseline.json) ==")
+    print("== quick bench (ledger, gated against baseline.json) ==")
     baseline = BASELINE if os.path.exists(BASELINE) else None
     if baseline is None:
         print(f"note: no baseline at {BASELINE}; running ungated",
               file=sys.stderr)
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     status = run_bench(mode="quick", baseline=baseline, jobs=jobs)
+    latest = max(glob.glob(os.path.join(default_results_dir(),
+                                        "BENCH_*.json")),
+                 key=os.path.getmtime)
+    record = load_record(latest)
+    print()
+    print("== simulator throughput ==")
+    missing = missing_throughput(record)
+    if missing:
+        print(f"error: sim_cycles_per_wall_second missing or zero for "
+              f"{', '.join(missing)}", file=sys.stderr)
+        return 1
+    print(f"[smoke] all {len(record['figures'])} figures report "
+          f"sim cycles per wall second")
     if baseline is None:
         return status
     print()
     print("== exact match with baseline.json (stable view) ==")
-    latest = max(glob.glob(os.path.join(default_results_dir(),
-                                        "BENCH_*.json")),
-                 key=os.path.getmtime)
-    drift = baseline_drift(load_record(baseline), load_record(latest))
+    drift = baseline_drift(load_record(baseline), record)
     if drift:
         print(f"error: {latest} differs from {baseline} at "
               f"{len(drift)} path(s):", file=sys.stderr)

@@ -3,8 +3,8 @@
 
 Sweeps message sizes over the four systems the paper compares, single
 core and 16 cores, and prints the throughput/CPU panels.  A compact
-version of what ``pytest benchmarks/ --benchmark-only`` regenerates in
-full.
+version of what ``python -m repro bench --full`` regenerates, and
+checks against the paper, in full.
 
 Run:  python3 examples/netperf_campaign.py           (single core)
       REPRO_CORES=16 python3 examples/netperf_campaign.py

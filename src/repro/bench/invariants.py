@@ -15,10 +15,10 @@ broke:
    ``outstanding_ranges()`` drops back to zero and the range is
    immediately re-allocatable.
 
-Run through ``python -m repro.bench.invariants``, the
-``benchmarks/check_invariants.py`` shim, or the suite
-(``tests/test_check_invariants.py``).  Exit status 0 means every
-invariant holds.
+Run through ``python -m repro.bench.invariants`` (with the ``repro``
+package importable: ``PYTHONPATH=src`` from a checkout),
+``benchmarks/smoke.py``, or the suite (``tests/test_check_invariants.py``).
+Exit status 0 means every invariant holds.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ A record is one self-describing snapshot of a bench run:
 * per-figure, per-scheme **span trees** — the cycle-attribution data the
   regression gate uses to name the subtree behind a slowdown.
 
-The markdown report rendered next to the JSON embeds the paper-style
-text tables so a record is readable without tooling.
+The markdown report rendered next to the JSON embeds the paper-fidelity
+table (:mod:`repro.bench.ledger`) and the paper-style text tables, so a
+record is readable without tooling.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import subprocess
 from datetime import datetime, timezone
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.bench.ledger import evaluate, render_fidelity
 from repro.obs.spans import SpanNode
 from repro.sim.costmodel import CostModel
 from repro.stats.timeline import render_span_tree
@@ -170,7 +172,8 @@ def _span_highlights(figure: dict, max_schemes: int = 4) -> str:
 
 
 def render_markdown(record: Dict) -> str:
-    """A self-contained report: fingerprint + per-figure tables + spans."""
+    """A self-contained report: fingerprint, simulator throughput,
+    paper fidelity, per-figure tables and spans."""
     fp = record.get("fingerprint", {})
     lines = [
         "# Benchmark record",
@@ -196,6 +199,8 @@ def render_markdown(record: Dict) -> str:
                 f"| {entry.get('wall_seconds', 0)} "
                 f"| {entry.get('sim_cycles_per_wall_second', 0):,} |")
         lines.append("")
+    lines.extend(["## Paper fidelity", "",
+                  *render_fidelity(evaluate(record)), ""])
     for name, figure in record.get("figures", {}).items():
         lines.append(f"## {name}: {figure.get('title', '')}")
         lines.append("")

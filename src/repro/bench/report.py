@@ -31,11 +31,11 @@ from repro.bench.points import run_point, sized_point
 from repro.bench.record import build_record, render_markdown
 from repro.bench.runner import (
     FIGURE_SCHEMES,
-    QUICK_SCALE,
     build_figures,
     default_results_dir,
     select_figures,
 )
+from repro.bench.scales import QUICK_SCALE
 from repro.obs.requests import REQ_RX, tail_report
 from repro.stats.timeline import render_tail_report
 

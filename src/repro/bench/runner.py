@@ -1,19 +1,13 @@
-"""The unified benchmark runner behind ``python -m repro bench``.
+"""The figure registry and runner behind ``python -m repro bench``.
 
-Two layers live here:
-
-1. **Sweep helpers** (``stream_sweep``, ``rr_sweep``, ``relative``,
-   ``save_report``, ``save_csv``) — shared by the per-figure
-   ``benchmarks/bench_fig*.py`` scripts, which import them through the
-   ``benchmarks/common.py`` shim exactly as before.
-2. **The figure registry + runner** — every figure/table of the paper as
-   a :class:`FigureSpec` that runs at a selectable scale
-   (:data:`QUICK_SCALE` / :data:`FULL_SCALE`): a list of
-   :class:`~repro.bench.points.RunPoint` plus the renderer of its text
-   table.  :func:`build_figures` fans the figures out through
-   :func:`repro.bench.points.fan_out` and feeds one fingerprinted record
-   (:mod:`repro.bench.record`) plus the optional regression gate
-   (:mod:`repro.bench.regression`).
+Every figure/table of the paper is a :class:`FigureSpec` that runs at a
+selectable scale (:mod:`repro.bench.scales`): a list of
+:class:`~repro.bench.points.RunPoint` plus the renderer of its text
+table.  :func:`build_figures` fans the figures out through
+:func:`repro.bench.points.fan_out` and feeds one fingerprinted record
+(:mod:`repro.bench.record`), the paper-fidelity ledger
+(:mod:`repro.bench.ledger`) and the optional regression gate
+(:mod:`repro.bench.regression`).
 
 Every run in the registry goes through
 :func:`repro.bench.points.run_point`, under a capturing
@@ -31,6 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.ledger import broken, evaluate, render_fidelity
 from repro.bench.points import (
     RunPoint,
     fan_out,
@@ -38,8 +33,10 @@ from repro.bench.points import (
     sized_point,
     throughput_entry,
 )
+from repro.bench.scales import SCALES, BenchScale
+from repro.dma.registry import FIGURE_SCHEMES
 from repro.obs.spans import SpanNode, merge_span_trees
-from repro.stats.export import result_to_row, write_csv
+from repro.stats.export import result_to_row
 from repro.stats.reporting import (
     render_breakdown_table,
     render_latency_table,
@@ -48,23 +45,6 @@ from repro.stats.reporting import (
 )
 from repro.stats.results import RunResult
 from repro.stats.timeline import render_span_tree
-from repro.workloads.netperf import (
-    PAPER_MESSAGE_SIZES,
-    RRConfig,
-    StreamConfig,
-    run_tcp_rr,
-    run_tcp_stream_rx,
-    run_tcp_stream_tx,
-)
-
-#: The four systems of the paper's figures, in the legend's order.
-FIGURE_SCHEMES = ("no-iommu", "copy", "identity-deferred", "identity-strict")
-
-#: Work per configuration for the legacy per-figure scripts.  Sized for
-#: steady state at tolerable runtime; override through the environment.
-UNITS_SINGLE_CORE = int(os.environ.get("REPRO_BENCH_UNITS", "1200"))
-UNITS_MULTI_CORE = int(os.environ.get("REPRO_BENCH_UNITS_MC", "350"))
-WARMUP = 120
 
 
 def default_results_dir() -> str:
@@ -72,160 +52,6 @@ def default_results_dir() -> str:
     ``benchmarks/results`` under the current directory."""
     return (os.environ.get("REPRO_BENCH_RESULTS")
             or os.path.join(os.getcwd(), "benchmarks", "results"))
-
-
-def save_report(name: str, text: str,
-                results_dir: Optional[str] = None) -> str:
-    out = results_dir or default_results_dir()
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"{name}.txt")
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    print()
-    print(text)
-    return path
-
-
-def save_csv(name: str, results,
-             results_dir: Optional[str] = None) -> str:
-    """Write the raw RunResults behind a figure as CSV (for plotting).
-
-    Accepts a dict of scheme -> [RunResult] (figure sweeps), a dict of
-    scheme -> RunResult (breakdowns/bars), or a flat list.
-    """
-    flat = _flatten(results)
-    out = results_dir or default_results_dir()
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"{name}.csv")
-    write_csv(flat, path)
-    return path
-
-
-def _flatten(results) -> List[RunResult]:
-    flat: List[RunResult] = []
-    if isinstance(results, dict):
-        for value in results.values():
-            flat.extend(value if isinstance(value, list) else [value])
-    else:
-        flat = list(results)
-    return flat
-
-
-def stream_sweep(direction: str, cores: int,
-                 schemes: Sequence[str] = FIGURE_SCHEMES,
-                 sizes: Sequence[int] = PAPER_MESSAGE_SIZES,
-                 **config_kwargs) -> Dict[str, List[RunResult]]:
-    """Run a Figure 3/4/6/7-style sweep: schemes × message sizes."""
-    units = UNITS_SINGLE_CORE if cores == 1 else UNITS_MULTI_CORE
-    runner = run_tcp_stream_rx if direction == "rx" else run_tcp_stream_tx
-    results: Dict[str, List[RunResult]] = {}
-    for scheme in schemes:
-        results[scheme] = [
-            runner(StreamConfig(scheme=scheme, direction=direction,
-                                message_size=size, cores=cores,
-                                units_per_core=units, warmup_units=WARMUP,
-                                **config_kwargs))
-            for size in sizes
-        ]
-    return results
-
-
-def rr_sweep(schemes: Sequence[str] = FIGURE_SCHEMES,
-             sizes: Sequence[int] = PAPER_MESSAGE_SIZES,
-             transactions: int = 300) -> Dict[str, List[RunResult]]:
-    """Run the Figure 9/10 request/response sweep."""
-    return {
-        scheme: [run_tcp_rr(RRConfig(scheme=scheme, message_size=size,
-                                     transactions=transactions,
-                                     warmup_transactions=40))
-                 for size in sizes]
-        for scheme in schemes
-    }
-
-
-def relative(results: Dict[str, List[RunResult]], scheme: str, size: int,
-             baseline: str = "no-iommu", what: str = "throughput") -> float:
-    """Relative throughput/CPU of ``scheme`` at ``size`` vs ``baseline``."""
-    def at(s):
-        for r in results[s]:
-            if r.params["message_size"] == size:
-                return r
-        raise KeyError(size)
-
-    a, b = at(scheme), at(baseline)
-    if what == "throughput":
-        return a.throughput_gbps / b.throughput_gbps if b.throughput_gbps else 0
-    return a.cpu_utilization / b.cpu_utilization if b.cpu_utilization else 0
-
-
-def run_once(benchmark, fn: Callable[[], object]):
-    """Execute a sweep exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-# ----------------------------------------------------------------------
-# Scales: how much work each registry figure does.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BenchScale:
-    """One sizing preset for the figure registry."""
-
-    name: str
-    units_single: int
-    units_multi: int
-    warmup_single: int
-    warmup_multi: int
-    multi_cores: int
-    sizes_single: Tuple[int, ...]
-    sizes_multi: Tuple[int, ...]
-    breakdown_size: int
-    rr_sizes: Tuple[int, ...]
-    rr_transactions: int
-    rr_warmup: int
-    memcached_cores: int
-    memcached_tpc: int
-    memcached_warmup: int
-    storage_block_sizes: Tuple[int, ...]
-    storage_ops: int
-    storage_warmup: int
-    #: Core counts for the scalable-invalidation figure (fig_scalinv).
-    scalinv_cores: Tuple[int, ...] = (1, 2)
-
-
-#: ``--quick``: every figure in miniature; the whole registry plus the
-#: invariant checks fits the <60 s smoke budget (``benchmarks/smoke.py``).
-QUICK_SCALE = BenchScale(
-    name="quick",
-    units_single=200, units_multi=50,
-    warmup_single=40, warmup_multi=15,
-    multi_cores=16,
-    sizes_single=(1024, 16384, 65536),
-    sizes_multi=(16384,),
-    breakdown_size=65536,
-    rr_sizes=(1024, 65536),
-    rr_transactions=60, rr_warmup=10,
-    memcached_cores=8, memcached_tpc=40, memcached_warmup=10,
-    storage_block_sizes=(4096, 65536),
-    storage_ops=100, storage_warmup=20,
-    scalinv_cores=(1, 4, 16),
-)
-
-#: ``--full``: the sizes the per-figure scripts use for the paper tables.
-FULL_SCALE = BenchScale(
-    name="full",
-    units_single=1200, units_multi=350,
-    warmup_single=120, warmup_multi=120,
-    multi_cores=16,
-    sizes_single=PAPER_MESSAGE_SIZES,
-    sizes_multi=PAPER_MESSAGE_SIZES,
-    breakdown_size=65536,
-    rr_sizes=PAPER_MESSAGE_SIZES,
-    rr_transactions=300, rr_warmup=40,
-    memcached_cores=16, memcached_tpc=450, memcached_warmup=100,
-    storage_block_sizes=(4096, 65536, 262144),
-    storage_ops=400, storage_warmup=60,
-    scalinv_cores=(1, 2, 4, 8, 16, 32, 64),
-)
 
 
 # ----------------------------------------------------------------------
@@ -302,12 +128,8 @@ def _stream_figure(name: str, title: str, workload: str,
                    multi: bool, breakdown: bool = False) -> FigureSpec:
     def points(scale: BenchScale) -> List[RunPoint]:
         cores = scale.multi_cores if multi else 1
-        if breakdown:
-            sizes: Tuple[int, ...] = (scale.breakdown_size,)
-        else:
-            sizes = scale.sizes_multi if multi else scale.sizes_single
         return _stream_points(scale, workload, FIGURE_SCHEMES, (cores,),
-                              sizes)
+                              scale.message_sizes(name))
 
     render = _breakdown_table(title) if breakdown \
         else _throughput_table(title)
@@ -315,6 +137,9 @@ def _stream_figure(name: str, title: str, workload: str,
 
 
 _FIG01_TITLE = "Figure 1: IOMMU protection cost, RX 16KB, 1 vs N cores"
+
+#: Figure 1 adds stock Linux (rbtree IOVAs) to the figure schemes.
+_FIG01_SCHEMES = FIGURE_SCHEMES + ("linux-deferred", "linux-strict")
 
 
 def _render_fig01(results: Results) -> str:
@@ -385,8 +210,9 @@ def _fleet_build(scale: BenchScale) -> Tuple[dict, int]:
 FIGURES: Tuple[FigureSpec, ...] = (
     _point_figure(
         "fig01", _FIG01_TITLE,
-        lambda scale: _stream_points(scale, "stream", FIGURE_SCHEMES,
-                                     (1, scale.multi_cores), (16384,)),
+        lambda scale: _stream_points(scale, "stream", _FIG01_SCHEMES,
+                                     (1, scale.multi_cores),
+                                     scale.message_sizes("fig01")),
         _render_fig01),
     _stream_figure("fig03", "Figure 3: single-core TCP RX",
                    "stream", multi=False),
@@ -402,12 +228,12 @@ FIGURES: Tuple[FigureSpec, ...] = (
                    "stream", multi=True, breakdown=True),
     _point_figure(
         "fig09", "Figure 9: TCP_RR latency",
-        lambda scale: _rr_points(scale, scale.rr_sizes),
+        lambda scale: _rr_points(scale, scale.message_sizes("fig09")),
         lambda results: render_latency_table(
             results, title="Figure 9: TCP_RR latency (netperf TCP_RR)")),
     _point_figure(
         "fig10", "Figure 10: TCP_RR CPU breakdown",
-        lambda scale: _rr_points(scale, (scale.breakdown_size,)),
+        lambda scale: _rr_points(scale, scale.message_sizes("fig10")),
         _breakdown_table(
             "Figure 10: TCP_RR CPU breakdown per transaction [us], 64KB")),
     _point_figure(
@@ -432,7 +258,8 @@ FIGURES: Tuple[FigureSpec, ...] = (
     _point_figure(
         "fig_scalinv", _FIG_SCALINV_TITLE,
         lambda scale: _stream_points(scale, "stream", SCALINV_SCHEMES,
-                                     scale.scalinv_cores, (16384,)),
+                                     scale.scalinv_cores,
+                                     scale.message_sizes("fig_scalinv")),
         _render_scalinv),
 )
 
@@ -494,20 +321,21 @@ def build_figures(specs: Sequence[FigureSpec], scale: BenchScale,
 def run_bench(mode: str = "quick", only: Optional[Sequence[str]] = None,
               baseline: Optional[str] = None,
               out_dir: Optional[str] = None, jobs: int = 1) -> int:
-    """Run the registry, write the record + report, optionally gate.
+    """Run the registry, write the record + report, check the
+    paper-fidelity ledger, optionally gate.
 
     ``jobs`` shards the figure matrix across processes; the merged
     record is byte-stable regardless of job count (modulo the timestamp
     and the wall-clock throughput fields).  Returns the process exit
-    status: 0 on success, 1 when the baseline comparison found a
-    regression.
+    status: 0 on success, 1 when a ledger claim is broken or the
+    baseline comparison found a regression.
     """
     # Imported here to keep the module importable without a cycle once
     # record/regression need runner metadata.
     from repro.bench.record import build_record, write_record
     from repro.bench.regression import gate_against_baseline
 
-    scale = {"quick": QUICK_SCALE, "full": FULL_SCALE}.get(mode)
+    scale = SCALES.get(mode)
     if scale is None:
         raise SystemExit(f"error: unknown bench mode {mode!r}")
     if baseline is not None and not os.path.exists(baseline):
@@ -528,9 +356,14 @@ def run_bench(mode: str = "quick", only: Optional[Sequence[str]] = None,
     print(f"[bench] record : {json_path}")
     print(f"[bench] report : {md_path}")
 
+    verdicts = evaluate(record)
+    print("== paper fidelity ==")
+    print("\n".join(render_fidelity(verdicts)))
+    status = 1 if broken(verdicts) else 0
     if baseline is not None:
-        return gate_against_baseline(baseline, record, out_dir=out)
-    return 0
+        status = max(status, gate_against_baseline(baseline, record,
+                                                   out_dir=out))
+    return status
 
 
 def render_figure_spans(figure: dict, scheme: str) -> str:

@@ -17,9 +17,8 @@ Examples::
 
 Every subcommand prints the same metrics the corresponding paper
 table/figure reports.  ``python -m repro bench`` runs the full figure
-registry and writes a machine-readable ``BENCH_*.json`` record; the
-per-figure scripts remain available through
-``pytest benchmarks/ --benchmark-only``.
+registry, writes a machine-readable ``BENCH_*.json`` record and checks
+the paper's claims against it (:mod:`repro.bench.ledger`).
 """
 
 from __future__ import annotations

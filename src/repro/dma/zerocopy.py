@@ -422,15 +422,18 @@ class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
         self._list_lock.release(core)
         self.iommu.invalidation_queue.flush_batch(core, pending,
                                                   ranged=self.ranged_flush)
+        # A flushing core whose clock lags the core that queued an entry
+        # closes that window before it opened: it counts as empty, as in
+        # ExposureAccountant._finalize_stale.
+        now = core.now
+        windows = [max(0, now - p.queued_at) for p in pending]
         if len(self.window_samples) < self._max_window_samples:
-            now = core.now
-            self.window_samples.extend(now - p.queued_at for p in pending)
-        if self.obs.enabled and pending:
-            now = core.now
+            self.window_samples.extend(windows)
+        if self.obs.enabled and windows:
             window_hist = self.obs.metrics.histogram(
                 "invalidation.window_cycles")
-            for p in pending:
-                window_hist.observe(now - p.queued_at)
+            for window in windows:
+                window_hist.observe(window)
         for iova, npages in frees:
             self.iova_allocator.free(iova, npages, core)
 

@@ -21,6 +21,11 @@ def test_copy_is_the_only_fully_secure_scheme():
     fully = [r.scheme for r in rows
              if all(r.observed[c] for c in TABLE1_COLUMNS)]
     assert fully == ["copy"]
+    # Copy is also the only scheme that defeats every attack, whatever
+    # its performance columns say.
+    secure = [r.scheme for r in rows
+              if all(r.observed[c] for c in TABLE1_COLUMNS[:3])]
+    assert secure == ["copy"]
 
 
 def test_audit_single_scheme_detail():

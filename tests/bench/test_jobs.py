@@ -12,12 +12,8 @@ import json
 
 from repro.bench.record import build_record, stable_view
 from repro.bench.regression import compare_records
-from repro.bench.runner import (
-    FIGURE_SCHEMES,
-    BenchScale,
-    build_figures,
-    select_figures,
-)
+from repro.bench.runner import FIGURE_SCHEMES, build_figures, select_figures
+from repro.bench.scales import BenchScale
 from repro.cli import main as cli_main
 
 #: Small enough for test runtime, big enough to produce nonzero series.

@@ -22,10 +22,9 @@ from repro.bench.runner import (
     FIGURES,
     FIGURE_NAMES,
     FIGURE_SCHEMES,
-    QUICK_SCALE,
-    BenchScale,
     select_figures,
 )
+from repro.bench.scales import QUICK_SCALE, BenchScale
 from repro.obs.spans import SpanNode
 from repro.sim.costmodel import CostModel
 

@@ -196,9 +196,6 @@ def test_unmap_revokes_pages_past_a_shared_middle_page(make_api, machine,
     api.dma_unmap(core, middle)
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-    "flush_deferred closes every pending window at the flushing core's "
-    "clock, even an entry another core queued later (ROADMAP item 5)"))
 def test_flush_from_a_lagging_core_keeps_windows_non_negative():
     """An entry queued by a core that is ahead, flushed by a core that
     lags: its window must not come out negative."""

@@ -1,17 +1,14 @@
-"""The benchmarks/check_invariants.py smoke script must pass (CI hook)."""
+"""``python -m repro.bench.invariants`` must pass (the smoke's first step)."""
 
 import os
 import subprocess
 import sys
 
-SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir,
-                      "benchmarks", "check_invariants.py")
-
 
 def test_check_invariants_passes():
     result = subprocess.run(
-        [sys.executable, SCRIPT], capture_output=True, text=True,
-        timeout=180, env={**os.environ},
+        [sys.executable, "-m", "repro.bench.invariants"],
+        capture_output=True, text=True, timeout=180, env={**os.environ},
     )
     assert result.returncode == 0, (
         f"check_invariants failed:\n{result.stdout[-2000:]}\n"

@@ -1,5 +1,6 @@
-"""benchmarks/smoke.py's exact baseline check: any simulated drift fails,
-host-dependent fields and the git SHA never do."""
+"""benchmarks/smoke.py's checks: any simulated drift fails the exact
+baseline check (host-dependent fields and the git SHA never do), and a
+figure without a simulator-throughput rate fails the throughput check."""
 
 import copy
 import importlib.util
@@ -47,3 +48,12 @@ def test_drift_names_a_shift_the_gate_lets_through():
     assert len(drift) == 2
     assert drift[0].startswith("$.figures.fig03.series[0].throughput_gbps: ")
     assert drift[1] == "$.figures.fig03.series[1].scheme"
+
+
+def test_missing_throughput_names_zeroed_and_absent_figures():
+    smoke, baseline = _load()
+    assert smoke.missing_throughput(baseline) == []
+    rerun = copy.deepcopy(baseline)
+    rerun["throughput"]["fig05"]["sim_cycles_per_wall_second"] = 0
+    del rerun["throughput"]["fleet"]
+    assert smoke.missing_throughput(rerun) == ["fig05", "fleet"]

@@ -88,3 +88,36 @@ def test_deterministic():
     a = run_storage(small(scheme="copy"))
     b = run_storage(small(scheme="copy"))
     assert a.transactions_per_sec == b.transactions_per_sec
+
+
+#: §5.5 at 1 MB blocks: device-bound, so the scheme stops mattering.
+MEGABYTE_SCHEMES = ("no-iommu", "copy", "identity-strict",
+                    "identity-deferred")
+
+
+@pytest.fixture(scope="module")
+def megabyte():
+    return {scheme: run_storage(StorageConfig(
+                scheme=scheme, block_size=1048576, ops_per_core=300,
+                warmup_ops=50))
+            for scheme in MEGABYTE_SCHEMES}
+
+
+@pytest.mark.parametrize("scheme", MEGABYTE_SCHEMES)
+def test_megabyte_blocks_tie_across_schemes(megabyte, scheme):
+    base = megabyte["no-iommu"].transactions_per_sec
+    assert abs(megabyte[scheme].transactions_per_sec - base) / base < 0.02
+
+
+def test_megabyte_copy_stays_at_low_cpu(megabyte):
+    assert megabyte["copy"].cpu_utilization < 0.35
+
+
+def test_megabyte_copy_takes_the_hybrid_path(megabyte):
+    assert megabyte["copy"].extras["hybrid_maps"] >= 300
+
+
+def test_megabyte_hybrid_keeps_copy_cpu_near_strict(megabyte):
+    """Head/tail copies only: copying 1 MB outright would be ~10x."""
+    assert (megabyte["copy"].cpu_utilization
+            < 3.0 * megabyte["identity-strict"].cpu_utilization)

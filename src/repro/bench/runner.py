@@ -44,7 +44,6 @@ from repro.stats.reporting import (
     render_throughput_table,
 )
 from repro.stats.results import RunResult
-from repro.stats.timeline import render_span_tree
 
 
 def default_results_dir() -> str:
@@ -365,10 +364,3 @@ def run_bench(mode: str = "quick", only: Optional[Sequence[str]] = None,
                                                    out_dir=out))
     return status
 
-
-def render_figure_spans(figure: dict, scheme: str) -> str:
-    """Render one scheme's attribution tree from a figure's record data."""
-    tree = figure.get("spans", {}).get(scheme)
-    if tree is None:
-        return f"(no spans recorded for {scheme})"
-    return render_span_tree(SpanNode.from_dict(tree))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence
 
 from repro.errors import DmaApiError, ReproError

@@ -32,10 +32,10 @@ from repro.dma.api import (
     SchemeProperties,
 )
 from repro.errors import DmaApiError, IommuFault, ReproError
-from repro.hw.cpu import CAT_OTHER, CAT_PT_MGMT, Core
+from repro.hw.cpu import CAT_OTHER, Core
 from repro.hw.machine import Machine
 from repro.iommu.iommu import Domain, Iommu
-from repro.iommu.page_table import Perm, PteEntry
+from repro.iommu.page_table import Perm
 from repro.iova.allocators import IdentityIovaAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_align_up, us_to_cycles

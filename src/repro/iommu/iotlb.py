@@ -49,11 +49,6 @@ class IotlbStats:
     prefetch_hits: int = 0
 
     @property
-    def prefetch_hit_rate(self) -> float:
-        return (self.prefetch_hits / self.prefetches
-                if self.prefetches else 0.0)
-
-    @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0

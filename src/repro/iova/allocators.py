@@ -180,14 +180,6 @@ class LinuxIovaAllocator:
         self._allocated[base] = npages
         return base
 
-    def _give_range_unlocked(self, base: int, npages: int) -> None:
-        recorded = self._allocated.pop(base, None)
-        if recorded != npages:
-            raise IovaExhaustedError(
-                f"return of corrupt range base={base:#x} npages={npages}"
-            )
-        self._free_ranges.append((base, npages))
-
 
 class EiovaRAllocator:
     """FAST'15 EiovaR: exact-size cache of freed ranges over the Linux tree.

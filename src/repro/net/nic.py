@@ -20,7 +20,7 @@ from repro.errors import IommuFault, SimulationError
 from repro.faults.injector import NULL_FAULTS
 from repro.faults.plan import SITE_NIC_RX_DROP
 from repro.iommu.iommu import DmaPort
-from repro.net.ring import FLAG_DONE, FLAG_EOP, FLAG_READY, Descriptor, DescriptorRing
+from repro.net.ring import FLAG_DONE, FLAG_EOP, Descriptor, DescriptorRing
 from repro.obs.context import NULL_OBS
 from repro.obs.requests import MARK_DEVICE_TRANSLATED
 from repro.sim.units import ETH_MTU, TSO_MAX_BYTES

@@ -290,12 +290,6 @@ class CostModel:
         """Page-table update cost for unmapping an ``npages`` range."""
         return self.pt_unmap_cycles * max(0, npages)
 
-    def memcpy_cycles_burst(self, nbytes: int, count: int) -> int:
-        """``count`` back-to-back ERMS copies of ``nbytes`` each."""
-        if count <= 0:
-            return 0
-        return count * self.memcpy_cycles(nbytes)
-
     def iotlb_invalidation_latency(self, concurrency: int) -> int:
         """Invalidation latency when ``concurrency`` cores are submitting.
 

@@ -119,14 +119,13 @@ class Scheduler:
         counter = itertools.count()
         heap = [(task.core.now, next(counter), task) for task in self.tasks]
         heapq.heapify(heap)
-        if self.obs.enabled:
-            return self._run_traced(heap, counter, max_units, burst)
-        return self._run_fast(heap, counter, max_units, burst)
-
-    def _run_fast(self, heap, counter, max_units, burst) -> int:
-        """The pre-bound fast loop: no observability lookups per unit."""
         pop = heapq.heappop
         push = heapq.heappush
+        # A traced run records a span and a ``sched.step`` event per unit,
+        # even within a burst, so batched traces match step-by-step ones.
+        traced = self.obs.enabled
+        spans = self.obs.spans
+        emit = self.obs.tracer.emit
         executed = 0
         while heap:
             if max_units is not None and executed >= max_units:
@@ -139,7 +138,15 @@ class Scheduler:
             budget = burst if max_units is None \
                 else min(burst, max_units - executed)
             while True:
+                if traced:
+                    started_at = core.now
+                    spans.begin(SPAN_STEP, core)
                 more = run_one()
+                if traced:
+                    spans.end(core)
+                    emit(EV_SCHED_STEP, started_at, core.cid, task=task.name,
+                         ran_cycles=core.now - started_at,
+                         units=task.units_done)
                 executed += 1
                 budget -= 1
                 if not more or budget == 0:
@@ -148,40 +155,6 @@ class Scheduler:
                     break
             if more:
                 push(heap, (core.now, next(counter), task))
-        return executed
-
-    def _run_traced(self, heap, counter, max_units, burst) -> int:
-        """The traced loop: per-unit spans and ``sched.step`` events even
-        within a burst, so batched traces match step-by-step traces."""
-        spans = self.obs.spans
-        emit = self.obs.tracer.emit
-        executed = 0
-        while heap:
-            if max_units is not None and executed >= max_units:
-                break
-            _, _, task = heapq.heappop(heap)
-            core = task.core
-            run_one = task.run_one
-            name = task.name
-            cid = core.cid
-            budget = burst if max_units is None \
-                else min(burst, max_units - executed)
-            while True:
-                started_at = core.now
-                spans.begin(SPAN_STEP, core)
-                more = run_one()
-                executed += 1
-                budget -= 1
-                spans.end(core)
-                emit(EV_SCHED_STEP, started_at, cid, task=name,
-                     ran_cycles=core.now - started_at,
-                     units=task.units_done)
-                if not more or budget == 0:
-                    break
-                if heap and heap[0][0] <= core.now:
-                    break
-            if more:
-                heapq.heappush(heap, (core.now, next(counter), task))
         return executed
 
 

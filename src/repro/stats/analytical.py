@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.sim.costmodel import CostModel
-from repro.sim.units import CPU_FREQ_HZ, PAGE_SIZE, TCP_MSS
+from repro.sim.units import CPU_FREQ_HZ, TCP_MSS
 
 
 @dataclass(frozen=True)

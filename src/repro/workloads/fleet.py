@@ -48,12 +48,19 @@ from repro.obs.requests import REQ_MEMCACHED, REQ_RX, REQ_STORAGE, REQ_TX
 from repro.obs.slo import SloObjective
 from repro.seeding import derive_seed
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import UNIT_DONE, GeneratorTask, Scheduler
+from repro.sim.engine import UNIT_DONE
 from repro.sim.units import CPU_FREQ_HZ, PAGE_SIZE, TCP_MSS, us_to_cycles
 from repro.stats.results import RunResult
 from repro.net.packets import build_frame
+from repro.workloads.harness import (
+    BACKLOG_INTERVALS,
+    Tally,
+    build_system,
+    collect,
+    measure,
+    run_generators,
+)
 from repro.workloads.memcached import KeyValueStore
-from repro.workloads.netperf import _build_system, _collect, StreamConfig
 
 #: Storage rides the same machine under its own device id (cf.
 #: repro.workloads.storage; the NIC keeps 0x40).
@@ -71,10 +78,6 @@ DEFAULT_MIX: Tuple[Tuple[str, float], ...] = (
 #: Load-curve resolution: the diurnal/burst multiplier is a step
 #: function over this many slots (repeating past the end).
 _CURVE_SLOTS = 64
-
-#: Backlog bound, in inter-arrival intervals: arrivals further behind
-#: than this are shed (dropped connections), like a listen-queue cap.
-_BACKLOG_INTERVALS = 64
 
 _RX_BURST_FRAMES = 3
 _BULK_CHUNK = 16384
@@ -157,12 +160,7 @@ def build_load_curve(cfg: FleetConfig) -> List[float]:
 
 def run_fleet(cfg: FleetConfig) -> RunResult:
     """Run the fleet at ``cfg.users``; returns throughput + SLO extras."""
-    stream_like = StreamConfig(scheme=cfg.scheme, cores=cfg.cores,
-                               use_copy_hints=cfg.use_copy_hints,
-                               cost=cfg.cost,
-                               scheme_kwargs=cfg.scheme_kwargs,
-                               obs=cfg.obs)
-    system = _build_system(stream_like)
+    system = build_system(cfg, cfg.cores)
     machine, cost = system.machine, system.cost
     obs = machine.obs
 
@@ -212,8 +210,7 @@ def run_fleet(cfg: FleetConfig) -> RunResult:
                 return name
         return names[-1]
 
-    measuring = {"on": False}
-    totals = {"units": 0, "bytes": 0}
+    tally = Tally()
     served_by_kind = {name: 0 for name in names}
 
     # ------------------------------------------------------------------
@@ -289,14 +286,14 @@ def run_fleet(cfg: FleetConfig) -> RunResult:
             next_arrival += interval
             if c.now < next_arrival:
                 c.advance_to(int(next_arrival))
-            elif next_arrival < c.now - _BACKLOG_INTERVALS * interval:
-                # Overloaded: shed the backlog beyond the bound.  Every
-                # shed arrival is a dropped connection — an SLO bad
-                # event, not a free pass.
-                bound = c.now - _BACKLOG_INTERVALS * interval
+            elif next_arrival < c.now - BACKLOG_INTERVALS * interval:
+                # Overloaded: shed the backlog beyond the bound, like a
+                # listen-queue cap.  Every shed arrival is a dropped
+                # connection — an SLO bad event, not a free pass.
+                bound = c.now - BACKLOG_INTERVALS * interval
                 shed = int((bound - next_arrival) // interval) + 1
                 next_arrival += shed * interval
-                if obs.enabled and measuring["on"]:
+                if obs.enabled and tally.measuring:
                     obs.slo.note_drop(c.now, shed)
             queue_wait = max(0, c.now - int(next_arrival))
             kind = pick_connection(rng)
@@ -306,48 +303,29 @@ def run_fleet(cfg: FleetConfig) -> RunResult:
             nbytes = yield from serve[kind](c, rng)
             if obs.enabled:
                 obs.requests.end(c)
-            if measuring["on"]:
-                totals["units"] += 1
-                totals["bytes"] += nbytes
+            if tally.measuring:
                 served_by_kind[kind] += 1
+            tally.add(nbytes)
             yield UNIT_DONE
 
-    warmup_cycles = us_to_cycles(cfg.warmup_us)
-    duration_cycles = us_to_cycles(cfg.duration_us)
-
-    machine.sync_clocks()
-    if obs.enabled:
-        obs.phase_begin("warmup", machine.wall_clock())
-    warm_start = machine.wall_clock()
-    Scheduler([GeneratorTask(core=c, gen=worker(c, warm_start,
-                                                warmup_cycles),
-                             name=f"fleet{c.cid}-warm")
-               for c in machine.cores], obs=obs).run()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores))
-    machine.reset_accounting()
-    start = machine.sync_clocks()
-    measuring["on"] = True
-    if obs.enabled:
+    def run_phase(measured: bool, start: int) -> None:
         # Arm the SLO recorder for the measured phase only, so warmup
         # transients never count against the objective.
-        obs.slo.configure(cfg.objective, start=start)
-        obs.phase_begin("measure", start)
-    Scheduler([GeneratorTask(core=c, gen=worker(c, start, duration_cycles),
-                             name=f"fleet{c.cid}")
-               for c in machine.cores], obs=obs).run()
-    if obs.enabled:
-        obs.slo.finalize(machine.wall_clock())
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores))
+        armed = measured and obs.enabled
+        if armed:
+            obs.slo.configure(cfg.objective, start=start)
+        cycles = us_to_cycles(cfg.duration_us if measured else cfg.warmup_us)
+        run_generators(machine, "fleet", measured,
+                       lambda c: worker(c, start, cycles))
+        if armed:
+            obs.slo.finalize(machine.wall_clock())
 
+    start = measure(machine, run_phase, tally)
     params = {"users": cfg.users, "cores": cfg.cores,
               "duration_us": cfg.duration_us}
-    result = _collect(system, cfg.scheme, "fleet", params,
-                      totals["units"], totals["bytes"], start)
+    result = collect(system, cfg.scheme, "fleet", params, tally, start)
     if result.wall_cycles > 0:
-        result.transactions_per_sec = (totals["units"] * CPU_FREQ_HZ
+        result.transactions_per_sec = (tally.units * CPU_FREQ_HZ
                                        / result.wall_cycles)
     result.extras["offered_tps"] = cfg.users * cfg.per_user_tps
     result.extras["load_curve"] = [round(m, 4) for m in curve]

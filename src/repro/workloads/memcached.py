@@ -17,19 +17,26 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.hw.cpu import CAT_COPY_USER, CAT_OTHER, Core
 from repro.obs.context import Observability
 from repro.obs.requests import REQ_MEMCACHED
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import UNIT_DONE, GeneratorTask, Scheduler
+from repro.sim.engine import UNIT_DONE
 from repro.sim.units import CPU_FREQ_HZ
 from repro.seeding import derive_seed
 from repro.stats.results import RunResult
 from repro.net.packets import build_frame
-from repro.workloads.netperf import _build_system, _collect, StreamConfig
+from repro.workloads.harness import (
+    Pacer,
+    Tally,
+    build_system,
+    collect,
+    measure,
+    run_generators,
+)
 
 #: memslap defaults (§6 "Benchmarks").
 DEFAULT_KEY_SIZE = 64
@@ -88,12 +95,7 @@ def run_memcached(cfg: MemcachedConfig) -> RunResult:
     """Run the Figure 11 workload; returns aggregate transactions/s."""
     if not 0.0 <= cfg.get_fraction <= 1.0:
         raise ConfigurationError("get_fraction must be in [0, 1]")
-    stream_like = StreamConfig(scheme=cfg.scheme, cores=cfg.cores,
-                               use_copy_hints=cfg.use_copy_hints,
-                               cost=cfg.cost,
-                               scheme_kwargs=cfg.scheme_kwargs,
-                               obs=cfg.obs)
-    system = _build_system(stream_like)
+    system = build_system(cfg, cfg.cores)
     machine, cost = system.machine, system.cost
 
     stores = [KeyValueStore() for _ in range(cfg.cores)]
@@ -119,19 +121,18 @@ def run_memcached(cfg: MemcachedConfig) -> RunResult:
     per_core_interval = CPU_FREQ_HZ / (cost.memslap_offered_tps / cfg.cores)
 
     class _State:
-        __slots__ = ("units", "next_arrival", "rng")
+        __slots__ = ("units", "rng")
 
         def __init__(self, seed: int) -> None:
             self.units = 0
-            self.next_arrival = 0.0
             self.rng = random.Random(seed)
 
     states = {c.cid: _State(derive_seed(cfg.seed, "memcached", c.cid))
               for c in machine.cores}
-    measuring = {"on": False}
-    totals = {"units": 0, "bytes": 0}
+    tally = Tally()
+    obs = machine.obs
 
-    def worker(c: Core, limit: int):
+    def worker(c: Core, limit: int, pacer: Pacer):
         # A generator task: yields between the RX half, the application
         # half, and the TX half of each transaction so that lock waits
         # interleave correctly across cores (see GeneratorTask).
@@ -139,11 +140,7 @@ def run_memcached(cfg: MemcachedConfig) -> RunResult:
         store = stores[c.cid]
         qid = c.cid
         while state.units < limit:
-            state.next_arrival += per_core_interval
-            if c.now < state.next_arrival:
-                c.advance_to(int(state.next_arrival))
-            elif state.next_arrival < c.now - 64 * per_core_interval:
-                state.next_arrival = c.now - 64 * per_core_interval
+            pacer.wait(c, per_core_interval)
             is_get = state.rng.random() < cfg.get_fraction
             key = key_space[state.rng.randrange(256 if is_get else cfg.keys)]
             # Request arrives through the RX DMA path.
@@ -172,42 +169,23 @@ def run_memcached(cfg: MemcachedConfig) -> RunResult:
             if obs.enabled:
                 obs.requests.end(c)
             state.units += 1
-            if measuring["on"]:
-                totals["units"] += 1
-                totals["bytes"] += resp_bytes + (req and len(req))
+            tally.add(resp_bytes + len(req))
             yield UNIT_DONE
 
-    obs = machine.obs
-    machine.sync_clocks()
-    if obs.enabled:
-        obs.phase_begin("warmup", machine.wall_clock())
-    Scheduler([GeneratorTask(core=c, gen=worker(c, cfg.warmup_transactions),
-                             name=f"mc{c.cid}-warm")
-               for c in machine.cores], obs=obs).run()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores))
-    machine.reset_accounting()
-    start = machine.sync_clocks()
-    for state in states.values():
-        state.next_arrival = float(start)
-    measuring["on"] = True
-    if obs.enabled:
-        obs.phase_begin("measure", start)
-    total = cfg.warmup_transactions + cfg.transactions_per_core
-    Scheduler([GeneratorTask(core=c, gen=worker(c, total),
-                             name=f"mc{c.cid}") for c in machine.cores],
-              obs=obs).run()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores))
+    def run_phase(measured: bool, start: int) -> None:
+        # Warmup arrivals are due from cycle 0, measured ones from start.
+        first = float(start) if measured else 0.0
+        limit = cfg.warmup_transactions + (
+            cfg.transactions_per_core if measured else 0)
+        run_generators(machine, "mc", measured,
+                       lambda c: worker(c, limit, Pacer(first)))
 
+    start = measure(machine, run_phase, tally)
     params = {"cores": cfg.cores, "value_size": cfg.value_size,
               "get_fraction": cfg.get_fraction}
-    result = _collect(system, cfg.scheme, "memcached", params,
-                      totals["units"], totals["bytes"], start)
+    result = collect(system, cfg.scheme, "memcached", params, tally, start)
     if result.wall_cycles > 0:
-        result.transactions_per_sec = (totals["units"] * CPU_FREQ_HZ
+        result.transactions_per_sec = (tally.units * CPU_FREQ_HZ
                                        / result.wall_cycles)
     result.extras["store_hits"] = sum(s.hits for s in stores)
     result.extras["store_misses"] = sum(s.misses for s in stores)

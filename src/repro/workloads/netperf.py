@@ -20,16 +20,16 @@ breakdown uses the same categories as the paper's stacked bars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.hw.cpu import CAT_COPY_USER, CAT_OTHER, Core, merge_breakdowns
+from repro.hw.cpu import CAT_COPY_USER, CAT_OTHER, Core
 from repro.hw.locks import SharedResource
 from repro.obs.context import Observability
 from repro.obs.requests import REQ_RR
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import UNIT_DONE, CoreTask, GeneratorTask, Scheduler
+from repro.sim.engine import UNIT_DONE, CoreTask, Scheduler
 from repro.sim.units import (
     CPU_FREQ_HZ,
     TCP_MSS,
@@ -39,8 +39,15 @@ from repro.sim.units import (
     us_to_cycles,
 )
 from repro.stats.results import RunResult
-from repro.system import System, SystemConfig
-from repro.net.packets import build_frame, max_payload, segment_payload
+from repro.net.packets import build_frame, segment_payload
+from repro.workloads.harness import (
+    Pacer,
+    Tally,
+    build_system,
+    collect,
+    measure,
+    run_generators,
+)
 
 #: Message sizes swept by the paper's figures.
 PAPER_MESSAGE_SIZES = (64, 256, 1024, 4096, 16384, 65536)
@@ -75,74 +82,12 @@ class StreamConfig:
             raise ConfigurationError("message_size must be positive")
 
 
-def _build_system(cfg: StreamConfig, rx_buf_size: int = 2048) -> System:
-    system = System.build(SystemConfig(
-        scheme=cfg.scheme, cores=cfg.cores,
-        rx_buf_size=rx_buf_size,
-        use_copy_hints=cfg.use_copy_hints,
-        cost=cfg.cost,
-        scheme_kwargs=dict(cfg.scheme_kwargs),
-        obs=cfg.obs,
-    ))
-    system.setup_queues()
-    return system
-
-
-def _collect(system: System, cfg_scheme: str, workload: str,
-             params: Dict[str, object], units: int, payload_bytes: int,
-             start_wall: int) -> RunResult:
-    machine = system.machine
-    wall = machine.wall_clock() - start_wall
-    result = RunResult(
-        scheme=cfg_scheme, workload=workload, params=params,
-        units=units, payload_bytes=payload_bytes,
-        wall_cycles=wall,
-        busy_cycles=sum(c.busy_cycles for c in machine.cores),
-        cores=machine.num_cores,
-        breakdown_cycles=dict(merge_breakdowns(machine.cores)),
-    )
-    result.extras["iotlb"] = (vars(system.iommu.iotlb.stats).copy()
-                              if system.iommu else {})
-    pool = getattr(system.dma_api, "pool", None)
-    if pool is not None:
-        result.extras["pool"] = vars(pool.stats).copy()
-    invq = system.iommu.invalidation_queue if system.iommu else None
-    if invq is not None:
-        result.extras["inv_lock_wait_cycles"] = invq.lock.stats.total_wait_cycles
-        result.extras["sync_invalidations"] = invq.sync_invalidations
-        result.extras["batch_flushes"] = invq.batch_flushes
-        # Hardware-side queueing decomposition the scalability
-        # observatory reads (arrivals + service vs queue delay).
-        hw = invq.hardware
-        result.extras["inv_hw_completions"] = hw.completions
-        result.extras["inv_hw_service_cycles"] = hw.total_service_cycles
-        result.extras["inv_hw_queue_delay_cycles"] = hw.queue_delay_cycles
-    samples = getattr(system.dma_api, "window_samples", None)
-    if samples:
-        result.extras["window_mean_us"] = cycles_to_us(
-            sum(samples) / len(samples))
-        result.extras["window_max_us"] = cycles_to_us(max(samples))
-    obs = machine.obs
-    if obs.enabled:
-        if system.iommu is not None:
-            from repro.obs.metrics import record_iotlb_stats
-
-            record_iotlb_stats(obs.metrics, machine.wall_clock(),
-                               result.extras["iotlb"],
-                               system.iommu.iotlb.stats.hit_rate)
-        result.extras["metrics"] = obs.metrics.snapshot()
-        result.extras["exposure"] = obs.exposure.summary()
-        result.extras["requests"] = obs.requests.summary()
-        result.extras["locks"] = obs.locks.snapshot()
-    return result
-
-
 # ----------------------------------------------------------------------
 # TCP_STREAM receive.
 # ----------------------------------------------------------------------
 def run_tcp_stream_rx(cfg: StreamConfig) -> RunResult:
     """The evaluated machine as netperf *receiver* (Figures 3 and 6)."""
-    system = _build_system(cfg)
+    system = build_system(cfg, cfg.cores)
     machine, cost = system.machine, system.cost
 
     # Wire segments: messages below the MSS coalesce into full segments
@@ -164,36 +109,17 @@ def run_tcp_stream_rx(cfg: StreamConfig) -> RunResult:
 
     syscall_per_segment = cfg.message_size < TCP_MSS
 
-    class _RxState:
-        __slots__ = ("next_arrival", "seg_index", "units", "bytes")
+    # Segments each core has received, warmup included.
+    received = {core.cid: 0 for core in machine.cores}
+    tally = Tally()
 
-        def __init__(self) -> None:
-            self.next_arrival = 0.0
-            self.seg_index = 0
-            self.units = 0
-            self.bytes = 0
-
-    states = {core.cid: _RxState() for core in machine.cores}
-    measuring = {"on": False}
-    totals = {"units": 0, "bytes": 0}
-
-    def make_step(core: Core, limit: int):
-        state = states[core.cid]
+    def make_step(core: Core, limit: int, pacer: Pacer):
         qid = core.cid
-        total_units = limit
 
         def step(c: Core) -> bool:
-            payload = seg_sizes[state.seg_index % len(seg_sizes)]
-            state.seg_index += 1
-            interval = payload / per_core_bytes_per_cycle
-            state.next_arrival += interval
-            if c.now < state.next_arrival:
-                c.advance_to(int(state.next_arrival))
-            elif state.next_arrival < c.now - 64 * interval:
-                # The receiver cannot keep up; arrivals back up at the
-                # NIC (and would be dropped) — keep the pacer near the
-                # core clock instead of accumulating unbounded backlog.
-                state.next_arrival = c.now - 64 * interval
+            payload = seg_sizes[received[qid] % len(seg_sizes)]
+            received[qid] = done = received[qid] + 1
+            pacer.wait(c, payload / per_core_bytes_per_cycle)
             got = system.driver.receive_one(c, qid, frames[payload])
             if got is None:
                 raise ConfigurationError("NIC dropped a paced frame")
@@ -204,48 +130,30 @@ def run_tcp_stream_rx(cfg: StreamConfig) -> RunResult:
                 # Sender-limited regime: the receiver blocks between
                 # segments, paying a wakeup + recv() per arrival.
                 c.charge(cost.wakeup_cycles + cost.syscall_cycles, CAT_OTHER)
-            elif state.seg_index % len(seg_sizes) == 0:
+            elif done % len(seg_sizes) == 0:
                 c.charge(cost.syscall_cycles, CAT_OTHER)
-            state.units += 1
-            if measuring["on"]:
-                totals["units"] += 1
-                totals["bytes"] += payload
-            return state.units < total_units
+            tally.add(payload)
+            return done < limit
 
         return step
 
-    # Warmup phase: a fixed unit count *per core*, so the measured phase
-    # starts with every core holding the same amount of remaining work.
-    obs = machine.obs
-    machine.sync_clocks()
-    if obs.enabled:
-        obs.phase_begin("warmup", machine.wall_clock())
-    Scheduler([CoreTask(core=c, step=make_step(c, cfg.warmup_units),
-                        name=f"rx{c.cid}-warm") for c in machine.cores],
-              obs=obs).run()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores),
-                      breakdown=dict(merge_breakdowns(machine.cores)))
-    machine.reset_accounting()
-    start = machine.sync_clocks()
-    for state in states.values():
-        state.next_arrival = float(start)
-    measuring["on"] = True
-    if obs.enabled:
-        obs.phase_begin("measure", start)
-    total = cfg.warmup_units + cfg.units_per_core
-    Scheduler([CoreTask(core=c, step=make_step(c, total),
-                        name=f"rx{c.cid}") for c in machine.cores],
-              obs=obs).run()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores),
-                      breakdown=dict(merge_breakdowns(machine.cores)))
+    def run_phase(measured: bool, start: int) -> None:
+        # Warmup is a fixed unit count *per core*, so the measured phase
+        # starts with every core holding the same amount of remaining
+        # work.  Warmup arrivals are due from cycle 0, so warmup opens
+        # on a full backlog; measured arrivals are due from ``start``.
+        limit = cfg.warmup_units + (cfg.units_per_core if measured else 0)
+        first = float(start) if measured else 0.0
+        suffix = "" if measured else "-warm"
+        Scheduler([CoreTask(core=c, step=make_step(c, limit, Pacer(first)),
+                            name=f"rx{c.cid}{suffix}")
+                   for c in machine.cores], obs=machine.obs).run()
+
+    start = measure(machine, run_phase, tally)
     params = {"message_size": cfg.message_size, "cores": cfg.cores,
               "direction": "rx"}
-    result = _collect(system, cfg.scheme, "tcp_stream_rx", params,
-                      totals["units"], totals["bytes"], start)
+    result = collect(system, cfg.scheme, "tcp_stream_rx", params, tally,
+                     start)
     system.teardown_queues()
     return result
 
@@ -255,7 +163,7 @@ def run_tcp_stream_rx(cfg: StreamConfig) -> RunResult:
 # ----------------------------------------------------------------------
 def run_tcp_stream_tx(cfg: StreamConfig) -> RunResult:
     """The evaluated machine as netperf *transmitter* (Figures 4 and 7)."""
-    system = _build_system(cfg)
+    system = build_system(cfg, cfg.cores)
     machine, cost = system.machine, system.cost
     wire = SharedResource("tx-wire")
     line_bytes_per_cycle = gbps_to_bytes_per_cycle(cost.nic_tx_line_gbps)
@@ -274,16 +182,14 @@ def run_tcp_stream_tx(cfg: StreamConfig) -> RunResult:
     coalescing = cfg.message_size < TCP_MSS
 
     class _TxState:
-        __slots__ = ("units", "bytes", "accum")
+        __slots__ = ("units", "accum")
 
         def __init__(self) -> None:
             self.units = 0
-            self.bytes = 0
             self.accum = 0
 
     states = {core.cid: _TxState() for core in machine.cores}
-    measuring = {"on": False}
-    totals = {"units": 0, "bytes": 0}
+    tally = Tally()
 
     chunk_counter = {"n": 0}
 
@@ -324,35 +230,14 @@ def run_tcp_stream_tx(cfg: StreamConfig) -> RunResult:
                 for chunk in chunk_sizes:
                     yield from _emit_chunk(c, qid, chunk)
             state.units += 1
-            if measuring["on"]:
-                totals["units"] += 1
-                totals["bytes"] += cfg.message_size
+            tally.add(cfg.message_size)
             yield UNIT_DONE
 
-    obs = machine.obs
-    machine.sync_clocks()
-    if obs.enabled:
-        obs.phase_begin("warmup", machine.wall_clock())
-    Scheduler([GeneratorTask(core=c, gen=worker(c, cfg.warmup_units),
-                             name=f"tx{c.cid}-warm")
-               for c in machine.cores], obs=obs).run()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores),
-                      breakdown=dict(merge_breakdowns(machine.cores)))
-    machine.reset_accounting()
-    start = machine.sync_clocks()
-    measuring["on"] = True
-    if obs.enabled:
-        obs.phase_begin("measure", start)
-    total = cfg.warmup_units + cfg.units_per_core
-    Scheduler([GeneratorTask(core=c, gen=worker(c, total),
-                             name=f"tx{c.cid}") for c in machine.cores],
-              obs=obs).run()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores),
-                      breakdown=dict(merge_breakdowns(machine.cores)))
+    def run_phase(measured: bool, start: int) -> None:
+        limit = cfg.warmup_units + (cfg.units_per_core if measured else 0)
+        run_generators(machine, "tx", measured, lambda c: worker(c, limit))
+
+    start = measure(machine, run_phase, tally)
     # The wire may still be draining the backlog when the last send
     # returns; throughput accounts for the drain.
     end = max(machine.wall_clock(), wire.busy_until)
@@ -360,8 +245,8 @@ def run_tcp_stream_tx(cfg: StreamConfig) -> RunResult:
         core.advance_to(end)
     params = {"message_size": cfg.message_size, "cores": cfg.cores,
               "direction": "tx"}
-    result = _collect(system, cfg.scheme, "tcp_stream_tx", params,
-                      totals["units"], totals["bytes"], start)
+    result = collect(system, cfg.scheme, "tcp_stream_tx", params, tally,
+                     start)
     system.teardown_queues()
     return result
 
@@ -405,13 +290,8 @@ def run_tcp_rr(cfg: RRConfig) -> RunResult:
     The remote end is the (unprotected) traffic generator; its CPU time
     is estimated with the same stack model minus protection costs.
     """
-    stream_like = StreamConfig(scheme=cfg.scheme, cores=1,
-                               use_copy_hints=cfg.use_copy_hints,
-                               cost=cfg.cost,
-                               scheme_kwargs=cfg.scheme_kwargs,
-                               obs=cfg.obs)
     # LRO configuration: RR coalesces inbound frames into 16 KB buffers.
-    system = _build_system(stream_like, rx_buf_size=16384)
+    system = build_system(cfg, 1, rx_buf_size=16384)
     machine, cost = system.machine, system.cost
     core = machine.core(0)
     size = cfg.message_size
@@ -423,13 +303,10 @@ def run_tcp_rr(cfg: RRConfig) -> RunResult:
     client_cpu = _client_cpu_cycles(cost, size)
 
     latencies: List[int] = []
-    measuring = False
-    payload_bytes = 0
-
+    tally = Tally()
     obs_ctx = machine.obs
 
     def transaction() -> None:
-        nonlocal payload_bytes
         t0 = core.now
         # Request propagates: NIC/PCIe latency + serialization.
         core.advance_to(t0 + cost.wire_latency_cycles + wire_cycles)
@@ -458,35 +335,19 @@ def run_tcp_rr(cfg: RRConfig) -> RunResult:
         # Response propagates to the client, which turns it around.
         rtt_end = (core.now + cost.wire_latency_cycles + wire_cycles
                    + client_cpu + cost.wakeup_cycles)
-        if measuring:
+        if tally.measuring:
             latencies.append(rtt_end - t0)
-            payload_bytes += 2 * size
+        tally.add(2 * size)
         core.advance_to(rtt_end)
 
-    obs = machine.obs
-    if obs.enabled:
-        obs.phase_begin("warmup", machine.wall_clock())
-    for _ in range(cfg.warmup_transactions):
-        transaction()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores),
-                      breakdown=dict(merge_breakdowns(machine.cores)))
-    machine.reset_accounting()
-    start = machine.sync_clocks()
-    measuring = True
-    if obs.enabled:
-        obs.phase_begin("measure", start)
-    for _ in range(cfg.transactions):
-        transaction()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores),
-                      breakdown=dict(merge_breakdowns(machine.cores)))
+    def run_phase(measured: bool, start: int) -> None:
+        for _ in range(cfg.transactions if measured
+                       else cfg.warmup_transactions):
+            transaction()
 
+    start = measure(machine, run_phase, tally)
     params = {"message_size": size, "cores": 1}
-    result = _collect(system, cfg.scheme, "tcp_rr", params,
-                      cfg.transactions, payload_bytes, start)
+    result = collect(system, cfg.scheme, "tcp_rr", params, tally, start)
     result.latency_us = (cycles_to_us(sum(latencies) / len(latencies))
                          if latencies else 0.0)
     system.teardown_queues()

@@ -24,17 +24,25 @@ from typing import Dict, Optional
 from repro.dma.api import DmaDirection
 from repro.dma.registry import create_dma_api
 from repro.errors import ConfigurationError
-from repro.hw.cpu import CAT_OTHER, Core, merge_breakdowns
+from repro.hw.cpu import CAT_OTHER, Core
 from repro.hw.machine import Machine
 from repro.iommu.iommu import Iommu
 from repro.kalloc.slab import KBuffer, KernelAllocators
 from repro.obs.context import Observability
 from repro.obs.requests import REQ_STORAGE
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import UNIT_DONE, GeneratorTask, Scheduler
+from repro.sim.engine import UNIT_DONE
 from repro.sim.units import CPU_FREQ_HZ, PAGE_SIZE, us_to_cycles
 from repro.seeding import derive_seed
 from repro.stats.results import RunResult
+from repro.workloads.harness import (
+    Pacer,
+    Tally,
+    attach_capture,
+    measure,
+    measured_result,
+    run_generators,
+)
 
 #: Intel DC-series figures quoted by §5.5.
 SSD_READ_IOPS_4K = 850_000.0
@@ -101,20 +109,15 @@ def run_storage(cfg: StorageConfig) -> RunResult:
     payload = payload[:cfg.block_size]
 
     interval = CPU_FREQ_HZ / (cfg.resolved_iops() / cfg.cores)
-    measuring = {"on": False}
-    totals = {"units": 0, "bytes": 0}
+    tally = Tally()
+    obs = machine.obs
 
-    def worker(core: Core, limit: int):
+    def worker(core: Core, limit: int, start: int):
         rng = random.Random(derive_seed(cfg.seed, "storage", core.cid))
         buf = buffers[core.cid]
-        done = 0
-        next_arrival = float(core.now)
-        while done < limit:
-            next_arrival += interval
-            if core.now < next_arrival:
-                core.advance_to(int(next_arrival))
-            elif next_arrival < core.now - 64 * interval:
-                next_arrival = core.now - 64 * interval
+        pacer = Pacer(float(start))
+        for _ in range(limit):
+            pacer.wait(core, interval)
             is_read = rng.random() < cfg.read_fraction
             if obs.enabled:
                 obs.requests.begin(core, REQ_STORAGE,
@@ -134,50 +137,24 @@ def run_storage(cfg: StorageConfig) -> RunResult:
                 api.dma_unmap(core, handle)
             if obs.enabled:
                 obs.requests.end(core)
-            done += 1
-            if measuring["on"]:
-                totals["units"] += 1
-                totals["bytes"] += cfg.block_size
+            tally.add(cfg.block_size)
             yield UNIT_DONE
 
-    obs = machine.obs
-    machine.sync_clocks()
-    if obs.enabled:
-        obs.phase_begin("warmup", machine.wall_clock())
-    Scheduler([GeneratorTask(core=c, gen=worker(c, cfg.warmup_ops),
-                             name=f"io{c.cid}-warm")
-               for c in machine.cores], obs=obs).run()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores))
-    machine.reset_accounting()
-    start = machine.sync_clocks()
-    measuring["on"] = True
-    total = cfg.warmup_ops + cfg.ops_per_core
-    if obs.enabled:
-        obs.phase_begin("measure", start)
-    # Fresh generators continue against per-core state held in closures;
-    # simplest is to run the measured quota directly.
-    Scheduler([GeneratorTask(core=c, gen=worker(c, cfg.ops_per_core),
-                             name=f"io{c.cid}") for c in machine.cores],
-              obs=obs).run()
-    if obs.enabled:
-        obs.phase_end(machine.wall_clock(),
-                      busy_cycles=sum(c.busy_cycles for c in machine.cores))
+    def run_phase(measured: bool, start: int) -> None:
+        # Each phase runs its own quota on fresh generators, which
+        # restart the per-core request stream and its arrivals.
+        limit = cfg.ops_per_core if measured else cfg.warmup_ops
+        run_generators(machine, "io", measured,
+                       lambda c: worker(c, limit, start))
 
-    wall = machine.wall_clock() - start
-    result = RunResult(
-        scheme=cfg.scheme, workload="storage",
-        params={"block_size": cfg.block_size, "cores": cfg.cores,
-                "read_fraction": cfg.read_fraction},
-        units=totals["units"], payload_bytes=totals["bytes"],
-        wall_cycles=wall,
-        busy_cycles=sum(c.busy_cycles for c in machine.cores),
-        cores=machine.num_cores,
-        breakdown_cycles=dict(merge_breakdowns(machine.cores)),
-    )
-    if wall > 0:
-        result.transactions_per_sec = totals["units"] * CPU_FREQ_HZ / wall
+    start = measure(machine, run_phase, tally)
+    params = {"block_size": cfg.block_size, "cores": cfg.cores,
+              "read_fraction": cfg.read_fraction}
+    result = measured_result(machine, cfg.scheme, "storage", params, tally,
+                             start)
+    if result.wall_cycles > 0:
+        result.transactions_per_sec = (tally.units * CPU_FREQ_HZ
+                                       / result.wall_cycles)
     result.extras["device_iops_ceiling"] = cfg.resolved_iops()
     if hasattr(api, "hybrid_maps"):
         result.extras["hybrid_maps"] = api.hybrid_maps
@@ -191,15 +168,5 @@ def run_storage(cfg: StorageConfig) -> RunResult:
         result.extras["inv_hw_completions"] = hw.completions
         result.extras["inv_hw_service_cycles"] = hw.total_service_cycles
         result.extras["inv_hw_queue_delay_cycles"] = hw.queue_delay_cycles
-    if obs.enabled:
-        if iommu is not None:
-            from repro.obs.metrics import record_iotlb_stats
-
-            record_iotlb_stats(obs.metrics, machine.wall_clock(),
-                               result.extras["iotlb"],
-                               iommu.iotlb.stats.hit_rate)
-        result.extras["metrics"] = obs.metrics.snapshot()
-        result.extras["exposure"] = obs.exposure.summary()
-        result.extras["requests"] = obs.requests.summary()
-        result.extras["locks"] = obs.locks.snapshot()
+    attach_capture(result, machine, iommu)
     return result

@@ -9,6 +9,8 @@ simulated cycles, so:
   run — the trace is a pure observer.
 """
 
+import pytest
+
 from repro.obs.context import Observability
 from repro.obs.trace import (
     EV_DMA_MAP,
@@ -17,11 +19,29 @@ from repro.obs.trace import (
     NullTracer,
 )
 from repro.stats.export import to_json
+from repro.workloads.memcached import MemcachedConfig, run_memcached
 from repro.workloads.netperf import RRConfig, StreamConfig, run_tcp_rr, \
-    run_tcp_stream_rx
+    run_tcp_stream_rx, run_tcp_stream_tx
+from repro.workloads.storage import StorageConfig, run_storage
 
 _RR = dict(scheme="copy", message_size=64, transactions=40,
            warmup_transactions=10)
+
+#: Runner, config class and parameters of each run the cycle-identity
+#: test traces (RX stream and fleet have tests of their own below).
+_TRACED_RUNS = {
+    "rr": (run_tcp_rr, RRConfig, _RR),
+    "stream-tx": (run_tcp_stream_tx, StreamConfig,
+                  dict(scheme="copy", direction="tx", cores=2,
+                       message_size=16384, units_per_core=30,
+                       warmup_units=10)),
+    "storage": (run_storage, StorageConfig,
+                dict(scheme="identity-strict", cores=2, ops_per_core=40,
+                     warmup_ops=10)),
+    "memcached": (run_memcached, MemcachedConfig,
+                  dict(scheme="copy", cores=2, transactions_per_core=30,
+                       warmup_transactions=10)),
+}
 
 
 def test_null_tracer_run_is_byte_identical():
@@ -32,10 +52,12 @@ def test_null_tracer_run_is_byte_identical():
     assert bare.extras == nulled.extras
 
 
-def test_traced_run_is_cycle_identical():
-    bare = run_tcp_rr(RRConfig(**_RR))
+@pytest.mark.parametrize("run, config, params", list(_TRACED_RUNS.values()),
+                         ids=list(_TRACED_RUNS))
+def test_traced_run_is_cycle_identical(run, config, params):
+    bare = run(config(**params))
     obs = Observability.capture()
-    traced = run_tcp_rr(RRConfig(**_RR, obs=obs))
+    traced = run(config(**params, obs=obs))
     assert traced.wall_cycles == bare.wall_cycles
     assert traced.busy_cycles == bare.busy_cycles
     assert traced.breakdown_cycles == bare.breakdown_cycles
@@ -43,8 +65,8 @@ def test_traced_run_is_cycle_identical():
     assert traced.units == bare.units
     # The only divergence is the attached metrics snapshot.
     assert "metrics" in traced.extras and "metrics" not in bare.extras
-    # And the observer actually observed: the strict copy scheme's RR run
-    # must produce lock, invalidation, and DMA events.
+    # And the observer actually observed: each run must produce lock,
+    # invalidation, and DMA events.
     kinds = obs.tracer.counts_by_kind()
     assert kinds[EV_DMA_MAP] > 0
     assert kinds[EV_LOCK_ACQUIRE] > 0

@@ -10,7 +10,8 @@ under capture, and this module is the only place that happens:
   (``cores``, ``size``, ``units``, ``warmup``) onto each workload's own
   config fields;
 * :func:`run_point` runs a point under a capturing
-  :class:`~repro.obs.context.Observability`;
+  :class:`~repro.obs.context.Observability`, and :func:`run_observed`
+  under the caller's (the CLI's workload subcommands);
 * :func:`fan_out` runs independent tasks over worker processes, times
   each inside its worker and merges the results back in task order, so
   everything built from them is identical at any ``--jobs`` count.
@@ -106,14 +107,20 @@ def sized_point(workload: str, scheme: str, **knobs: int) -> RunPoint:
                      if fields[knob] is not None})
 
 
+def run_observed(point: RunPoint,
+                 obs: Optional[Observability]) -> RunResult:
+    """Run one point under ``obs`` (``None``: unobserved)."""
+    workload = _workload(point.workload)
+    config = workload.config(scheme=point.scheme, obs=obs,
+                             **workload.fixed, **point.params)
+    return workload.runner(config)
+
+
 def run_point(point: RunPoint) -> Tuple[RunResult, Observability]:
     """Run one point under capture; returns the result and the
     observability that recorded it (spans, requests, SLO windows)."""
-    workload = _workload(point.workload)
     obs = Observability.capture(trace_capacity=TRACE_CAPACITY)
-    config = workload.config(scheme=point.scheme, obs=obs,
-                             **workload.fixed, **point.params)
-    return workload.runner(config), obs
+    return run_observed(point, obs), obs
 
 
 def throughput_entry(sim_cycles: int, wall_seconds: float) -> dict:

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 from repro.attacks.audit import audit_all, render_audit_exposure, \
     render_table1
+from repro.bench.points import RunPoint, run_observed, sized_point
 from repro.dma.registry import ALL_SCHEMES, PAPER_ALIASES, scheme_properties
 from repro.errors import (
     AllocationError,
@@ -53,14 +54,6 @@ from repro.stats.timeline import (
     render_request_timeline,
     render_tail_report,
 )
-from repro.workloads.memcached import MemcachedConfig, run_memcached
-from repro.workloads.netperf import (
-    RRConfig,
-    StreamConfig,
-    run_tcp_rr,
-    run_tcp_stream,
-)
-from repro.workloads.storage import StorageConfig, run_storage
 
 
 #: ReproError subclasses mapped to distinct exit codes, most specific
@@ -502,30 +495,50 @@ def _finish_obs(obs: Observability | None, args,
                   f"{args.trace}")
 
 
+def _workload_point(args) -> RunPoint:
+    """The run a workload subcommand (or ``trace``) asks for, through the
+    bench workload table: a tenth of its units warm up, at least a
+    per-subcommand floor."""
+    if args.command == "stream":
+        return _sized(args, "stream", 50, args.units, cores=args.cores,
+                      size=args.size)
+    if args.command == "rr":
+        return _sized(args, "rr", 20, args.transactions, size=args.size)
+    if args.command == "memcached":
+        return _sized(args, "memcached", 30, args.transactions,
+                      cores=args.cores)
+    if args.command == "storage":
+        return _sized(args, "storage", 20, args.ops, cores=args.cores,
+                      size=args.block_size)
+    # trace: --size is a message or block size, and memcached has neither.
+    size = {} if args.workload == "memcached" else {"size": args.size}
+    return _sized(args, args.workload, 20 if args.workload == "stream"
+                  else 10, args.units, cores=args.cores, **size)
+
+
+def _sized(args, workload: str, floor: int, units: int,
+           **knobs: int) -> RunPoint:
+    if workload == "stream" and args.direction == "tx":
+        workload = "stream-tx"
+    return sized_point(workload, args.scheme, units=units,
+                       warmup=max(floor, units // 10), **knobs)
+
+
+def cmd_workload(args) -> int:
+    """Run ``stream``, ``rr``, ``memcached`` or ``storage`` once."""
+    obs = _make_obs(args)
+    result = run_observed(_workload_point(args), obs)
+    if not _json_quiet(args):
+        _print_result(result, show_latency=args.command == "rr",
+                      show_tps=args.command in ("memcached", "storage"))
+    _finish_obs(obs, args, result)
+    return 0
+
+
 def cmd_trace(args) -> int:
     """Run one workload under full capture; tell the request story."""
     obs = _make_obs(args, always=True)
-    if args.workload == "stream":
-        result = run_tcp_stream(StreamConfig(
-            scheme=args.scheme, direction=args.direction,
-            message_size=args.size, cores=args.cores,
-            units_per_core=args.units,
-            warmup_units=max(20, args.units // 10), obs=obs))
-    elif args.workload == "rr":
-        result = run_tcp_rr(RRConfig(
-            scheme=args.scheme, message_size=args.size,
-            transactions=args.units,
-            warmup_transactions=max(10, args.units // 10), obs=obs))
-    elif args.workload == "memcached":
-        result = run_memcached(MemcachedConfig(
-            scheme=args.scheme, cores=args.cores,
-            transactions_per_core=args.units,
-            warmup_transactions=max(10, args.units // 10), obs=obs))
-    else:
-        result = run_storage(StorageConfig(
-            scheme=args.scheme, block_size=args.size,
-            cores=args.cores, ops_per_core=args.units,
-            warmup_ops=max(10, args.units // 10), obs=obs))
+    result = run_observed(_workload_point(args), obs)
     if not _json_quiet(args):
         _print_result(result, show_latency=True, show_tps=True)
         print()
@@ -625,47 +638,8 @@ def _dispatch(args) -> int:
         return cmd_schemes()
     if args.command == "audit":
         return cmd_audit(args.scheme, exposure=args.exposure)
-    if args.command == "stream":
-        obs = _make_obs(args)
-        result = run_tcp_stream(StreamConfig(
-            scheme=args.scheme, direction=args.direction,
-            message_size=args.size, cores=args.cores,
-            units_per_core=args.units,
-            warmup_units=max(50, args.units // 10), obs=obs))
-        if not _json_quiet(args):
-            _print_result(result)
-        _finish_obs(obs, args, result)
-        return 0
-    if args.command == "rr":
-        obs = _make_obs(args)
-        result = run_tcp_rr(RRConfig(
-            scheme=args.scheme, message_size=args.size,
-            transactions=args.transactions,
-            warmup_transactions=max(20, args.transactions // 10), obs=obs))
-        if not _json_quiet(args):
-            _print_result(result, show_latency=True)
-        _finish_obs(obs, args, result)
-        return 0
-    if args.command == "memcached":
-        obs = _make_obs(args)
-        result = run_memcached(MemcachedConfig(
-            scheme=args.scheme, cores=args.cores,
-            transactions_per_core=args.transactions,
-            warmup_transactions=max(30, args.transactions // 10), obs=obs))
-        if not _json_quiet(args):
-            _print_result(result, show_tps=True)
-        _finish_obs(obs, args, result)
-        return 0
-    if args.command == "storage":
-        obs = _make_obs(args)
-        result = run_storage(StorageConfig(
-            scheme=args.scheme, block_size=args.block_size,
-            cores=args.cores, ops_per_core=args.ops,
-            warmup_ops=max(20, args.ops // 10), obs=obs))
-        if not _json_quiet(args):
-            _print_result(result, show_tps=True)
-        _finish_obs(obs, args, result)
-        return 0
+    if args.command in ("stream", "rr", "memcached", "storage"):
+        return cmd_workload(args)
     if args.command == "trace":
         return cmd_trace(args)
     if args.command == "chaos":

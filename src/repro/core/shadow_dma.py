@@ -29,24 +29,15 @@ from typing import Optional
 
 from repro.core.hints import CopyHint, clamp_hint
 from repro.core.shadow_pool import ShadowBufferMeta, ShadowBufferPool
-from repro.dma.api import (
-    CoherentBuffer,
-    DmaApi,
-    DmaDirection,
-    DmaHandle,
-    SchemeProperties,
-)
+from repro.dma.api import DmaDirection, DmaHandle, IommuDmaApi, MappedBlock
 from repro.errors import DmaApiError, PoolExhaustedError, ReproError
-from repro.hw.cpu import CAT_COPY_MGMT, CAT_MEMCPY, CAT_OTHER, Core
+from repro.hw.cpu import CAT_COPY_MGMT, Core
 from repro.hw.machine import Machine
-from repro.iommu.iommu import Domain, Iommu, TranslatingDmaPort
-from repro.iommu.page_table import Perm
+from repro.iommu.iommu import Iommu
 from repro.iova.base import IovaAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
-from repro.obs.requests import MARK_COPIED
-from repro.obs.spans import SPAN_COPY
-from repro.obs.trace import EV_DMA_BOUNCE, EV_DMA_COPY
-from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_align_up
+from repro.obs.trace import EV_DMA_BOUNCE
+from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 
 
 class _PhysView:
@@ -77,30 +68,11 @@ class _HybridCookie:
     tail_len: int
 
 
-@dataclass
-class _BounceCookie:
-    """Unmap context for a swiotlb-style bounce mapping — the last rung
-    of the degradation ladder (shadow pool → §5.3 fallback → bounce)."""
-
-    pa: int                 # bounce pages (buddy allocation)
-    npages: int             # allocated page count (power of two)
-    iova: int               # page-aligned IOVA of the bounce range
-    node: int
-
-
-class ShadowDmaApi(DmaApi):
+class ShadowDmaApi(IommuDmaApi):
     """The ``copy`` scheme: strict byte-granularity protection via DMA
     shadowing."""
 
     name = "copy"
-    properties = SchemeProperties(
-        label="copy (shadow buffers)",
-        iommu_protection=True,
-        sub_page=True,
-        no_window=True,
-        single_core_perf=True,
-        multi_core_perf=True,
-    )
 
     def __init__(self, machine: Machine, iommu: Iommu, device_id: int,
                  allocators: KernelAllocators,
@@ -111,13 +83,8 @@ class ShadowDmaApi(DmaApi):
                  max_buffers_per_class: int = 16 * 1024,
                  max_pool_bytes: int | None = None,
                  bounce_fallback: bool = False):
-        super().__init__()
-        self.machine = machine
-        self.cost = machine.cost
-        self.iommu = iommu
-        self.domain: Domain = iommu.attach_device(device_id)
-        self.domain_id = self.domain.domain_id
-        self.allocators = allocators
+        super().__init__(machine, iommu, device_id, allocators,
+                         fallback_iova)
         self.fallback_iova = fallback_iova
         self.hybrid_huge_buffers = hybrid_huge_buffers
         self.pool = ShadowBufferPool(
@@ -126,10 +93,8 @@ class ShadowDmaApi(DmaApi):
             max_buffers_per_class=max_buffers_per_class,
             max_pool_bytes=max_pool_bytes,
         )
-        self._port = TranslatingDmaPort(iommu, self.domain)
         self._tx_hint: CopyHint | None = None
         self._rx_hint: CopyHint | None = None
-        self._coherent: dict[int, CoherentBuffer] = {}
         self.hybrid_maps = 0
         #: Opt-in degradation: when the pool (and its §5.3 fallback)
         #: cannot produce a shadow, fall back to a swiotlb-style bounce
@@ -189,64 +154,34 @@ class ShadowDmaApi(DmaApi):
         return handle, meta
 
     def _map_bounce(self, core: Core, buf: KBuffer,
-                    direction: DmaDirection) -> tuple[DmaHandle, _BounceCookie]:
-        """Swiotlb-style bounce mapping: fresh pages + a transient
-        strict-unmapped IOMMU mapping.  Slower than a shadow (page
-        granular, allocates on the hot path) but keeps traffic moving
-        when the pool is saturated."""
-        npages = max(1, page_align_up(buf.size) >> PAGE_SHIFT)
-        order = max(0, (npages - 1).bit_length())
-        alloc_pages = 1 << order
-        node = buf.node
-        pa = self.allocators.buddies[node].alloc_pages(order, core)
-        try:
-            iova = self.fallback_iova.alloc(alloc_pages, core, pa)
-        except ReproError:
-            self.allocators.buddies[node].free_pages(pa, core)
-            raise
-        try:
-            self.iommu.map_range(self.domain, iova, pa,
-                                 alloc_pages << PAGE_SHIFT, direction.perm,
-                                 core, kind="dedicated")
-        except ReproError:
-            self.fallback_iova.free(iova, alloc_pages, core)
-            self.allocators.buddies[node].free_pages(pa, core)
-            raise
+                    direction: DmaDirection) -> tuple[DmaHandle, MappedBlock]:
+        """Swiotlb-style bounce mapping — the last rung of the
+        degradation ladder (shadow pool → §5.3 fallback → bounce): fresh
+        pages mapped with the buffer's rights, strictly unmapped.
+        Slower than a shadow (page granular, allocates on the hot path)
+        but keeps traffic moving when the pool is saturated."""
+        block = self._map_block(core, buf.size, buf.node, direction.perm)
         if direction.device_reads:
-            self._charged_copy(core, dst_pa=pa, src_pa=buf.pa,
-                               nbytes=buf.size, remote=False)
+            self._charged_copy(core, dst_pa=block.pa, src_pa=buf.pa,
+                               nbytes=buf.size)
         self.bounce_maps += 1
         if self.obs.enabled:
             self.obs.tracer.emit(EV_DMA_BOUNCE, core.now, core.cid,
-                                 iova=iova, size=buf.size)
+                                 iova=block.iova, size=buf.size)
             self.obs.metrics.counter("dma.bounce_maps").inc()
-        cookie = _BounceCookie(pa=pa, npages=alloc_pages, iova=iova,
-                               node=node)
-        return (DmaHandle(iova=iova, size=buf.size, direction=direction),
-                cookie)
-
-    def _unmap_bounce(self, core: Core, buf: KBuffer, handle: DmaHandle,
-                      cookie: _BounceCookie) -> None:
-        if handle.direction.device_writes:
-            self._charged_copy(core, dst_pa=buf.pa, src_pa=cookie.pa,
-                               nbytes=handle.size, remote=False)
-        # Strict teardown: the bounce pages are reused by the buddy, so
-        # no stale translation may survive.
-        self.iommu.unmap_range(self.domain, cookie.iova,
-                               cookie.npages << PAGE_SHIFT, core)
-        self.iommu.invalidation_queue.invalidate_sync(
-            core, self.domain.domain_id, cookie.iova >> PAGE_SHIFT,
-            cookie.npages)
-        self.fallback_iova.free(cookie.iova, cookie.npages, core)
-        self.allocators.buddies[cookie.node].free_pages(cookie.pa, core)
+        return (DmaHandle(iova=block.iova, size=buf.size,
+                          direction=direction), block)
 
     def _unmap(self, core: Core, buf: KBuffer, handle: DmaHandle,
                cookie: object) -> None:
         if isinstance(cookie, _HybridCookie):
             self._unmap_hybrid(core, buf, handle, cookie)
             return
-        if isinstance(cookie, _BounceCookie):
-            self._unmap_bounce(core, buf, handle, cookie)
+        if isinstance(cookie, MappedBlock):
+            if handle.direction.device_writes:
+                self._charged_copy(core, dst_pa=buf.pa, src_pa=cookie.pa,
+                                   nbytes=handle.size)
+            self._unmap_block(core, cookie)
             return
         # The real implementation has only the IOVA at unmap time; use the
         # O(1) lookup and cross-check against the map-time cookie.
@@ -267,29 +202,6 @@ class ShadowDmaApi(DmaApi):
                                nbytes=copy_len,
                                remote=meta.domain_node != buf.node)
         self.pool.release_shadow(core, meta)
-
-    def _charged_copy(self, core: Core, dst_pa: int, src_pa: int,
-                      nbytes: int, remote: bool) -> None:
-        """Move real bytes and charge the calibrated memcpy + pollution."""
-        if nbytes <= 0:
-            return
-        if self.obs.enabled:
-            self.obs.spans.begin(SPAN_COPY, core)
-        cycles = self.cost.memcpy_cycles(nbytes)
-        if remote:
-            cycles = round(cycles * self.cost.numa_remote_copy_factor)
-        core.charge(cycles, CAT_MEMCPY)
-        pollution = self.cost.pollution_cycles(nbytes)
-        if pollution:
-            core.charge(pollution, CAT_OTHER)
-        self.machine.memory.copy(dst_pa, src_pa, nbytes)
-        if self.obs.enabled:
-            self.obs.tracer.emit(EV_DMA_COPY, core.now, core.cid,
-                                 nbytes=nbytes, remote=remote,
-                                 cycles=cycles)
-            self.obs.metrics.histogram("dma.copy_bytes").observe(nbytes)
-            self.obs.requests.mark(core, MARK_COPIED)
-            self.obs.spans.end(core)
 
     # ------------------------------------------------------------------
     # Hybrid huge buffers (§5.5).
@@ -348,10 +260,7 @@ class ShadowDmaApi(DmaApi):
             # strict invalidation), return the shadows and the IOVA range,
             # then degrade to a bounce if the ladder allows it.
             for iova_r, nbytes in mapped_ranges:
-                self.iommu.unmap_range(self.domain, iova_r, nbytes, core)
-                self.iommu.invalidation_queue.invalidate_sync(
-                    core, self.domain.domain_id, iova_r >> PAGE_SHIFT,
-                    max(1, nbytes >> PAGE_SHIFT))
+                self.iommu.unmap_strict(self.domain, iova_r, nbytes, core)
             for meta in (head_meta, tail_meta):
                 if meta is not None:
                     self.pool.release_shadow(core, meta)
@@ -389,57 +298,10 @@ class ShadowDmaApi(DmaApi):
                     remote=cookie.tail_meta.domain_node != buf.node)
         # Destroy the transient mapping *strictly* — invalidate before the
         # buffer can be reused (§5.5).
-        self.iommu.unmap_range(self.domain, cookie.iova_base,
-                               cookie.total_pages << PAGE_SHIFT, core)
-        self.iommu.invalidation_queue.invalidate_sync(
-            core, self.domain.domain_id, cookie.iova_base >> PAGE_SHIFT,
-            cookie.total_pages)
+        self.iommu.unmap_strict(self.domain, cookie.iova_base,
+                                cookie.total_pages << PAGE_SHIFT, core)
         if cookie.head_meta is not None:
             self.pool.release_shadow(core, cookie.head_meta)
         if cookie.tail_meta is not None:
             self.pool.release_shadow(core, cookie.tail_meta)
         self.fallback_iova.free(cookie.iova_base, cookie.total_pages, core)
-
-    # ------------------------------------------------------------------
-    # Coherent allocations: standard strict implementation (§5.2 — they
-    # are infrequent and already page-granular, hence byte-safe).
-    # ------------------------------------------------------------------
-    def dma_alloc_coherent(self, core: Core, size: int,
-                           node: int = 0) -> CoherentBuffer:
-        pages = max(1, page_align_up(size) >> PAGE_SHIFT)
-        order = max(0, (pages - 1).bit_length())
-        pa = self.allocators.buddies[node].alloc_pages(order, core)
-        npages = 1 << order
-        try:
-            iova = self.fallback_iova.alloc(npages, core, pa)
-        except ReproError:
-            self.allocators.buddies[node].free_pages(pa, core)
-            raise
-        try:
-            self.iommu.map_range(self.domain, iova, pa, npages << PAGE_SHIFT,
-                                 Perm.RW, core, kind="dedicated")
-        except ReproError:
-            self.fallback_iova.free(iova, npages, core)
-            self.allocators.buddies[node].free_pages(pa, core)
-            raise
-        kbuf = KBuffer(pa=pa, size=size, node=node)
-        buf = CoherentBuffer(kbuf=kbuf, iova=iova, size=size)
-        self._coherent[iova] = buf
-        self.stats.coherent_allocs += 1
-        return buf
-
-    def dma_free_coherent(self, core: Core, buf: CoherentBuffer) -> None:
-        if self._coherent.pop(buf.iova, None) is None:
-            raise DmaApiError(f"free of unknown coherent buffer {buf.iova:#x}")
-        pages = max(1, page_align_up(buf.size) >> PAGE_SHIFT)
-        order = max(0, (pages - 1).bit_length())
-        npages = 1 << order
-        self.iommu.unmap_range(self.domain, buf.iova, npages << PAGE_SHIFT,
-                               core)
-        self.iommu.invalidation_queue.invalidate_sync(
-            core, self.domain.domain_id, buf.iova >> PAGE_SHIFT, npages)
-        self.fallback_iova.free(buf.iova, npages, core)
-        self.allocators.buddies[buf.kbuf.node].free_pages(buf.kbuf.pa, core)
-
-    def port(self) -> TranslatingDmaPort:
-        return self._port

@@ -44,7 +44,7 @@ from repro.iova.base import IovaAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
 from repro.obs.spans import SPAN_POOL_ACQUIRE, SPAN_POOL_RELEASE
 from repro.obs.trace import EV_POOL_FALLBACK, EV_POOL_GROW, EV_POOL_SHRINK
-from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
+from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_order
 
 ListKey = Tuple[int, int, Perm]  # (owner core id, class index, rights)
 
@@ -366,8 +366,8 @@ class ShadowBufferPool:
             )
         core.charge(self.cost.pool_grow_cycles, CAT_COPY_MGMT)
         # Page-quantity allocation from the owner core's NUMA node.
-        order = max(0, (alloc_bytes - 1).bit_length() - PAGE_SHIFT)
-        pa = self.allocators.buddies[node].alloc_pages(order, core)
+        pa = self.allocators.buddies[node].alloc_pages(
+            page_order(alloc_bytes), core)
         try:
             if size < PAGE_SIZE:
                 nbuffers = PAGE_SIZE // size
@@ -423,10 +423,7 @@ class ShadowBufferPool:
                 for meta in built:
                     base = meta.iova & ~(PAGE_SIZE - 1)
                     span = max(meta.size + (meta.iova - base), PAGE_SIZE)
-                    self.iommu.unmap_range(self.domain, base, span, core)
-                    self.iommu.invalidation_queue.invalidate_sync(
-                        core, self.domain.domain_id, base >> PAGE_SHIFT,
-                        max(1, span >> PAGE_SHIFT))
+                    self.iommu.unmap_strict(self.domain, base, span, core)
                     self._retire_meta(core, meta)
                 raise
             return built
@@ -531,10 +528,7 @@ class ShadowBufferPool:
         a new mapping — exactly the costs stickiness avoids.
         """
         _, class_index, rights = meta.list_key
-        self.iommu.unmap_range(self.domain, meta.iova, meta.size, core)
-        self.iommu.invalidation_queue.invalidate_sync(
-            core, self.domain.domain_id, meta.iova >> PAGE_SHIFT,
-            max(1, meta.size >> PAGE_SHIFT))
+        self.iommu.unmap_strict(self.domain, meta.iova, meta.size, core)
         self._retire_meta(core, meta)
         old_list = self._lists[meta.list_key]
         old_list.total_buffers -= 1
@@ -583,11 +577,8 @@ class ShadowBufferPool:
                 flist.tail_lock.release(core)
                 if meta is None:
                     break
-                self.iommu.unmap_range(self.domain, meta.iova, meta.size,
-                                       core)
-                self.iommu.invalidation_queue.invalidate_sync(
-                    core, self.domain.domain_id, meta.iova >> PAGE_SHIFT,
-                    max(1, meta.size >> PAGE_SHIFT))
+                self.iommu.unmap_strict(self.domain, meta.iova, meta.size,
+                                        core)
                 self._retire_meta(core, meta)
                 node = self.machine.memory.node_of(meta.pa)
                 self.allocators.buddies[node].free_pages(meta.pa, core)

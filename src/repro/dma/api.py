@@ -10,7 +10,9 @@ Mirrors the Linux streaming DMA API:
 Each protection scheme implements this interface.  DMA shadowing's design
 goal of *transparency* (§5.1) is expressed here: the shadow implementation
 is just another subclass — drivers are oblivious to which scheme runs
-beneath them.
+beneath them.  The schemes that translate through an IOMMU domain share
+:class:`IommuDmaApi` (domain, translating port, strict coherent memory);
+the two without one share :class:`~repro.dma.direct.NoIommuDmaApi`.
 
 The base class also enforces the API contract (no double unmap, unmap
 must quote the map's size/direction), because the paper's threat model
@@ -25,14 +27,17 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence
 
 from repro.errors import DmaApiError, ReproError
-from repro.hw.cpu import Core
-from repro.iommu.iommu import DmaPort
+from repro.hw.cpu import CAT_MEMCPY, CAT_OTHER, Core
+from repro.hw.machine import Machine
+from repro.iommu.iommu import DmaPort, Domain, Iommu, TranslatingDmaPort
 from repro.iommu.page_table import Perm
-from repro.kalloc.slab import KBuffer
+from repro.iova.base import IovaAllocator
+from repro.kalloc.slab import KBuffer, KernelAllocators
 from repro.obs.context import NULL_OBS
-from repro.obs.requests import MARK_MAPPED, MARK_UNMAPPED
-from repro.obs.spans import SPAN_DMA_MAP, SPAN_DMA_UNMAP
-from repro.obs.trace import EV_DMA_MAP, EV_DMA_UNMAP
+from repro.obs.requests import MARK_COPIED, MARK_MAPPED, MARK_UNMAPPED
+from repro.obs.spans import SPAN_COPY, SPAN_DMA_MAP, SPAN_DMA_UNMAP
+from repro.obs.trace import EV_DMA_COPY, EV_DMA_MAP, EV_DMA_UNMAP
+from repro.sim.units import PAGE_SHIFT, page_order
 
 
 class DmaDirection(enum.Enum):
@@ -116,17 +121,26 @@ class DmaApiStats:
 
 
 class DmaApi(abc.ABC):
-    """Base class for all protection schemes."""
+    """Base class for all protection schemes.
+
+    Every scheme derives from :class:`IommuDmaApi` or
+    :class:`~repro.dma.direct.NoIommuDmaApi`, which implement
+    ``dma_alloc_coherent`` / ``dma_free_coherent``.
+    """
 
     #: Scheme identifier used by the registry and in result tables.
     name: str = "abstract"
+    #: The scheme's Table 1 row; the registry sets it on every scheme it
+    #: builds (``repro.dma.registry`` is its only definition).
     properties: SchemeProperties
     #: Protection domain the scheme maps into, when it has one.
     #: IOMMU-backed subclasses set this; ``None`` (no-iommu, swiotlb)
     #: means the exposure accountant has no domain to attribute to.
     domain_id: int | None = None
 
-    def __init__(self) -> None:
+    def __init__(self, machine: Machine) -> None:
+        self.machine = machine
+        self.cost = machine.cost
         self._live: Dict[int, _LiveMapping] = {}
         self.stats = DmaApiStats()
         #: Observability context; the registry rebinds this to the
@@ -222,15 +236,6 @@ class DmaApi(abc.ABC):
             self.dma_unmap(core, handle)
 
     @abc.abstractmethod
-    def dma_alloc_coherent(self, core: Core, size: int,
-                           node: int = 0) -> CoherentBuffer:
-        """Allocate driver↔device shared memory (page quantities, §2.2)."""
-
-    @abc.abstractmethod
-    def dma_free_coherent(self, core: Core, buf: CoherentBuffer) -> None:
-        """Free and unmap a coherent allocation (strict semantics, §5.2)."""
-
-    @abc.abstractmethod
     def port(self) -> DmaPort:
         """The bus connection the device should issue its DMAs through."""
 
@@ -247,6 +252,30 @@ class DmaApi(abc.ABC):
                cookie: object) -> None:
         """Scheme-specific unmap."""
 
+    def _charged_copy(self, core: Core, dst_pa: int, src_pa: int,
+                      nbytes: int, remote: bool = False) -> None:
+        """Move real bytes and charge the calibrated memcpy (scaled for
+        a copy across NUMA nodes) plus its cache pollution."""
+        if nbytes <= 0:
+            return
+        if self.obs.enabled:
+            self.obs.spans.begin(SPAN_COPY, core)
+        cycles = self.cost.memcpy_cycles(nbytes)
+        if remote:
+            cycles = round(cycles * self.cost.numa_remote_copy_factor)
+        core.charge(cycles, CAT_MEMCPY)
+        pollution = self.cost.pollution_cycles(nbytes)
+        if pollution:
+            core.charge(pollution, CAT_OTHER)
+        self.machine.memory.copy(dst_pa, src_pa, nbytes)
+        if self.obs.enabled:
+            self.obs.tracer.emit(EV_DMA_COPY, core.now, core.cid,
+                                 nbytes=nbytes, remote=remote,
+                                 cycles=cycles)
+            self.obs.metrics.histogram("dma.copy_bytes").observe(nbytes)
+            self.obs.requests.mark(core, MARK_COPIED)
+            self.obs.spans.end(core)
+
     # ------------------------------------------------------------------
     # Deferred-work hooks (no-ops for strict schemes).
     # ------------------------------------------------------------------
@@ -260,3 +289,82 @@ class DmaApi(abc.ABC):
     @property
     def live_mappings(self) -> int:
         return len(self._live)
+
+
+@dataclass(frozen=True, slots=True)
+class MappedBlock:
+    """Buddy pages mapped whole at their own IOVA range."""
+
+    pa: int
+    iova: int
+    npages: int     # allocated page count (power of two)
+    node: int
+
+
+class IommuDmaApi(DmaApi):
+    """Base of the schemes that translate through an IOMMU domain.
+
+    Owns the device's domain and translating port, and coherent memory:
+    the standard strict implementation every scheme shares (§5.2 —
+    coherent allocations are infrequent and page granular).
+    ``block_iova`` allocates the IOVAs of mapped blocks.
+    """
+
+    def __init__(self, machine: Machine, iommu: Iommu, device_id: int,
+                 allocators: KernelAllocators, block_iova: IovaAllocator):
+        super().__init__(machine)
+        self.iommu = iommu
+        self.domain: Domain = iommu.attach_device(device_id)
+        self.domain_id = self.domain.domain_id
+        self.allocators = allocators
+        self._block_iova = block_iova
+        self._port: DmaPort = TranslatingDmaPort(iommu, self.domain)
+        self._coherent: Dict[int, MappedBlock] = {}
+
+    def port(self) -> DmaPort:
+        return self._port
+
+    def _map_block(self, core: Core, size: int, node: int,
+                   perm: Perm) -> MappedBlock:
+        """Pages for ``size`` bytes on ``node``, an IOVA range and one
+        dedicated mapping with ``perm`` — all or nothing: a failure
+        gives back what was taken, in reverse order."""
+        buddy = self.allocators.buddies[node]
+        order = page_order(size)
+        npages = 1 << order
+        pa = buddy.alloc_pages(order, core)
+        iova = None
+        try:
+            iova = self._block_iova.alloc(npages, core, pa)
+            self.iommu.map_range(self.domain, iova, pa, npages << PAGE_SHIFT,
+                                 perm, core, kind="dedicated")
+        except ReproError:
+            if iova is not None:
+                self._block_iova.free(iova, npages, core)
+            buddy.free_pages(pa, core)
+            raise
+        return MappedBlock(pa=pa, iova=iova, npages=npages, node=node)
+
+    def _unmap_block(self, core: Core, block: MappedBlock) -> None:
+        """Strict teardown: no stale translation may survive, since the
+        buddy reuses the pages."""
+        self.iommu.unmap_strict(self.domain, block.iova,
+                                block.npages << PAGE_SHIFT, core)
+        self._block_iova.free(block.iova, block.npages, core)
+        self.allocators.buddies[block.node].free_pages(block.pa, core)
+
+    def dma_alloc_coherent(self, core: Core, size: int,
+                           node: int = 0) -> CoherentBuffer:
+        """Page-quantity allocation, permanently mapped RW (§2.2, §5.2)."""
+        block = self._map_block(core, size, node, Perm.RW)
+        self._coherent[block.iova] = block
+        self.stats.coherent_allocs += 1
+        return CoherentBuffer(kbuf=KBuffer(pa=block.pa, size=size, node=node),
+                              iova=block.iova, size=size)
+
+    def dma_free_coherent(self, core: Core, buf: CoherentBuffer) -> None:
+        """Unmap with *strict* semantics — infrequent, not perf critical."""
+        block = self._coherent.pop(buf.iova, None)
+        if block is None:
+            raise DmaApiError(f"free of unknown coherent buffer {buf.iova:#x}")
+        self._unmap_block(core, block)

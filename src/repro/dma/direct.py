@@ -8,36 +8,27 @@ device's port bypasses translation entirely.
 
 from __future__ import annotations
 
-from repro.dma.api import (
-    CoherentBuffer,
-    DmaApi,
-    DmaDirection,
-    DmaHandle,
-    SchemeProperties,
-)
+from repro.dma.api import CoherentBuffer, DmaApi, DmaDirection, DmaHandle
+from repro.errors import DmaApiError
 from repro.hw.cpu import Core
 from repro.hw.machine import Machine
 from repro.iommu.iommu import PassthroughDmaPort
 from repro.kalloc.slab import KBuffer, KernelAllocators
-from repro.sim.units import PAGE_SHIFT, page_align_up
+from repro.sim.units import page_order
 
 
 class NoIommuDmaApi(DmaApi):
-    """IOMMU disabled — DMAs reach physical memory unchecked."""
+    """IOMMU disabled — DMAs reach physical memory unchecked.
+
+    Also the base of the other scheme without an IOMMU (swiotlb): the
+    passthrough port, and coherent memory as buddy pages the device
+    reaches at their physical address.
+    """
 
     name = "no-iommu"
-    properties = SchemeProperties(
-        label="no-iommu",
-        iommu_protection=False,
-        sub_page=False,
-        no_window=False,
-        single_core_perf=True,
-        multi_core_perf=True,
-    )
 
     def __init__(self, machine: Machine, allocators: KernelAllocators):
-        super().__init__()
-        self.machine = machine
+        super().__init__(machine)
         self.allocators = allocators
         self._port = PassthroughDmaPort(machine)
         self._coherent: dict[int, int] = {}  # pa -> node
@@ -54,16 +45,18 @@ class NoIommuDmaApi(DmaApi):
 
     def dma_alloc_coherent(self, core: Core, size: int,
                            node: int = 0) -> CoherentBuffer:
-        pages = page_align_up(size) >> PAGE_SHIFT
-        order = max(0, (pages - 1).bit_length())
-        pa = self.allocators.buddies[node].alloc_pages(order, core)
+        """Page-quantity allocation at its physical address (§2.2)."""
+        pa = self.allocators.buddies[node].alloc_pages(page_order(size), core)
         self._coherent[pa] = node
-        kbuf = KBuffer(pa=pa, size=size, node=node)
         self.stats.coherent_allocs += 1
-        return CoherentBuffer(kbuf=kbuf, iova=pa, size=size)
+        return CoherentBuffer(kbuf=KBuffer(pa=pa, size=size, node=node),
+                              iova=pa, size=size)
 
     def dma_free_coherent(self, core: Core, buf: CoherentBuffer) -> None:
-        node = self._coherent.pop(buf.kbuf.pa)
+        node = self._coherent.pop(buf.kbuf.pa, None)
+        if node is None:
+            raise DmaApiError(f"free of unknown coherent buffer "
+                              f"{buf.iova:#x}")
         self.allocators.buddies[node].free_pages(buf.kbuf.pa, core)
 
     def port(self) -> PassthroughDmaPort:

@@ -61,7 +61,9 @@ PAPER_ALIASES = {
 }
 
 _PROPERTIES: Dict[str, SchemeProperties] = {
-    "no-iommu": NoIommuDmaApi.properties,
+    "no-iommu": SchemeProperties(
+        "no-iommu", iommu_protection=False, sub_page=False,
+        no_window=False, single_core_perf=True, multi_core_perf=True),
     "linux-strict": SchemeProperties(
         "Linux strict", iommu_protection=True, sub_page=False,
         no_window=True, single_core_perf=False, multi_core_perf=False),
@@ -148,8 +150,10 @@ def create_dma_api(name: str, machine: Machine, iommu: Iommu | None,
     api = _build_dma_api(name, machine, iommu, device_id, allocators,
                          **scheme_kwargs)
     # Single rebind point: every scheme observes through the machine's
-    # context; directly-constructed schemes (unit tests) stay NULL_OBS.
+    # context and carries its Table 1 row; directly-constructed schemes
+    # (unit tests) stay NULL_OBS and claim nothing.
     api.obs = machine.obs
+    api.properties = _PROPERTIES[name]
     # Same pattern for fault injection: the machine's injector reaches
     # the IOVA allocators the scheme composed.
     for attr in ("iova_allocator", "fallback_iova"):
@@ -190,18 +194,17 @@ def _build_dma_api(name: str, machine: Machine, iommu: Iommu | None,
         # IOMMU agree on the subsystem) and post ranged descriptors.
         iommu.enable_percore_invalidation()
         iova_allocator = IdentityIovaAllocator(machine.cost)
-        props = _PROPERTIES[name]
         if name == "identity-deferred-bounded":
             kwargs = dict(scheme_kwargs)
             kwargs.setdefault("window_budget_cycles",
                               machine.cost.deferred_window_budget_cycles)
             return DeferredZeroCopyDmaApi(
                 machine, iommu, device_id, allocators, iova_allocator,
-                name=name, per_core_batching=True, properties=props,
-                ranged_flush=True, **kwargs)
+                name=name, per_core_batching=True, ranged_flush=True,
+                **kwargs)
         return StrictZeroCopyDmaApi(
             machine, iommu, device_id, allocators, iova_allocator,
-            name=name, properties=props, ranged=True,
+            name=name, ranged=True,
             prefetch=(name == "identity-strict-prefetch"),
             **scheme_kwargs)
 
@@ -221,15 +224,14 @@ def _build_dma_api(name: str, machine: Machine, iommu: Iommu | None,
     if iova_kind not in makers or policy not in ("strict", "deferred"):
         raise ConfigurationError(f"unknown scheme {name!r}")
     iova_allocator = makers[iova_kind]()
-    props = _PROPERTIES[name]
     if policy == "strict":
         return StrictZeroCopyDmaApi(machine, iommu, device_id, allocators,
                                     iova_allocator, name=name,
-                                    properties=props, **scheme_kwargs)
+                                    **scheme_kwargs)
     # Deferred: stock Linux (and EiovaR) batch on a single global list;
     # the scalable schemes batch per core (§2.2.1).
     per_core = iova_kind in ("magazine", "identity")
     return DeferredZeroCopyDmaApi(machine, iommu, device_id, allocators,
                                   iova_allocator, name=name,
                                   per_core_batching=per_core,
-                                  properties=props, **scheme_kwargs)
+                                  **scheme_kwargs)

@@ -24,21 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.dma.api import (
-    CoherentBuffer,
-    DmaApi,
-    DmaDirection,
-    DmaHandle,
-    SchemeProperties,
-)
-from repro.errors import DmaApiError, IommuFault, ReproError
+from repro.dma.api import DmaDirection, DmaHandle, IommuDmaApi
+from repro.errors import IommuFault, ReproError
 from repro.hw.cpu import CAT_OTHER, Core
 from repro.hw.machine import Machine
-from repro.iommu.iommu import Domain, Iommu
+from repro.iommu.iommu import DmaPort, Iommu
 from repro.iommu.page_table import Perm
 from repro.iova.allocators import IdentityIovaAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
-from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_align_up, us_to_cycles
+from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, us_to_cycles
 
 
 @dataclass
@@ -51,10 +45,12 @@ class _ArmedMapping:
 
 
 class _SelfInvalidatingPort:
-    """Device port that enforces the armed DMA/time budgets in 'hardware'."""
+    """Device port that enforces the armed DMA/time budgets in 'hardware'
+    before translating through ``inner``."""
 
-    def __init__(self, api: "SelfInvalidatingDmaApi"):
+    def __init__(self, api: "SelfInvalidatingDmaApi", inner: DmaPort):
         self.api = api
+        self.inner = inner
 
     def _check(self, iova: int, size: int, now: int) -> None:
         first = iova >> PAGE_SHIFT
@@ -72,47 +68,34 @@ class _SelfInvalidatingPort:
 
     def dma_read(self, iova: int, size: int) -> bytes:
         self._check(iova, size, self.api.hardware_clock())
-        return self.api._inner_port.dma_read(iova, size)
+        return self.inner.dma_read(iova, size)
 
     def dma_write(self, iova: int, data: bytes) -> None:
         self._check(iova, len(data), self.api.hardware_clock())
-        self.api._inner_port.dma_write(iova, data)
+        self.inner.dma_write(iova, data)
 
 
-class SelfInvalidatingDmaApi(DmaApi):
-    """[10]-style IOMMU: mappings die on their own; unmap is ~free."""
+class SelfInvalidatingDmaApi(IommuDmaApi):
+    """[10]-style IOMMU: mappings die on their own; unmap is ~free.
+
+    Coherent mappings are *not* armed: they live until freed.
+    """
 
     name = "self-invalidating"
-    properties = SchemeProperties(
-        label="self-invalidating IOMMU [Basu et al.]",
-        iommu_protection=True,
-        sub_page=False,
-        no_window=False,   # bounded hardware window remains
-        single_core_perf=True,
-        multi_core_perf=True,
-    )
 
     def __init__(self, machine: Machine, iommu: Iommu, device_id: int,
                  allocators: KernelAllocators,
                  dma_budget: int = 8,
                  lifetime_us: float = 100.0):
-        super().__init__()
-        self.machine = machine
-        self.cost = machine.cost
-        self.iommu = iommu
-        self.domain: Domain = iommu.attach_device(device_id)
-        self.domain_id = self.domain.domain_id
-        self.allocators = allocators
+        iova_allocator = IdentityIovaAllocator(machine.cost)
+        super().__init__(machine, iommu, device_id, allocators,
+                         iova_allocator)
+        self.iova_allocator = iova_allocator
         self.dma_budget = dma_budget
         self.lifetime_cycles = us_to_cycles(lifetime_us)
-        self.iova_allocator = IdentityIovaAllocator(machine.cost)
-        from repro.iommu.iommu import TranslatingDmaPort
-
-        self._inner_port = TranslatingDmaPort(iommu, self.domain)
-        self._port = _SelfInvalidatingPort(self)
+        self._port = _SelfInvalidatingPort(self, self._port)
         self._armed_by_page: Dict[int, _ArmedMapping] = {}
         self._page_rc: Dict[int, int] = {}
-        self._coherent: Dict[int, CoherentBuffer] = {}
         self.self_invalidations = 0
 
     def hardware_clock(self) -> int:
@@ -162,10 +145,8 @@ class SelfInvalidatingDmaApi(DmaApi):
                 else:
                     self._page_rc[page] = rc
                 if mapped:
-                    self.iommu.unmap_range(self.domain, page << PAGE_SHIFT,
-                                           PAGE_SIZE, core)
-                    self.iommu.invalidation_queue.invalidate_sync(
-                        core, self.domain.domain_id, page, 1)
+                    self.iommu.unmap_strict(self.domain, page << PAGE_SHIFT,
+                                            PAGE_SIZE, core)
             raise
         # Arming the counters is one extra descriptor write.
         core.charge(60, CAT_OTHER)
@@ -215,39 +196,3 @@ class SelfInvalidatingDmaApi(DmaApi):
             self._revoke(armed)
             revoked += 1
         return revoked
-
-    # ------------------------------------------------------------------
-    def dma_alloc_coherent(self, core: Core, size: int,
-                           node: int = 0) -> CoherentBuffer:
-        pages = max(1, page_align_up(size) >> PAGE_SHIFT)
-        order = max(0, (pages - 1).bit_length())
-        pa = self.allocators.buddies[node].alloc_pages(order, core)
-        npages = 1 << order
-        iova = self.iova_allocator.alloc(npages, core, pa)
-        # Coherent mappings are *not* armed: they must live until freed.
-        try:
-            self.iommu.map_range(self.domain, iova, pa, npages << PAGE_SHIFT,
-                                 Perm.RW, core, kind="dedicated")
-        except ReproError:
-            self.allocators.buddies[node].free_pages(pa, core)
-            raise
-        kbuf = KBuffer(pa=pa, size=size, node=node)
-        buf = CoherentBuffer(kbuf=kbuf, iova=iova, size=size)
-        self._coherent[iova] = buf
-        self.stats.coherent_allocs += 1
-        return buf
-
-    def dma_free_coherent(self, core: Core, buf: CoherentBuffer) -> None:
-        if self._coherent.pop(buf.iova, None) is None:
-            raise DmaApiError(f"free of unknown coherent buffer {buf.iova:#x}")
-        pages = max(1, page_align_up(buf.size) >> PAGE_SHIFT)
-        order = max(0, (pages - 1).bit_length())
-        npages = 1 << order
-        self.iommu.unmap_range(self.domain, buf.iova, npages << PAGE_SHIFT,
-                               core)
-        self.iommu.invalidation_queue.invalidate_sync(
-            core, self.domain.domain_id, buf.iova >> PAGE_SHIFT, npages)
-        self.allocators.buddies[buf.kbuf.node].free_pages(buf.kbuf.pa, core)
-
-    def port(self) -> _SelfInvalidatingPort:
-        return self._port

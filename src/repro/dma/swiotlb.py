@@ -17,23 +17,17 @@ true to the original's global-lock behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from repro.dma.api import (
-    CoherentBuffer,
-    DmaApi,
-    DmaDirection,
-    DmaHandle,
-    SchemeProperties,
-)
-from repro.errors import DmaApiError, PoolExhaustedError
+from repro.dma.api import DmaDirection, DmaHandle
+from repro.dma.direct import NoIommuDmaApi
+from repro.errors import PoolExhaustedError
 from repro.faults.plan import SITE_POOL_GROW
-from repro.hw.cpu import CAT_MEMCPY, CAT_OTHER, Core
+from repro.hw.cpu import CAT_OTHER, Core
 from repro.hw.locks import SpinLock
 from repro.hw.machine import Machine
-from repro.iommu.iommu import PassthroughDmaPort
 from repro.kalloc.slab import KBuffer, KernelAllocators
-from repro.sim.units import PAGE_SHIFT, page_align_up
+from repro.sim.units import page_order
 
 #: Linux's default IO TLB slot granularity.
 SWIOTLB_SLOT_BYTES = 2048
@@ -46,33 +40,20 @@ class _Bounce:
     bounce_pa: int
 
 
-class SwiotlbDmaApi(DmaApi):
-    """Bounce-buffer DMA API: copies like ``copy``, protects like nothing."""
+class SwiotlbDmaApi(NoIommuDmaApi):
+    """Bounce-buffer DMA API: copies like ``copy``, protects like nothing
+    (one global pool lock, so it does not scale either)."""
 
     name = "swiotlb"
-    properties = SchemeProperties(
-        label="SWIOTLB (bounce buffers, no IOMMU)",
-        iommu_protection=False,
-        sub_page=False,
-        no_window=False,
-        single_core_perf=True,
-        multi_core_perf=False,  # single global pool lock
-    )
 
     def __init__(self, machine: Machine, allocators: KernelAllocators,
                  pool_slots: int = 32 * 1024, node: int = 0):
-        super().__init__()
-        self.machine = machine
-        self.cost = machine.cost
-        self.allocators = allocators
-        self._port = PassthroughDmaPort(machine)
-        npages = (pool_slots * SWIOTLB_SLOT_BYTES) >> PAGE_SHIFT
-        order = max(0, (npages - 1).bit_length())
-        self.pool_base = allocators.buddies[node].alloc_pages(order)
+        super().__init__(machine, allocators)
+        self.pool_base = allocators.buddies[node].alloc_pages(
+            page_order(pool_slots * SWIOTLB_SLOT_BYTES))
         self.pool_slots = pool_slots
         self._free_runs: List[tuple[int, int]] = [(0, pool_slots)]
         self._lock = SpinLock("swiotlb", machine.cost, obs=machine.obs)
-        self._coherent: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def _alloc_slots(self, core: Core, nslots: int) -> int:
@@ -124,11 +105,7 @@ class SwiotlbDmaApi(DmaApi):
         slot = self._alloc_slots(core, nslots)
         bounce_pa = self.pool_base + slot * SWIOTLB_SLOT_BYTES
         if direction.device_reads:
-            core.charge(self.cost.memcpy_cycles(buf.size), CAT_MEMCPY)
-            pollution = self.cost.pollution_cycles(buf.size)
-            if pollution:
-                core.charge(pollution, CAT_OTHER)
-            self.machine.memory.copy(bounce_pa, buf.pa, buf.size)
+            self._charged_copy(core, bounce_pa, buf.pa, buf.size)
         handle = DmaHandle(iova=bounce_pa, size=buf.size,
                            direction=direction)
         return handle, _Bounce(slot_start=slot, nslots=nslots,
@@ -137,30 +114,5 @@ class SwiotlbDmaApi(DmaApi):
     def _unmap(self, core: Core, buf: KBuffer, handle: DmaHandle,
                cookie: _Bounce) -> None:
         if handle.direction.device_writes:
-            core.charge(self.cost.memcpy_cycles(handle.size), CAT_MEMCPY)
-            pollution = self.cost.pollution_cycles(handle.size)
-            if pollution:
-                core.charge(pollution, CAT_OTHER)
-            self.machine.memory.copy(buf.pa, cookie.bounce_pa, handle.size)
+            self._charged_copy(core, buf.pa, cookie.bounce_pa, handle.size)
         self._free_slots(core, cookie.slot_start, cookie.nslots)
-
-    # ------------------------------------------------------------------
-    def dma_alloc_coherent(self, core: Core, size: int,
-                           node: int = 0) -> CoherentBuffer:
-        pages = max(1, page_align_up(size) >> PAGE_SHIFT)
-        order = max(0, (pages - 1).bit_length())
-        pa = self.allocators.buddies[node].alloc_pages(order, core)
-        kbuf = KBuffer(pa=pa, size=size, node=node)
-        self._coherent[pa] = node
-        self.stats.coherent_allocs += 1
-        return CoherentBuffer(kbuf=kbuf, iova=pa, size=size)
-
-    def dma_free_coherent(self, core: Core, buf: CoherentBuffer) -> None:
-        node = self._coherent.pop(buf.kbuf.pa, None)
-        if node is None:
-            raise DmaApiError(f"free of unknown coherent buffer "
-                              f"{buf.iova:#x}")
-        self.allocators.buddies[node].free_pages(buf.kbuf.pa, core)
-
-    def port(self) -> PassthroughDmaPort:
-        return self._port

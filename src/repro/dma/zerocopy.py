@@ -28,24 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.dma.api import (
-    CoherentBuffer,
-    DmaApi,
-    DmaDirection,
-    DmaHandle,
-    SchemeProperties,
-)
+from repro.dma.api import DmaDirection, DmaHandle, IommuDmaApi
 from repro.errors import DmaApiError, ReproError
 from repro.hw.cpu import CAT_OTHER, CAT_PT_MGMT, Core
 from repro.hw.locks import NullLock, SpinLock
 from repro.hw.machine import Machine
 from repro.iommu.invalidation import PendingInvalidation
-from repro.iommu.iommu import Domain, Iommu, TranslatingDmaPort
+from repro.iommu.iommu import Iommu
 from repro.iommu.page_table import Perm, PteEntry
 from repro.iova.base import IovaAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
 from repro.obs.trace import EV_INV_DEFER
-from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_align_up
+from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 
 
 @dataclass(slots=True)
@@ -63,23 +57,16 @@ class _MapCookie:
     pa_base: int       # page-aligned base of the physical range
 
 
-class ZeroCopyDmaApi(DmaApi):
+class ZeroCopyDmaApi(IommuDmaApi):
     """Shared machinery for the strict and deferred zero-copy schemes."""
 
     def __init__(self, machine: Machine, iommu: Iommu, device_id: int,
                  allocators: KernelAllocators, iova_allocator: IovaAllocator):
-        super().__init__()
-        self.machine = machine
-        self.cost = machine.cost
-        self.iommu = iommu
-        self.domain: Domain = iommu.attach_device(device_id)
-        self.domain_id = self.domain.domain_id
-        self.allocators = allocators
+        super().__init__(machine, iommu, device_id, allocators,
+                         iova_allocator)
         self.iova_allocator = iova_allocator
-        self._port = TranslatingDmaPort(iommu, self.domain)
         # iova_page -> refcount/perm for live page mappings.
         self._page_refs: Dict[int, _PageRef] = {}
-        self._coherent: Dict[int, CoherentBuffer] = {}
         # Scalable-invalidation knobs (set by subclasses; see the
         # identity-strict-percore/-prefetch registry entries).
         #: Use ranged descriptors (coalesced runs) on the strict path.
@@ -256,45 +243,6 @@ class ZeroCopyDmaApi(DmaApi):
                                    (end - start) << PAGE_SHIFT, core)
         return cleared
 
-    # ------------------------------------------------------------------
-    def dma_alloc_coherent(self, core: Core, size: int,
-                           node: int = 0) -> CoherentBuffer:
-        """Page-quantity allocation, permanently mapped RW (§2.2, §5.2)."""
-        pages = max(1, page_align_up(size) >> PAGE_SHIFT)
-        order = max(0, (pages - 1).bit_length())
-        pa = self.allocators.buddies[node].alloc_pages(order, core)
-        npages = 1 << order
-        iova = self.iova_allocator.alloc(npages, core, pa)
-        try:
-            self.iommu.map_range(self.domain, iova, pa, npages << PAGE_SHIFT,
-                                 Perm.RW, core, kind="dedicated")
-        except ReproError:
-            self.iova_allocator.free(iova, npages, core)
-            self.allocators.buddies[node].free_pages(pa, core)
-            raise
-        kbuf = KBuffer(pa=pa, size=size, node=node)
-        buf = CoherentBuffer(kbuf=kbuf, iova=iova, size=size)
-        self._coherent[iova] = buf
-        self.stats.coherent_allocs += 1
-        return buf
-
-    def dma_free_coherent(self, core: Core, buf: CoherentBuffer) -> None:
-        """Unmap with *strict* semantics — infrequent, not perf critical (§5.2)."""
-        if self._coherent.pop(buf.iova, None) is None:
-            raise DmaApiError(f"free of unknown coherent buffer {buf.iova:#x}")
-        pages = max(1, page_align_up(buf.size) >> PAGE_SHIFT)
-        order = max(0, (pages - 1).bit_length())
-        npages = 1 << order
-        self.iommu.unmap_range(self.domain, buf.iova, npages << PAGE_SHIFT,
-                               core)
-        self.iommu.invalidation_queue.invalidate_sync(
-            core, self.domain.domain_id, buf.iova >> PAGE_SHIFT, npages)
-        self.iova_allocator.free(buf.iova, npages, core)
-        self.allocators.buddies[buf.kbuf.node].free_pages(buf.kbuf.pa, core)
-
-    def port(self) -> TranslatingDmaPort:
-        return self._port
-
 
 class StrictZeroCopyDmaApi(ZeroCopyDmaApi):
     """Strict protection: invalidate the IOTLB on every unmap.
@@ -308,16 +256,12 @@ class StrictZeroCopyDmaApi(ZeroCopyDmaApi):
 
     def __init__(self, machine: Machine, iommu: Iommu, device_id: int,
                  allocators: KernelAllocators, iova_allocator: IovaAllocator,
-                 name: str = "strict", properties: SchemeProperties | None = None,
-                 ranged: bool = False, prefetch: bool = False):
+                 name: str = "strict", ranged: bool = False,
+                 prefetch: bool = False):
         super().__init__(machine, iommu, device_id, allocators, iova_allocator)
         self.name = name
         self.ranged = ranged
         self.prefetch = prefetch
-        self.properties = properties or SchemeProperties(
-            label=name, iommu_protection=True, sub_page=False,
-            no_window=True, single_core_perf=False, multi_core_perf=False,
-        )
 
     def _unmap(self, core: Core, buf: KBuffer, handle: DmaHandle,
                cookie: _MapCookie) -> None:
@@ -340,7 +284,6 @@ class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
     def __init__(self, machine: Machine, iommu: Iommu, device_id: int,
                  allocators: KernelAllocators, iova_allocator: IovaAllocator,
                  name: str = "deferred", per_core_batching: bool = True,
-                 properties: SchemeProperties | None = None,
                  window_budget_cycles: int | None = None,
                  ranged_flush: bool = False):
         super().__init__(machine, iommu, device_id, allocators, iova_allocator)
@@ -355,11 +298,6 @@ class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
         #: Flush with per-domain ranged descriptors instead of one
         #: global invalidation (see InvalidationQueue.flush_batch).
         self.ranged_flush = ranged_flush
-        self.properties = properties or SchemeProperties(
-            label=name, iommu_protection=True, sub_page=False,
-            no_window=False, single_core_perf=True,
-            multi_core_perf=per_core_batching,
-        )
         ncores = machine.num_cores
         self._pending: List[List[PendingInvalidation]] = (
             [[] for _ in range(ncores)] if per_core_batching else [[]]

@@ -227,6 +227,15 @@ class Iommu:
                                                page_cycles=step)
         return npages
 
+    def unmap_strict(self, domain: Domain, iova: int, size: int,
+                     core: Core) -> None:
+        """Strict revocation: :meth:`unmap_range`, then a synchronous
+        IOTLB invalidation of the pages it cleared, so no stale
+        translation outlives the call."""
+        npages = self.unmap_range(domain, iova, size, core)
+        self.invalidation_queue.invalidate_sync(core, domain.domain_id,
+                                                iova >> PAGE_SHIFT, npages)
+
     # ------------------------------------------------------------------
     # Device side.
     # ------------------------------------------------------------------

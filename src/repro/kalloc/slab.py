@@ -21,7 +21,7 @@ from repro.errors import KallocError
 from repro.hw.cpu import Core
 from repro.kalloc.buddy import BuddyAllocator
 from repro.sim.costmodel import CostModel
-from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
+from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_order
 
 #: kmalloc size classes, like Linux's kmalloc-32 … kmalloc-2048 caches.
 SLAB_SIZE_CLASSES = (32, 64, 128, 256, 512, 1024, 2048)
@@ -107,8 +107,7 @@ class SlabAllocator:
             core.charge(self.cost.kmalloc_cycles)
         cls = self._size_class(size)
         if cls is None:
-            npages = (size + PAGE_SIZE - 1) >> PAGE_SHIFT
-            order = (npages - 1).bit_length()
+            order = page_order(size)
             pa = self.buddy.alloc_pages(order)
             self._large[pa] = order
             self.live_allocations += 1

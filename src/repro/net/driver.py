@@ -36,7 +36,7 @@ from repro.obs.requests import REQ_RX, REQ_TX
 from repro.obs.spans import (SPAN_DEVICE_ACCESS, SPAN_RX_PACKET,
                              SPAN_TX_CHUNK)
 from repro.obs.trace import EV_FAULT_RECOVER, EV_NET_RX, EV_NET_TX
-from repro.sim.units import PAGE_SIZE
+from repro.sim.units import PAGE_SIZE, page_order
 
 
 @dataclass
@@ -90,8 +90,7 @@ class NicDriver:
         #: by the attack framework's driver instead).  The default fits an
         #: MTU frame; latency (LRO) configurations use larger buffers.
         self.rx_buf_size = rx_buf_size
-        self._rx_buf_order = max(0, ((rx_buf_size + PAGE_SIZE - 1)
-                                     // PAGE_SIZE - 1).bit_length())
+        self._rx_buf_order = page_order(rx_buf_size)
         self.obs = machine.obs
         #: The NIC shares the driver's observability context so device
         #: interactions can stamp request marks (device_translated).
@@ -212,21 +211,19 @@ class NicDriver:
         Returns the TCP payload length (``None`` if the NIC dropped the
         frame).  Covers: device DMA, ``dma_unmap`` (the protection cost),
         header parsing, and ring refill.  Stack/socket costs above the
-        driver are charged by the workload layer.
+        driver are charged by the workload layer.  Runs only with
+        observability on; :meth:`_receive_one_fast` is bound otherwise.
         """
-        if self.obs.enabled:
-            self.obs.requests.begin(core, REQ_RX, qid=qid,
-                                    nbytes=len(frame))
-            self.nic.dma_core = core
-            self.obs.spans.begin(SPAN_RX_PACKET, core)
-            self.obs.spans.begin(SPAN_DEVICE_ACCESS, core)
+        obs = self.obs
+        obs.requests.begin(core, REQ_RX, qid=qid, nbytes=len(frame))
+        self.nic.dma_core = core
+        obs.spans.begin(SPAN_RX_PACKET, core)
+        obs.spans.begin(SPAN_DEVICE_ACCESS, core)
         accepted = self.nic.receive_frame(qid, frame)
-        if self.obs.enabled:
-            self.obs.spans.end(core)        # device_access
+        obs.spans.end(core)        # device_access
         if not accepted:
-            if self.obs.enabled:
-                self.obs.spans.end(core)    # rx_packet (dropped frame)
-                self.obs.requests.end(core)
+            obs.spans.end(core)    # rx_packet (dropped frame)
+            obs.requests.end(core)
             return None
         reaped = self._rx_rings[qid].reap()
         if reaped is None:
@@ -241,16 +238,13 @@ class NicDriver:
                                                       desc.length))
         self.stats.rx_packets += 1
         self.stats.rx_bytes += desc.length
-        if self.obs.enabled:
-            self.obs.tracer.emit(EV_NET_RX, core.now, core.cid, qid=qid,
-                                 nbytes=desc.length,
-                                 payload=parsed.payload_len)
-            self.obs.metrics.counter("net.rx_packets").inc()
+        obs.tracer.emit(EV_NET_RX, core.now, core.cid, qid=qid,
+                        nbytes=desc.length, payload=parsed.payload_len)
+        obs.metrics.counter("net.rx_packets").inc()
         self.allocators.buddies[slot.buf.node].free_pages(slot.buf.pa, core)
         self._refill_rx(core, qid)
-        if self.obs.enabled:
-            self.obs.spans.end(core)        # rx_packet
-            self.obs.requests.end(core)
+        obs.spans.end(core)        # rx_packet
+        obs.requests.end(core)
         return parsed.payload_len
 
     def _receive_one_fast(self, core: Core, qid: int,
@@ -418,13 +412,14 @@ class NicDriver:
                      payload: bytes | None = None) -> int:
         """Full TX cycle for one chunk: allocate, fill, send, reap.
 
-        Returns the number of wire segments the NIC emitted.
+        Returns the number of wire segments the NIC emitted.  Runs only
+        with observability on; :meth:`_transmit_one_fast` is bound
+        otherwise.
         """
-        if self.obs.enabled:
-            self.obs.requests.begin(core, REQ_TX, qid=qid,
-                                    nbytes=chunk_bytes)
-            self.nic.dma_core = core
-            self.obs.spans.begin(SPAN_TX_CHUNK, core)
+        obs = self.obs
+        obs.requests.begin(core, REQ_TX, qid=qid, nbytes=chunk_bytes)
+        self.nic.dma_core = core
+        obs.spans.begin(SPAN_TX_CHUNK, core)
         node = core.numa_node
         buf = self.allocators.slabs[node].kmalloc(chunk_bytes, core)
         if payload is not None:
@@ -434,19 +429,15 @@ class NicDriver:
             # Chunk dropped (ring full / map failure): nothing armed, so
             # skip the device and just drain any pending completions.
             self.reap_tx(core, qid)
-            if self.obs.enabled:
-                self.obs.spans.end(core)    # tx_chunk
-                self.obs.requests.end(core)
+            obs.spans.end(core)    # tx_chunk
+            obs.requests.end(core)
             return 0
-        if self.obs.enabled:
-            self.obs.spans.begin(SPAN_DEVICE_ACCESS, core)
+        obs.spans.begin(SPAN_DEVICE_ACCESS, core)
         segments = self.nic.transmit_pending(qid)
-        if self.obs.enabled:
-            self.obs.spans.end(core)        # device_access
+        obs.spans.end(core)        # device_access
         self.reap_tx(core, qid)
-        if self.obs.enabled:
-            self.obs.spans.end(core)        # tx_chunk
-            self.obs.requests.end(core)
+        obs.spans.end(core)        # tx_chunk
+        obs.requests.end(core)
         return segments
 
     def _transmit_one_fast(self, core: Core, qid: int, chunk_bytes: int,

@@ -73,9 +73,6 @@ class CostModel:
     #: concurrently submitting invalidations.  Calibrated so 16 concurrent
     #: cores see ≈2.7 µs per invalidation (Fig. 8a): 0.61·(1+α·15) = 2.7.
     iotlb_contention_alpha: float = 0.23
-    #: Window (number of recent submissions) over which concurrency at the
-    #: invalidation queue is estimated.
-    iotlb_contention_window: int = 32
 
     #: Cost of submitting a descriptor to the invalidation queue (ring-buffer
     #: write + tail register MMIO).
@@ -112,9 +109,6 @@ class CostModel:
     pt_map_cycles: int = us_to_cycles(0.085)
     #: IOMMU page-table update, per 4 KB page, on unmap.
     pt_unmap_cycles: int = us_to_cycles(0.085)
-    #: IOTLB lookup cost on a device-side translation (charged to the device
-    #: model, not a CPU core; kept small — the IOTLB hit path is hardware).
-    iotlb_lookup_cycles: int = 0
 
     # ------------------------------------------------------------------
     # IOVA allocation.

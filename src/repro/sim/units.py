@@ -77,6 +77,12 @@ def pages_spanned(addr: int, size: int) -> int:
     return last - first + 1
 
 
+def page_order(nbytes: int) -> int:
+    """Buddy order of the smallest power-of-two run of pages that holds
+    ``nbytes`` (0 for anything up to one page)."""
+    return max(0, ((nbytes + PAGE_SIZE - 1) >> PAGE_SHIFT) - 1).bit_length()
+
+
 def page_align_down(addr: int) -> int:
     """Round ``addr`` down to a page boundary."""
     return addr & ~(PAGE_SIZE - 1)

@@ -49,7 +49,7 @@ from repro.obs.slo import SloObjective
 from repro.seeding import derive_seed
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import UNIT_DONE
-from repro.sim.units import CPU_FREQ_HZ, PAGE_SIZE, TCP_MSS, us_to_cycles
+from repro.sim.units import CPU_FREQ_HZ, TCP_MSS, page_order, us_to_cycles
 from repro.stats.results import RunResult
 from repro.net.packets import build_frame
 from repro.workloads.harness import (
@@ -170,8 +170,7 @@ def run_fleet(cfg: FleetConfig) -> RunResult:
                             _FLEET_STORAGE_DEVICE_ID, system.allocators,
                             **dict(cfg.scheme_kwargs))
     io_port = io_api.port()
-    npages = math.ceil((_IO_BLOCK + 512) / PAGE_SIZE)
-    order = max(0, (npages - 1).bit_length())
+    order = page_order(_IO_BLOCK + 512)
     io_buffers = {}
     for core in machine.cores:
         pa = system.allocators.buddies[core.numa_node].alloc_pages(order)

@@ -16,7 +16,6 @@ actually exercises its head/tail shadows for large blocks.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -32,7 +31,7 @@ from repro.obs.context import Observability
 from repro.obs.requests import REQ_STORAGE
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import UNIT_DONE
-from repro.sim.units import CPU_FREQ_HZ, PAGE_SIZE, us_to_cycles
+from repro.sim.units import CPU_FREQ_HZ, page_order, us_to_cycles
 from repro.seeding import derive_seed
 from repro.stats.results import RunResult
 from repro.workloads.harness import (
@@ -98,8 +97,7 @@ def run_storage(cfg: StorageConfig) -> RunResult:
     port = api.port()
 
     # One unaligned I/O buffer per core, reused per request (bio pages).
-    npages = math.ceil((cfg.block_size + 512) / PAGE_SIZE)
-    order = max(0, (npages - 1).bit_length())
+    order = page_order(cfg.block_size + 512)
     buffers = {}
     for core in machine.cores:
         pa = allocators.buddies[core.numa_node].alloc_pages(order)

@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 def test_all_schemes_construct(make_api):
     for scheme in ALL_SCHEMES:
         api = make_api(scheme)
+        assert api.properties is scheme_properties(scheme)
         assert api.properties.label
 
 

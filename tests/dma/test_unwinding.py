@@ -10,6 +10,7 @@ then completes a fault-free map/unmap cycle on the same API instance.
 import pytest
 
 from repro.dma.api import DmaDirection
+from repro.dma.registry import ALL_SCHEMES, scheme_properties
 from repro.errors import PoolExhaustedError, ReproError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
@@ -191,20 +192,37 @@ def test_sg_map_is_all_or_nothing():
     assert_clean(api)
 
 
+def coherent_sites(scheme):
+    """The fault sites an IOMMU scheme's coherent allocation consults:
+    every one maps its pages, and all but the identity allocators can
+    run out of IOVAs."""
+    if scheme == "copy" or scheme.startswith(("linux-", "eiovar-",
+                                              "magazine-")):
+        return (SITE_IOVA_ALLOC, SITE_PT_MAP)
+    return (SITE_PT_MAP,)
+
+
 @pytest.mark.parametrize("scheme,site", [
-    ("linux-strict", SITE_PT_MAP),
-    ("copy", SITE_PT_MAP),
-    ("self-invalidating", SITE_PT_MAP),
-])
+    (scheme, site) for scheme in ALL_SCHEMES
+    if scheme_properties(scheme).iommu_protection
+    for site in coherent_sites(scheme)])
 def test_coherent_alloc_failure_unwinds(scheme, site):
+    """``dma_alloc_coherent`` is all or nothing: a failed IOVA
+    allocation or page-table update gives the pages (and the IOVA
+    range) back, and the next allocation works."""
     system, injector = build(scheme, {site: SiteRule(at=(1,))})
     api = system.dma_api
     core = system.machine.core(0)
+    buddy = system.allocators.buddies[0]
+    free_pages = buddy.free_pages_count
     injector.start()
     with pytest.raises(ReproError):
         api.dma_alloc_coherent(core, 8192)
     injector.stop()
+    assert injector.fire_count(site) == 1
+    assert buddy.free_pages_count == free_pages
     assert_clean(api)
     coherent = api.dma_alloc_coherent(core, 8192)
     api.dma_free_coherent(core, coherent)
+    assert buddy.free_pages_count == free_pages
     assert_clean(api)

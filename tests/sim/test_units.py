@@ -69,3 +69,11 @@ def test_align_up_down_bracket(addr):
     assert down % units.PAGE_SIZE == 0
     assert up % units.PAGE_SIZE == 0
     assert up - down in (0, units.PAGE_SIZE)
+
+
+@given(nbytes=st.integers(min_value=0, max_value=2 ** 32))
+def test_page_order_is_the_smallest_block_that_holds(nbytes):
+    pages = 1 << units.page_order(nbytes)
+    assert pages * units.PAGE_SIZE >= nbytes
+    if nbytes > units.PAGE_SIZE:
+        assert (pages // 2) * units.PAGE_SIZE < nbytes

@@ -5,7 +5,9 @@ through one harness (:mod:`repro.bench.runner`), writes a fingerprinted
 machine-readable record plus a markdown report
 (:mod:`repro.bench.record`), checks the paper's claims against it
 (:mod:`repro.bench.ledger`), and can gate the run against a prior
-baseline record (:mod:`repro.bench.regression`).  The resource
+baseline record (:mod:`repro.bench.regression`): the record must equal
+the baseline exactly under :func:`repro.bench.record.stable_view`.
+``scale`` and ``fleet`` write records of the same shape.  The resource
 accounting smoke checks live in :mod:`repro.bench.invariants`.
 
 Every run behind ``bench``, ``report``, ``scale``, ``fleet`` and

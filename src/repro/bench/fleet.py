@@ -20,7 +20,9 @@ once the host-dependent fields are stripped
 
 Artifacts land under fixed names so CI globs stay trivial:
 
-* ``fleet.json``   — capacity record (bench-record envelope + curves);
+* ``fleet.json``   — a bench record whose one ``fleet`` figure is the
+  registry's figure plus the search's objective, sizing, capacity,
+  curves and forensics;
 * ``fleet.md``     — the human-facing capacity report;
 * ``fleet_windows.jsonl`` — one JSON line per SLO window at the
   capacity point and at the first failing point, per scheme;
@@ -40,12 +42,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.points import RunPoint, fan_out, run_point, throughput_entry
-from repro.bench.record import SCHEMA_VERSION, build_record
+from repro.bench.record import build_record, write_record
 from repro.bench.runner import default_results_dir
 from repro.bench.scale import resolve_schemes
 from repro.obs.perfetto import perfetto_trace
-from repro.obs.slo import SloObjective
 from repro.stats.export import result_to_row
+from repro.workloads.fleet import default_fleet_objective
 
 #: Default search pair: the paper's verdict ("copy beats zero-copy under
 #: protection") re-asked as capacity.
@@ -55,57 +57,44 @@ DEFAULT_FLEET_SCHEMES = ("identity-strict", "copy")
 _TRACE_MAX_REQUESTS = 64
 
 
+#: Every search brackets its knee starting from this user population.
+START_USERS = 1_000_000
+
+
 @dataclass(frozen=True)
 class FleetSizing:
-    """One capacity-search preset: run length, bracket, and objective."""
+    """One capacity-search preset: run length and bracket.  Every preset
+    judges against :func:`repro.workloads.fleet.default_fleet_objective`.
+    """
 
     name: str
     cores: int
     duration_us: float
     warmup_us: float
-    #: Bracket start and how many doublings/halvings to try before
-    #: declaring the search saturated.
-    start_users: int
+    #: How many doublings/halvings from :data:`START_USERS` to try
+    #: before declaring the search saturated.
     max_doublings: int
     #: Bisection stops when ``hi - lo <= max(1, lo * rel_tol)``.
     rel_tol: float
-    #: SLO objective parameters (see :class:`repro.obs.slo.SloObjective`).
-    p99_objective_us: float
-    availability: float
-    window_us: float
-    timeout_us: float
 
 
 #: CI smoke sizing: two schemes to capacity in well under a minute.
 QUICK_FLEET = FleetSizing(
     name="quick", cores=2, duration_us=2000.0, warmup_us=300.0,
-    start_users=1_000_000, max_doublings=5, rel_tol=0.125,
-    p99_objective_us=60.0, availability=0.999, window_us=200.0,
-    timeout_us=240.0)
+    max_doublings=5, rel_tol=0.125)
 
 #: Report sizing: longer diurnal trace, tighter bisection.
 FULL_FLEET = FleetSizing(
     name="full", cores=4, duration_us=4000.0, warmup_us=500.0,
-    start_users=1_000_000, max_doublings=7, rel_tol=0.0625,
-    p99_objective_us=60.0, availability=0.999, window_us=200.0,
-    timeout_us=240.0)
+    max_doublings=7, rel_tol=0.0625)
 
 #: Bench-registry sizing: a coarse search cheap enough for the quick
-#: figure matrix while still landing gated capacity columns.
+#: figure matrix while still landing the capacity columns.
 FIGURE_FLEET = FleetSizing(
     name="figure", cores=2, duration_us=1200.0, warmup_us=200.0,
-    start_users=1_000_000, max_doublings=4, rel_tol=0.25,
-    p99_objective_us=60.0, availability=0.999, window_us=200.0,
-    timeout_us=240.0)
+    max_doublings=4, rel_tol=0.25)
 
 FLEET_SIZINGS = {"quick": QUICK_FLEET, "full": FULL_FLEET}
-
-
-def fleet_objective(sizing: FleetSizing) -> SloObjective:
-    return SloObjective(p99_us=sizing.p99_objective_us,
-                        availability=sizing.availability,
-                        window_us=sizing.window_us,
-                        timeout_us=sizing.timeout_us)
 
 
 # ----------------------------------------------------------------------
@@ -116,8 +105,7 @@ def _eval_point(scheme: str, users: int, sizing: FleetSizing,
     """Run the fleet at ``users`` and flatten the SLO verdict."""
     result, obs = run_point(RunPoint("fleet", scheme, {
         "cores": sizing.cores, "users": users,
-        "duration_us": sizing.duration_us, "warmup_us": sizing.warmup_us,
-        "objective": fleet_objective(sizing)}))
+        "duration_us": sizing.duration_us, "warmup_us": sizing.warmup_us}))
     slo = result.extras["slo"]
     point: Dict[str, object] = {
         "users": users,
@@ -169,7 +157,7 @@ def search_capacity(scheme: str, sizing: FleetSizing,
 
     lo: Optional[int] = None        # highest sustained population seen
     hi: Optional[int] = None        # lowest failing population seen
-    users = sizing.start_users
+    users = START_USERS
     if evaluate(users)["sustained"]:
         lo = users
         for _ in range(sizing.max_doublings):
@@ -256,10 +244,10 @@ def build_searches(schemes: Sequence[str], sizing: FleetSizing,
 # Record + BENCH-figure integration.
 # ----------------------------------------------------------------------
 def capacity_row(search: Dict[str, object]) -> Dict[str, object]:
-    """The gated BENCH series row for one scheme's search.
+    """The BENCH series row for one scheme's search.
 
-    The capacity point's flattened result row plus the two gated
-    columns; ``param_users`` is stripped because the matched key must
+    The capacity point's flattened result row plus the two capacity
+    columns; ``param_users`` is stripped because the row's key must
     stay stable while the measured capacity moves.
     """
     point = search["capacity_point"] or search["breach_point"]
@@ -273,26 +261,12 @@ def capacity_row(search: Dict[str, object]) -> Dict[str, object]:
     return row
 
 
-def build_fleet_figure(sizing: FleetSizing = FIGURE_FLEET,
-                       schemes: Sequence[str] = DEFAULT_FLEET_SCHEMES,
-                       ) -> Tuple[Dict[str, object], int]:
-    """The ``fleet`` entry of the BENCH figure registry: a coarse
-    capacity search whose rows land the gated ``fleet_capacity_users``
-    and ``slo_breach_windows`` columns.  Returns the figure and the
-    simulated cycles of every search evaluation."""
-    searches, throughput = build_searches(list(schemes), sizing, jobs=1,
-                                          label="bench:fleet")
-    rows = []
-    spans: Dict[str, object] = {}
-    for scheme in schemes:
-        row = capacity_row(searches[scheme])
-        row["figure"] = "fleet"
-        rows.append(row)
-        point = (searches[scheme]["capacity_point"]
-                 or searches[scheme]["breach_point"])
-        spans[scheme] = point["spans"]
+def _fleet_figure(schemes: Sequence[str],
+                  searches: Dict[str, Dict]) -> Dict[str, object]:
+    """The ``fleet`` figure of finished searches: one capacity row and
+    one span tree per scheme, plus the text table."""
     title = (f"Fleet capacity: max users at p99 <= "
-             f"{sizing.p99_objective_us:g} us")
+             f"{default_fleet_objective().p99_us:g} us")
     lines = [title,
              f"  {'scheme':<20}{'capacity [users]':>18}"
              f"{'p99@cap [us]':>14}{'breach@cap':>12}"]
@@ -303,60 +277,69 @@ def build_fleet_figure(sizing: FleetSizing = FIGURE_FLEET,
         breach = point["breach_windows"] if point else "-"
         lines.append(f"  {scheme:<20}{search['capacity_users']:>18,}"
                      f"{p99:>14.3f}{breach:>12}")
-    figure = {"title": title, "series": rows, "spans": spans,
-              "report": "\n".join(lines)}
-    return figure, throughput["overall"]["sim_cycles"]
-
-
-def build_fleet_record(schemes: Sequence[str], sizing: FleetSizing,
-                       searches: Dict[str, Dict],
-                       throughput: Dict[str, dict]) -> Dict:
-    """Assemble the fleet record (bench-record envelope, so
-    :func:`repro.bench.record.stable_view` strips the same fields)."""
-    figure = {
-        "title": f"Fleet capacity ({sizing.name})",
+    return {
+        "title": title,
         "series": [dict(capacity_row(searches[s]), figure="fleet")
                    for s in schemes],
         "spans": {s: (searches[s]["capacity_point"]
                       or searches[s]["breach_point"])["spans"]
                   for s in schemes},
-        "report": "",
+        "report": "\n".join(lines),
     }
-    record = build_record(mode=f"fleet-{sizing.name}",
-                          figures={"fleet": figure}, schemes=schemes,
-                          throughput=throughput)
-    assert record["schema_version"] == SCHEMA_VERSION
-    record["objective"] = fleet_objective(sizing).to_dict()
-    record["sizing"] = {
+
+
+def build_fleet_figure(sizing: FleetSizing = FIGURE_FLEET,
+                       schemes: Sequence[str] = DEFAULT_FLEET_SCHEMES,
+                       ) -> Tuple[Dict[str, object], int]:
+    """The ``fleet`` entry of the BENCH figure registry: a coarse
+    capacity search whose rows carry the ``fleet_capacity_users`` and
+    ``slo_breach_windows`` columns.  Returns the figure and the
+    simulated cycles of every search evaluation."""
+    searches, throughput = build_searches(list(schemes), sizing, jobs=1,
+                                          label="bench:fleet")
+    return (_fleet_figure(schemes, searches),
+            throughput["overall"]["sim_cycles"])
+
+
+def build_fleet_record(schemes: Sequence[str], sizing: FleetSizing,
+                       searches: Dict[str, Dict],
+                       throughput: Dict[str, dict]) -> Dict:
+    """Assemble the fleet record: the registry's ``fleet`` figure plus
+    the search's ``objective`` and ``sizing`` and, per scheme, its
+    ``capacity``, ``curves`` and breach ``forensics``."""
+    figure = _fleet_figure(schemes, searches)
+    figure["objective"] = default_fleet_objective().to_dict()
+    figure["sizing"] = {
         "cores": sizing.cores, "duration_us": sizing.duration_us,
         "warmup_us": sizing.warmup_us,
-        "start_users": sizing.start_users, "rel_tol": sizing.rel_tol,
+        "start_users": START_USERS, "rel_tol": sizing.rel_tol,
     }
-    record["capacity"] = {
+    figure["capacity"] = {
         scheme: {
             "capacity_users": searches[scheme]["capacity_users"],
             "first_failing_users": searches[scheme]["first_failing_users"],
             "saturated": searches[scheme]["saturated"],
         } for scheme in schemes}
-    record["curves"] = {scheme: searches[scheme]["curve"]
+    figure["curves"] = {scheme: searches[scheme]["curve"]
                         for scheme in schemes}
-    record["forensics"] = {
+    figure["forensics"] = {
         scheme: (searches[scheme]["breach_point"] or {}).get("forensics",
                                                              [])
         for scheme in schemes}
-    return record
+    return build_record(mode=f"fleet-{sizing.name}",
+                        figures={"fleet": figure}, schemes=schemes,
+                        throughput=throughput)
 
 
 # ----------------------------------------------------------------------
 # Markdown report (+ the section ``repro report`` embeds).
 # ----------------------------------------------------------------------
-def capacity_table(record: Dict) -> List[str]:
-    """Markdown capacity table (shared by ``fleet.md`` and
-    ``python -m repro report``)."""
-    capacity = record.get("capacity") or {}
+def capacity_table(figure: Dict) -> List[str]:
+    """Markdown capacity table of a fleet record's ``fleet`` figure."""
+    capacity = figure.get("capacity") or {}
     if not capacity:
         return ["(no fleet capacity data)"]
-    objective = record.get("objective") or {}
+    objective = figure.get("objective") or {}
     lines = [
         f"Objective: p99 <= {objective.get('p99_us', '?')} us per "
         f"{objective.get('window_us', '?')} us window, availability >= "
@@ -367,7 +350,7 @@ def capacity_table(record: Dict) -> List[str]:
         "| p99 @ capacity [us] | p99 @ failing [us] |",
         "|---|---:|---:|---:|---:|",
     ]
-    curves = record.get("curves") or {}
+    curves = figure.get("curves") or {}
     for scheme, entry in capacity.items():
         cap = entry["capacity_users"]
         hi = entry["first_failing_users"]
@@ -380,9 +363,9 @@ def capacity_table(record: Dict) -> List[str]:
     return lines
 
 
-def _forensics_lines(record: Dict) -> List[str]:
+def _forensics_lines(figure: Dict) -> List[str]:
     lines: List[str] = []
-    for scheme, entries in (record.get("forensics") or {}).items():
+    for scheme, entries in (figure.get("forensics") or {}).items():
         if not entries:
             continue
         first = entries[0]
@@ -401,7 +384,8 @@ def _forensics_lines(record: Dict) -> List[str]:
 def render_fleet_report(record: Dict) -> str:
     """The human-facing capacity report (written as ``fleet.md``)."""
     fp = record.get("fingerprint", {})
-    schemes = list(record.get("capacity") or {})
+    figure = record["figures"]["fleet"]
+    schemes = list(figure.get("capacity") or {})
     lines = [
         "# Fleet capacity report",
         "",
@@ -411,7 +395,7 @@ def render_fleet_report(record: Dict) -> str:
         "",
         "## Capacity at the SLO",
         "",
-        *capacity_table(record),
+        *capacity_table(figure),
         "",
         "## Search curves",
         "",
@@ -424,7 +408,7 @@ def render_fleet_report(record: Dict) -> str:
             "| min availability | drops | completions |",
             "|---:|---|---:|---:|---:|---:|---:|",
         ])
-        for point in sorted(record.get("curves", {}).get(scheme, ()),
+        for point in sorted(figure.get("curves", {}).get(scheme, ()),
                             key=lambda p: p["users"]):
             lines.append(
                 f"| {point['users']:,} "
@@ -437,7 +421,7 @@ def render_fleet_report(record: Dict) -> str:
     lines.extend([
         "## Breach forensics (first breached window past capacity)",
         "",
-        *_forensics_lines(record),
+        *_forensics_lines(figure),
         "",
     ])
     return "\n".join(lines).rstrip() + "\n"
@@ -485,14 +469,8 @@ def run_fleet_capacity(schemes: Sequence[str] = DEFAULT_FLEET_SCHEMES,
     record = build_fleet_record(scheme_list, sizing, searches, throughput)
 
     out = out_dir or default_results_dir()
-    os.makedirs(out, exist_ok=True)
-    json_path = os.path.join(out, "fleet.json")
-    with open(json_path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    md_path = os.path.join(out, "fleet.md")
-    with open(md_path, "w") as fh:
-        fh.write(render_fleet_report(record))
+    json_path, md_path = write_record(record, out, "fleet",
+                                      render_fleet_report(record))
     jsonl_path = os.path.join(out, "fleet_windows.jsonl")
     windows = write_windows_jsonl(scheme_list, searches, jsonl_path)
     trace_paths = []
@@ -508,7 +486,7 @@ def run_fleet_capacity(schemes: Sequence[str] = DEFAULT_FLEET_SCHEMES,
     print(f"[fleet] {len(scheme_list)} schemes in "
           f"{time.perf_counter() - started:.1f}s (jobs={jobs})")
     for scheme in scheme_list:
-        entry = record["capacity"][scheme]
+        entry = record["figures"]["fleet"]["capacity"][scheme]
         hi = entry["first_failing_users"]
         hi_text = f"{hi:,}" if hi is not None else "search saturated"
         print(f"[fleet] {scheme:<18} capacity "

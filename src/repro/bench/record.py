@@ -1,18 +1,19 @@
-"""Machine-readable benchmark records (``BENCH_<timestamp>.json``).
+"""Machine-readable records: one shape for every persisted artifact.
 
-A record is one self-describing snapshot of a bench run:
+``BENCH_<timestamp>.json``, ``scale.json``, ``fleet.json`` and the
+CLI's ``--json`` output hold only ``schema_version``, ``created``, a
+**fingerprint** (git SHA, mode, scheme set, every cost model constant,
+so two records can be compared meaningfully), per-name **figures** and
+a **throughput** section (simulated cycles and simulator speed per
+figure and ``overall``).  A figure holds its ``series`` rows — the
+:func:`repro.stats.export.result_to_row` rows, or a sweep's points —
+plus optional per-scheme ``spans`` trees and per-scheme sections (a
+scale sweep's ``analysis``, a fleet search's ``capacity``).
+:func:`row_key` names a series row for the diff loader and the
+baseline gate alike.
 
-* a **fingerprint** — git SHA, bench mode, scheme set, and every cost
-  model constant — so two records can be compared meaningfully (or the
-  comparison refused);
-* per-figure **series** — the flattened
-  :func:`repro.stats.export.result_to_row` rows, the same serializer the
-  CSV exports and the CLI's ``--json`` mode use;
-* per-figure, per-scheme **span trees** — the cycle-attribution data the
-  regression gate uses to name the subtree behind a slowdown.
-
-The markdown report rendered next to the JSON embeds the paper-fidelity
-table (:mod:`repro.bench.ledger`) and the paper-style text tables, so a
+The bench markdown report embeds the paper-fidelity table
+(:mod:`repro.bench.ledger`) and the paper-style text tables, so a
 record is readable without tooling.
 """
 
@@ -31,7 +32,7 @@ from repro.sim.costmodel import CostModel
 from repro.stats.timeline import render_span_tree
 
 #: Bump when the record layout changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def cost_model_fingerprint(cost: Optional[CostModel] = None) -> Dict:
@@ -111,12 +112,20 @@ def single_run_record(row: Dict, mode: str = "single",
               "series": [row]}
     if spans is not None:
         figure["spans"] = {str(row.get("scheme", "run")): spans}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "fingerprint": build_fingerprint(mode, [row.get("scheme", "?")]),
-        "figures": {"single": figure},
-    }
+    return build_record(mode, {"single": figure},
+                        [row.get("scheme", "?")])
+
+
+def row_key(figure: str, row: Dict) -> Tuple[str, ...]:
+    """The name of one series row: ``(figure, scheme, workload,
+    cores=N, param=value…)``, the key both the diff loader and the
+    baseline gate align rows by."""
+    # param_cores would duplicate the explicit cores element.
+    params = [f"{k[len('param_'):]}={row[k]}"
+              for k in sorted(row)
+              if k.startswith("param_") and k != "param_cores"]
+    return (figure, str(row.get("scheme")), str(row.get("workload")),
+            f"cores={row.get('cores')}", *params)
 
 
 def load_record(path: str) -> Dict:
@@ -143,17 +152,18 @@ def record_basename(record: Dict) -> str:
     return f"BENCH_{stamp}"
 
 
-def write_record(record: Dict, out_dir: str) -> Tuple[str, str]:
-    """Write ``BENCH_<timestamp>.json`` + ``.md``; returns both paths."""
+def write_record(record: Dict, out_dir: str, base: str,
+                 markdown: str) -> Tuple[str, str]:
+    """Write ``<base>.json`` + its ``<base>.md`` report; returns both
+    paths.  The one writer behind ``bench``, ``scale`` and ``fleet``."""
     os.makedirs(out_dir, exist_ok=True)
-    base = record_basename(record)
     json_path = os.path.join(out_dir, f"{base}.json")
     with open(json_path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=False)
         fh.write("\n")
     md_path = os.path.join(out_dir, f"{base}.md")
     with open(md_path, "w") as fh:
-        fh.write(render_markdown(record))
+        fh.write(markdown)
     return json_path, md_path
 
 

@@ -327,11 +327,17 @@ def run_bench(mode: str = "quick", only: Optional[Sequence[str]] = None,
     record is byte-stable regardless of job count (modulo the timestamp
     and the wall-clock throughput fields).  Returns the process exit
     status: 0 on success, 1 when a ledger claim is broken or the
-    baseline comparison found a regression.
+    record moved from the baseline (or simulated under its speed
+    floor).
     """
     # Imported here to keep the module importable without a cycle once
     # record/regression need runner metadata.
-    from repro.bench.record import build_record, write_record
+    from repro.bench.record import (
+        build_record,
+        record_basename,
+        render_markdown,
+        write_record,
+    )
     from repro.bench.regression import gate_against_baseline
 
     scale = SCALES.get(mode)
@@ -347,7 +353,8 @@ def run_bench(mode: str = "quick", only: Optional[Sequence[str]] = None,
                                         label="bench")
     record = build_record(mode=scale.name, figures=figures,
                           schemes=FIGURE_SCHEMES, throughput=throughput)
-    json_path, md_path = write_record(record, out)
+    json_path, md_path = write_record(record, out, record_basename(record),
+                                      render_markdown(record))
     rate = throughput["overall"]["sim_cycles_per_wall_second"]
     print(f"[bench] {len(specs)} figures in "
           f"{time.perf_counter() - started:.1f}s (jobs={jobs}, "

@@ -18,13 +18,14 @@ unchanged, which is what ``tests/bench/test_scale.py`` asserts).
 
 Artifacts land as fixed-name ``scale.json`` + ``scale.md`` (CI uploads
 the JSON next to the bench records; fixed names keep the workflow glob
-trivial and repeated sweeps diffable).
+trivial and repeated sweeps diffable).  ``scale.json`` is a bench
+record with one ``scale`` figure: the sweep points are its series rows
+and the per-scheme analysis rides under the same figure, so
+``repro diff`` and ``repro bench --baseline`` read it like any record.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from repro.bench.points import (
     sized_point,
     throughput_entry,
 )
-from repro.bench.record import SCHEMA_VERSION, build_record
+from repro.bench.record import build_record, write_record
 from repro.bench.runner import default_results_dir
 from repro.dma.registry import ALL_SCHEMES, PAPER_ALIASES
 from repro.obs.scaling import (
@@ -178,14 +179,16 @@ def resolve_cores(cores: Sequence[int]) -> List[int]:
 
 def build_sweep(workload: str, schemes: Sequence[str],
                 cores: Sequence[int], sizing: ScaleSizing, jobs: int = 1,
-                ) -> Tuple[Dict[str, List[Dict]], Dict[str, dict]]:
-    """Run every (scheme, cores) point; returns ``(points, throughput)``.
+                ) -> Tuple[List[Dict], Dict[str, dict]]:
+    """Run every (scheme, cores) point; returns ``(rows, throughput)``.
 
     Mirrors :func:`repro.bench.runner.build_figures`: points are
     :func:`repro.bench.points.fan_out` tasks merged back **in task
-    order**, so the result is deterministic at any ``jobs`` count.  The
-    throughput section sums per-point wall times (not makespan),
-    comparable across job counts the way the bench section is.
+    order**, so the scheme-major rows are deterministic at any ``jobs``
+    count.  Each row is the point dict plus its ``figure``, ``scheme``
+    and ``workload``.  The throughput section sums per-point wall times
+    (not makespan), comparable across job counts the way the bench
+    section is.
     """
     tasks = [sized_point(workload, scheme, cores=n,
                          size=SCALE_SIZES[workload],
@@ -199,35 +202,44 @@ def build_sweep(workload: str, schemes: Sequence[str],
               file=sys.stderr)
 
     built = fan_out(_sweep_point, tasks, jobs, note)
-    points: Dict[str, List[Dict]] = {scheme: [] for scheme in schemes}
-    for task, (point, _) in zip(tasks, built):
-        points[task.scheme].append(point)
+    rows = [dict(point, figure="scale", scheme=task.scheme,
+                 workload=workload)
+            for task, (point, _) in zip(tasks, built)]
     throughput = {"overall": throughput_entry(
         sum(point["wall_cycles"] for point, _ in built),
         sum(seconds for _, seconds in built))}
-    return points, throughput
+    return rows, throughput
+
+
+def scheme_points(figure: Dict) -> Dict[str, List[Dict]]:
+    """The ``scale`` figure's series rows grouped by scheme, in sweep
+    order."""
+    points: Dict[str, List[Dict]] = {}
+    for row in figure.get("series", ()):
+        points.setdefault(row["scheme"], []).append(row)
+    return points
 
 
 def build_scale_record(workload: str, schemes: Sequence[str],
                        cores: Sequence[int], sizing: ScaleSizing,
-                       points: Dict[str, List[Dict]],
+                       rows: List[Dict],
                        throughput: Dict[str, dict]) -> Dict:
-    """Assemble the scale record (same envelope as a bench record, so
-    :func:`repro.bench.record.stable_view` strips the same fields)."""
-    record = build_record(mode=f"scale-{sizing.name}", figures={},
-                          schemes=schemes, throughput=throughput)
-    assert record["schema_version"] == SCHEMA_VERSION
-    record["workload"] = workload
-    record["cores"] = list(cores)
-    record["points"] = points
-    record["analysis"] = {
+    """Assemble the scale record: one ``scale`` figure holding the sweep
+    rows and, per scheme, the fitted ``analysis``, the ``contention``
+    matrix and the ``queueing`` rows."""
+    figure: Dict[str, object] = {"series": rows, "workload": workload,
+                                 "cores": list(cores)}
+    points = scheme_points(figure)
+    figure["analysis"] = {
         scheme: analyze_scheme(scheme, points[scheme]).to_dict()
         for scheme in schemes}
-    record["contention"] = {
+    figure["contention"] = {
         scheme: contention_matrix(points[scheme]) for scheme in schemes}
-    record["queueing"] = {
+    figure["queueing"] = {
         scheme: queueing_rows(points[scheme]) for scheme in schemes}
-    return record
+    return build_record(mode=f"scale-{sizing.name}",
+                        figures={"scale": figure}, schemes=schemes,
+                        throughput=throughput)
 
 
 # ----------------------------------------------------------------------
@@ -253,14 +265,16 @@ def _top_lock_evidence(scheme: str, points: List[Dict]) -> List[str]:
 
 def render_scale_report(record: Dict) -> str:
     """The human-facing scaling report (written as ``scale.md``)."""
-    schemes = list(record.get("points", {}))
-    analyses = [analyze_scheme(s, record["points"][s]) for s in schemes]
+    figure = record["figures"]["scale"]
+    points = scheme_points(figure)
+    schemes = list(points)
+    analyses = [analyze_scheme(s, points[s]) for s in schemes]
     fp = record.get("fingerprint", {})
     lines = [
         "# Scaling report",
         "",
-        f"- workload: `{record.get('workload', '?')}`",
-        f"- cores: {', '.join(str(n) for n in record.get('cores', ()))}",
+        f"- workload: `{figure.get('workload', '?')}`",
+        f"- cores: {', '.join(str(n) for n in figure.get('cores', ()))}",
         f"- schemes: {', '.join(schemes)}",
         f"- mode: `{fp.get('mode', '?')}`",
         f"- git SHA: `{fp.get('git_sha', '?')}`",
@@ -280,18 +294,17 @@ def render_scale_report(record: Dict) -> str:
         "",
     ]
     for scheme in schemes:
-        points = record["points"][scheme]
         lines.extend([
             f"## {scheme}: contention matrix",
             "",
             *render_contention_matrix(
-                record.get("contention", {}).get(scheme, ())),
+                figure.get("contention", {}).get(scheme, ())),
             "",
-            *_top_lock_evidence(scheme, points),
+            *_top_lock_evidence(scheme, points[scheme]),
             f"### {scheme}: invalidation-queue decomposition",
             "",
             *render_queueing_table(
-                record.get("queueing", {}).get(scheme, ())),
+                figure.get("queueing", {}).get(scheme, ())),
             "",
         ])
     return "\n".join(lines).rstrip() + "\n"
@@ -318,22 +331,15 @@ def run_scale(workload: str = "stream",
     core_list = resolve_cores(cores)
 
     started = time.perf_counter()
-    points, throughput = build_sweep(workload, scheme_list, core_list,
-                                     sizing, jobs=jobs)
+    rows, throughput = build_sweep(workload, scheme_list, core_list,
+                                   sizing, jobs=jobs)
     record = build_scale_record(workload, scheme_list, core_list, sizing,
-                                points, throughput)
+                                rows, throughput)
+    json_path, md_path = write_record(
+        record, out_dir or default_results_dir(), "scale",
+        render_scale_report(record))
 
-    out = out_dir or default_results_dir()
-    os.makedirs(out, exist_ok=True)
-    json_path = os.path.join(out, "scale.json")
-    with open(json_path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    md_path = os.path.join(out, "scale.md")
-    with open(md_path, "w") as fh:
-        fh.write(render_scale_report(record))
-
-    ranked = sorted(record["analysis"].items(),
+    ranked = sorted(record["figures"]["scale"]["analysis"].items(),
                     key=lambda kv: -(kv[1]["fit"]["serial_fraction"] or 0.0))
     print(f"[scale] {len(scheme_list)}×{len(core_list)} points in "
           f"{time.perf_counter() - started:.1f}s (jobs={jobs})")

@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "e.g. --only fig03 --only fig08")
     bench.add_argument("--baseline", metavar="PATH", default=None,
                        help="compare against a prior BENCH_*.json and "
-                            "exit non-zero on regression")
+                            "exit non-zero unless this run equals it")
     bench.add_argument("--out", metavar="DIR", default=None,
                        help="output directory "
                             "(default benchmarks/results)")

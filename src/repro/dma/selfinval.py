@@ -6,12 +6,13 @@ the need to destroy the mapping in software".  The paper notes "this
 hardware is not currently available" — but a simulator can build it, so
 this module reproduces the proposal as an extension experiment:
 
-* ``dma_map`` installs a mapping armed with a DMA budget and an expiry
-  time;
-* the (modeled) hardware revokes the mapping when either trips — the
-  device-side translation path checks the armed limits;
-* ``dma_unmap`` merely *disarms* bookkeeping: no page-table write, no
-  IOTLB invalidation, no lock — software-side cost close to zero.
+* ``dma_map`` installs a mapping armed with a DMA budget;
+* ``dma_unmap`` only starts the mapping's lifetime clock: no page-table
+  write, no IOTLB invalidation, no lock — software-side cost close to
+  zero;
+* the (modeled) hardware revokes the mapping once the budget drains or
+  the lifetime since the unmap runs out — the device-side translation
+  path checks the armed limits.
 
 Security caveat, faithfully reproduced: between the unmap and the
 hardware's self-destruction the mapping remains live, so a window
@@ -21,6 +22,7 @@ by hardware).  Protection stays page granular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -40,8 +42,9 @@ class _ArmedMapping:
     iova_base: int
     npages: int
     dma_budget: int
-    expires_at: int
-    disarmed: bool = False
+    #: Set by ``dma_unmap``: a mapping the driver still holds never
+    #: expires, however long the device takes to use it.
+    expires_at: float = math.inf
 
 
 class _SelfInvalidatingPort:
@@ -109,10 +112,8 @@ class SelfInvalidatingDmaApi(IommuDmaApi):
         offset = buf.pa - pa_base
         npages = ((offset + buf.size - 1) >> PAGE_SHIFT) + 1
         iova_base = self.iova_allocator.alloc(npages, core, pa_base)
-        armed = _ArmedMapping(
-            iova_base=iova_base, npages=npages,
-            dma_budget=self.dma_budget,
-            expires_at=core.now + self.lifetime_cycles)
+        armed = _ArmedMapping(iova_base=iova_base, npages=npages,
+                              dma_budget=self.dma_budget)
         built: list[tuple[int, _ArmedMapping | None, bool]] = []
         try:
             for i in range(npages):
@@ -157,7 +158,7 @@ class SelfInvalidatingDmaApi(IommuDmaApi):
                cookie: _ArmedMapping) -> None:
         # The whole point: software does (almost) nothing.  The hardware
         # will revoke the mapping when the budget/lifetime trips.
-        cookie.disarmed = True
+        cookie.expires_at = core.now + self.lifetime_cycles
         core.charge(30, CAT_OTHER)
 
     def _revoke(self, armed: _ArmedMapping) -> None:

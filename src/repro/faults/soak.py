@@ -149,12 +149,6 @@ def _scheme_kwargs(scheme: str) -> Dict[str, object]:
         # shadow pool -> §5.3 fallback -> swiotlb-style bounce.  Regular
         # runs keep the default (fail loudly) so capacity bugs surface.
         return {"bounce_fallback": True}
-    if scheme == "self-invalidating":
-        # Thresholds that outlast the soak: the defaults model a ~100us
-        # window, far shorter than a multi-fault soak, and an expired
-        # mapping turns every later frame into a faulted drop.  The
-        # windows still close — quiesce calls expire_all().
-        return {"dma_budget": 1 << 20, "lifetime_us": 10_000_000.0}
     return {}
 
 

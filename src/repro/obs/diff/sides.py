@@ -1,21 +1,23 @@
-"""Diff sides: turning artifacts and live runs into comparable shapes.
+"""Diff sides: turning records and live runs into comparable shapes.
 
 A :class:`DiffSide` is the engine's input: an ordered set of *points*
-keyed so the two sides align — ``(figure, scheme, workload, cores,
-params…)`` for bench records, ``(workload, scheme, cores…)`` for scale
-records, ``(fleet, scheme)`` for fleet records, and ``(workload,
-cores…)`` (scheme deliberately excluded) for live pairs, so an
-``identity-strict`` run lines up against a ``copy`` run of the same
-load.  Each point carries its flattenable metric payload and its units
-of work; span trees and request tail reports ride alongside when the
-source has them (live captures always do; bench records carry spans
-per figure × scheme; scale/fleet records carry neither).
+keyed so the two sides align.  Every persisted record has one shape
+(:mod:`repro.bench.record`), so one loader keys all of them: a series
+row by :func:`repro.bench.record.row_key` — ``(figure, scheme,
+workload, cores, params…)`` — a span tree by ``(figure, scheme,
+"spans")``, and a per-scheme section entry (a scale sweep's
+``analysis``, a fleet search's ``capacity``) by ``(figure, section,
+scheme)``.  Live pairs key by ``(workload, cores…)`` with the scheme
+deliberately excluded, so an ``identity-strict`` run lines up against a
+``copy`` run of the same load.  Each point carries its flattenable
+metric payload and its units of work; span trees and request tail
+reports ride alongside when the source has them (live captures always
+do; records carry spans per figure × scheme).
 
 Three constructors cover the CLI's modes:
 
-* :func:`load_side` / :func:`side_from_record` — any persisted artifact
-  (``BENCH_*.json``, ``scale.json``, ``fleet.json``), dispatched on
-  shape;
+* :func:`load_side` / :func:`side_from_record` — any persisted record
+  (``BENCH_*.json``, ``scale.json``, ``fleet.json``);
 * :func:`side_from_capture` — one completed instrumented run (how
   ``repro report`` reuses its tail-attribution captures);
 * :func:`run_live_pair` — run two schemes under identical load as two
@@ -32,6 +34,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.record import load_record, row_key
 from repro.obs.spans import SpanNode
 
 #: Live-pair sizings (mirrors the bench/scale quick/full convention).
@@ -58,7 +61,7 @@ class DiffSide:
     """One side of a comparison: labeled, keyed points."""
 
     label: str
-    kind: str                                  # bench | scale | fleet | live
+    kind: str                                  # bench | live
     points: Dict[Key, Point] = field(default_factory=dict)
 
     def keys(self) -> List[Key]:
@@ -70,25 +73,22 @@ def key_label(key: Key) -> str:
 
 
 # ----------------------------------------------------------------------
-# Persisted artifacts.
+# Persisted records.
 # ----------------------------------------------------------------------
-def _bench_row_key(figure: str, row: Dict) -> Key:
-    # param_cores would duplicate the explicit cores element.
-    params = [f"{k[len('param_'):]}={row[k]}"
-              for k in sorted(row)
-              if k.startswith("param_") and k != "param_cores"]
-    return (figure, str(row.get("scheme")), str(row.get("workload")),
-            f"cores={row.get('cores')}", *params)
+def side_from_record(record: Dict, label: str) -> DiffSide:
+    """Build a side from any persisted record.
 
-
-def _side_from_bench(record: Dict, label: str) -> DiffSide:
+    Per figure: one point per series row, one span point per scheme
+    (normalized by that scheme's summed row units), and one point per
+    dict-valued entry of a per-scheme section.
+    """
     side = DiffSide(label=label, kind="bench")
     for figure, data in record.get("figures", {}).items():
         scheme_units: Dict[str, int] = {}
         for row in data.get("series", ()):
-            key = _bench_row_key(figure, row)
             units = int(row.get("units") or 1)
-            side.points[key] = Point(metrics=dict(row), units=units)
+            side.points[row_key(figure, row)] = Point(metrics=dict(row),
+                                                      units=units)
             scheme = str(row.get("scheme"))
             scheme_units[scheme] = scheme_units.get(scheme, 0) + units
         for scheme, tree in (data.get("spans") or {}).items():
@@ -96,43 +96,18 @@ def _side_from_bench(record: Dict, label: str) -> DiffSide:
             side.points[key] = Point(
                 metrics={}, units=max(1, scheme_units.get(scheme, 1)),
                 spans=SpanNode.from_dict(tree))
+        for section, entries in data.items():
+            if section == "spans" or not isinstance(entries, dict):
+                continue
+            for scheme, entry in entries.items():
+                if isinstance(entry, dict):
+                    side.points[(figure, section, str(scheme))] = Point(
+                        metrics=dict(entry))
     return side
-
-
-def _side_from_scale(record: Dict, label: str) -> DiffSide:
-    side = DiffSide(label=label, kind="scale")
-    workload = str(record.get("workload", "?"))
-    for scheme, points in record.get("points", {}).items():
-        for point in points:
-            key = (workload, str(scheme), f"cores={point.get('cores')}")
-            side.points[key] = Point(metrics=dict(point),
-                                     units=int(point.get("units") or 1))
-    for scheme, analysis in (record.get("analysis") or {}).items():
-        side.points[("analysis", str(scheme))] = Point(
-            metrics=dict(analysis))
-    return side
-
-
-def _side_from_fleet(record: Dict, label: str) -> DiffSide:
-    side = DiffSide(label=label, kind="fleet")
-    for scheme, entry in record.get("capacity", {}).items():
-        side.points[("fleet", str(scheme))] = Point(metrics=dict(entry))
-    return side
-
-
-def side_from_record(record: Dict, label: str) -> DiffSide:
-    """Build a side from any persisted record, dispatched on shape."""
-    if "points" in record:
-        return _side_from_scale(record, label)
-    if "capacity" in record:
-        return _side_from_fleet(record, label)
-    return _side_from_bench(record, label)
 
 
 def load_side(path: str, label: Optional[str] = None) -> DiffSide:
-    """Load an artifact (validated like any bench record) as a side."""
-    from repro.bench.record import load_record
-
+    """Load a record (validated by :func:`load_record`) as a side."""
     return side_from_record(load_record(path), label or path)
 
 

@@ -168,31 +168,3 @@ def diff_span_trees(a: Optional[SpanNode], b: Optional[SpanNode],
             a_units=a_units, b_units=b_units,
         ))
     return SpanDiff(deltas, a_units, b_units)
-
-
-def share_blame(a: SpanNode, b: SpanNode
-                ) -> Optional[Tuple[Tuple[str, ...], float, float]]:
-    """The path whose *share* of its run grew the most from A to B.
-
-    Share-based (fractions of each side's total cycles) so the verdict
-    survives quick/full scale differences — the semantics the bench
-    regression gate has always used for its one-line attribution.
-    Returns ``(path, a_share, b_share)`` or ``None`` when nothing grew.
-    """
-    def shares(root: SpanNode) -> Dict[Tuple[str, ...], float]:
-        total = root.total_cycles or root.child_cycles
-        if not total:
-            return {}
-        return {path: node.total_cycles / total
-                for path, node in _index(root).items()}
-
-    a_shares = shares(a)
-    b_shares = shares(b)
-    best: Optional[Tuple[Tuple[str, ...], float, float]] = None
-    best_delta = 0.0
-    for path in sorted(b_shares):
-        delta = b_shares[path] - a_shares.get(path, 0.0)
-        if delta > best_delta:
-            best_delta = delta
-            best = (path, a_shares.get(path, 0.0), b_shares[path])
-    return best

@@ -62,7 +62,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Per-row serialized-share columns (BENCH record / regression gate).
+# Per-row serialized-share columns (every BENCH series row).
 # ----------------------------------------------------------------------
 def serialized_shares(breakdown_cycles: Dict[str, int],
                       busy_cycles: int) -> Tuple[float, float]:
@@ -73,11 +73,10 @@ def serialized_shares(breakdown_cycles: Dict[str, int],
     * ``scaling_serial_fraction`` — fraction of busy cycles spent on
       serial resources: lock spinning plus the serialized invalidation
       hardware (``invalidate iotlb``).  This is the within-run
-      Karp–Flatt-style estimator the regression gate guards: it is
-      defined at any core count (including 1, where it measures the
-      serial-resource *cost* that contention will amplify) and it is
-      exactly the share Amdahl's ``s`` converges to as the sweep's
-      contention grows.
+      Karp–Flatt-style estimator: it is defined at any core count
+      (including 1, where it measures the serial-resource *cost* that
+      contention will amplify) and it is exactly the share Amdahl's
+      ``s`` converges to as the sweep's contention grows.
 
     Both are pure functions of the measured breakdown — no observability
     capture is needed, so every BENCH row gets them.

@@ -35,8 +35,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 # Canonical span names.  These are a stable schema (documented in
-# docs/observability.md); renderers, the bench runner, and the
-# regression gate match on them.
+# docs/observability.md); renderers, the bench runner, and the diff
+# engine match on them.
 SPAN_STEP = "step"                      # one scheduler work unit
 SPAN_RX_PACKET = "rx_packet"            # driver RX: frame -> stack
 SPAN_TX_CHUNK = "tx_chunk"              # driver TX: chunk -> wire

@@ -46,8 +46,8 @@ def result_to_row(result: RunResult) -> dict:
                                  else None),
     }
     # Serialized-share columns (see repro.obs.scaling): the within-run
-    # serial-fraction estimators the regression gate guards, so a
-    # scalability collapse trips CI like a throughput collapse does.
+    # serial-fraction estimators, so a scalability collapse shows in
+    # every row like a throughput collapse does.
     lock_wait_share, serial_fraction = serialized_shares(
         result.breakdown_cycles, result.busy_cycles)
     row["lock_wait_share"] = round(lock_wait_share, 6)
@@ -60,8 +60,8 @@ def result_to_row(result: RunResult) -> dict:
             breakdown[category], 4)
     exposure = result.extras.get("exposure")
     if isinstance(exposure, dict):
-        # Security columns the bench regression gate guards alongside
-        # the performance ones (see repro.obs.exposure for definitions).
+        # Security columns beside the performance ones (see
+        # repro.obs.exposure for definitions).
         row["exposure_stale_byte_cycles"] = \
             exposure.get("stale_byte_cycles", 0)
         row["exposure_excess_byte_cycles"] = \
@@ -72,9 +72,7 @@ def result_to_row(result: RunResult) -> dict:
         row["exposure_faults"] = exposure.get("faults", 0)
     requests = result.extras.get("requests")
     if isinstance(requests, dict):
-        # Request-latency tail columns (see repro.obs.requests); the
-        # regression gate guards them with wider tolerances than the
-        # throughput means, since percentiles are noisier.
+        # Request-latency tail columns (see repro.obs.requests).
         overall = requests.get("overall", {})
         if overall.get("count"):
             row["latency_p50_us"] = overall.get("p50_us")
@@ -82,10 +80,8 @@ def result_to_row(result: RunResult) -> dict:
             row["latency_p999_us"] = overall.get("p999_us")
     iotlb = result.extras.get("iotlb")
     if isinstance(iotlb, dict) and iotlb:
-        # IOTLB columns are report-only: cache behaviour is an
-        # *explanation* (why strict unmapping costs what it costs), not
-        # a gated contract, so none of these appear in
-        # DEFAULT_TOLERANCES.
+        # IOTLB columns: cache behaviour *explains* why strict
+        # unmapping costs what it costs.
         hits = iotlb.get("hits", 0)
         misses = iotlb.get("misses", 0)
         lookups = hits + misses

@@ -79,6 +79,14 @@ DEFAULT_MIX: Tuple[Tuple[str, float], ...] = (
 #: function over this many slots (repeating past the end).
 _CURVE_SLOTS = 64
 
+#: Diurnal curve: multiplier 1 ± amplitude over one period.
+DIURNAL_AMPLITUDE = 0.3
+DIURNAL_PERIOD_US = 1000.0
+
+#: Burst spikes: per-slot probability and peak extra multiplier.
+BURST_RATE = 0.15
+BURST_GAIN = 0.6
+
 _RX_BURST_FRAMES = 3
 _BULK_CHUNK = 16384
 _IO_BLOCK = 4096
@@ -106,12 +114,6 @@ class FleetConfig:
     warmup_us: float = 300.0
     seed: int = 2016
     objective: SloObjective = field(default_factory=default_fleet_objective)
-    #: Diurnal curve: multiplier 1 ± amplitude over one period.
-    diurnal_amplitude: float = 0.3
-    diurnal_period_us: float = 1000.0
-    #: Burst spikes: per-slot probability and peak extra multiplier.
-    burst_rate: float = 0.15
-    burst_gain: float = 0.6
     mix: Tuple[Tuple[str, float], ...] = DEFAULT_MIX
     use_copy_hints: bool = True
     cost: Optional[CostModel] = None
@@ -125,8 +127,6 @@ class FleetConfig:
             raise ConfigurationError("per_user_tps must be positive")
         if self.duration_us <= 0 or self.warmup_us < 0:
             raise ConfigurationError("bad fleet phase durations")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ConfigurationError("diurnal amplitude must be in [0, 1)")
         total = sum(w for _, w in self.mix)
         if total <= 0 or any(w < 0 for _, w in self.mix):
             raise ConfigurationError(f"bad connection mix: {self.mix}")
@@ -146,14 +146,14 @@ def build_load_curve(cfg: FleetConfig) -> List[float]:
     day at every offered load.
     """
     rng = random.Random(derive_seed(cfg.seed, "fleet", "bursts"))
-    slot_us = cfg.diurnal_period_us / _CURVE_SLOTS
+    slot_us = DIURNAL_PERIOD_US / _CURVE_SLOTS
     curve: List[float] = []
     for i in range(_CURVE_SLOTS):
         t_us = (i + 0.5) * slot_us
-        mult = 1.0 + cfg.diurnal_amplitude * math.sin(
-            2.0 * math.pi * t_us / cfg.diurnal_period_us)
-        if rng.random() < cfg.burst_rate:
-            mult += cfg.burst_gain * rng.random()
+        mult = 1.0 + DIURNAL_AMPLITUDE * math.sin(
+            2.0 * math.pi * t_us / DIURNAL_PERIOD_US)
+        if rng.random() < BURST_RATE:
+            mult += BURST_GAIN * rng.random()
         curve.append(max(0.05, mult))
     return curve
 
@@ -191,7 +191,7 @@ def run_fleet(cfg: FleetConfig) -> RunResult:
     mtu_frame = build_frame(TCP_MSS)
 
     curve = build_load_curve(cfg)
-    slot_cycles = max(1, us_to_cycles(cfg.diurnal_period_us) // _CURVE_SLOTS)
+    slot_cycles = max(1, us_to_cycles(DIURNAL_PERIOD_US) // _CURVE_SLOTS)
     base_interval = CPU_FREQ_HZ / (cfg.users * cfg.per_user_tps / cfg.cores)
 
     names = [name for name, _ in cfg.mix]

@@ -39,9 +39,13 @@ from repro.workloads.harness import (
 )
 
 #: memslap defaults (§6 "Benchmarks").
-DEFAULT_KEY_SIZE = 64
+KEY_SIZE = 64
 DEFAULT_VALUE_SIZE = 1024
 DEFAULT_GET_FRACTION = 0.9
+
+#: Distinct keys SETs draw from; GETs draw from the first 256, which
+#: every store preloads.
+KEYS = 2048
 
 
 class KeyValueStore:
@@ -80,10 +84,8 @@ class MemcachedConfig:
     cores: int = 16
     transactions_per_core: int = 600
     warmup_transactions: int = 100
-    key_size: int = DEFAULT_KEY_SIZE
     value_size: int = DEFAULT_VALUE_SIZE
     get_fraction: float = DEFAULT_GET_FRACTION
-    keys: int = 2048
     seed: int = 20160402          # ASPLOS'16 presentation date
     use_copy_hints: bool = True
     cost: Optional[CostModel] = None
@@ -99,8 +101,8 @@ def run_memcached(cfg: MemcachedConfig) -> RunResult:
     machine, cost = system.machine, system.cost
 
     stores = [KeyValueStore() for _ in range(cfg.cores)]
-    key_space = [f"key-{i:08d}".encode().ljust(cfg.key_size, b"k")
-                 for i in range(cfg.keys)]
+    key_space = [f"key-{i:08d}".encode().ljust(KEY_SIZE, b"k")
+                 for i in range(KEYS)]
     value = bytes(range(256)) * (cfg.value_size // 256 + 1)
     value = value[:cfg.value_size]
 
@@ -111,8 +113,8 @@ def run_memcached(cfg: MemcachedConfig) -> RunResult:
 
     # memslap protocol overheads: request = verb + key (+ value for SET);
     # response = value (+ header) for GET, short status for SET.
-    get_req = build_frame(cfg.key_size + 40)
-    set_req_payload = cfg.key_size + cfg.value_size + 48
+    get_req = build_frame(KEY_SIZE + 40)
+    set_req_payload = KEY_SIZE + cfg.value_size + 48
     set_req = build_frame(min(set_req_payload, 1400))
     get_resp_bytes = cfg.value_size + 64
     set_resp_bytes = 48
@@ -142,7 +144,7 @@ def run_memcached(cfg: MemcachedConfig) -> RunResult:
         while state.units < limit:
             pacer.wait(c, per_core_interval)
             is_get = state.rng.random() < cfg.get_fraction
-            key = key_space[state.rng.randrange(256 if is_get else cfg.keys)]
+            key = key_space[state.rng.randrange(256 if is_get else KEYS)]
             # Request arrives through the RX DMA path.
             req = get_req if is_get else set_req
             if obs.enabled:

@@ -14,14 +14,9 @@ import json
 
 import pytest
 
-from repro.bench.fleet import (
-    FleetSizing,
-    build_fleet_figure,
-    build_searches,
-    fleet_objective,
-)
-from repro.bench.record import build_record, stable_view
-from repro.bench.regression import compare_records
+from repro.bench.fleet import FleetSizing, build_fleet_figure, build_searches
+from repro.bench.record import build_record, load_record, stable_view
+from repro.bench.regression import moved_paths
 from repro.cli import main as cli_main
 from repro.obs.context import Observability
 from repro.workloads.fleet import FleetConfig, run_fleet
@@ -34,8 +29,7 @@ def _run_fleet(tmp_path, jobs: int) -> dict:
     status = cli_main(_FLEET_ARGS + ["--jobs", str(jobs),
                                      "--out", str(out)])
     assert status == 0
-    with open(out / "fleet.json") as fh:
-        record = json.load(fh)
+    record = load_record(str(out / "fleet.json"))
     record["_report"] = (out / "fleet.md").read_text()
     record["_windows"] = (out / "fleet_windows.jsonl").read_text()
     record["_trace"] = (out / "fleet_identity-strict.trace.json"
@@ -66,7 +60,7 @@ def test_fleet_artifacts_byte_identical(searches):
 def test_copy_capacity_exceeds_strict(searches):
     """The paper's verdict re-asked as capacity: under the same SLO the
     copy scheme carries more users than strict invalidation."""
-    capacity = searches[1]["capacity"]
+    capacity = searches[1]["figures"]["fleet"]["capacity"]
     assert capacity["copy"]["capacity_users"] > \
         capacity["identity-strict"]["capacity_users"]
     # Both searches actually bracketed a knee.
@@ -78,7 +72,7 @@ def test_copy_capacity_exceeds_strict(searches):
 def test_breach_forensics_name_span_and_lock(searches):
     """Past strict's knee the forensics name an invalidation span path
     and the qi lock — the 'why' next to the capacity verdict."""
-    entries = searches[1]["forensics"]["identity-strict"]
+    entries = searches[1]["figures"]["fleet"]["forensics"]["identity-strict"]
     assert entries, "no breach forensics recorded past the knee"
     first = entries[0]
     assert first["dominant_span_path"]
@@ -92,25 +86,45 @@ def test_breach_forensics_name_span_and_lock(searches):
 
 def test_fleet_record_structure(searches):
     record = searches[1]
-    assert record["objective"]["p99_us"] == 60.0
+    # A bench record: the envelope only, the search under one figure.
+    assert sorted(k for k in record if not k.startswith("_")) == [
+        "created", "figures", "fingerprint", "schema_version",
+        "throughput"]
+    assert list(record["figures"]) == ["fleet"]
+    figure = record["figures"]["fleet"]
+    assert figure["title"] == "Fleet capacity: max users at p99 <= 60 us"
+    assert figure["objective"]["p99_us"] == 60.0
+    assert figure["sizing"]["start_users"] == 1_000_000
     for scheme in ("identity-strict", "copy"):
-        curve = record["curves"][scheme]
+        curve = figure["curves"][scheme]
         assert len(curve) >= 3
         users = [point["users"] for point in curve]
         assert len(set(users)) == len(users)           # eval cache held
-        cap = record["capacity"][scheme]["capacity_users"]
+        cap = figure["capacity"][scheme]["capacity_users"]
         by_users = {point["users"]: point for point in curve}
         assert by_users[cap]["sustained"]
         assert by_users[cap]["breach_windows"] == 0
-        hi = record["capacity"][scheme]["first_failing_users"]
+        hi = figure["capacity"][scheme]["first_failing_users"]
         assert not by_users[hi]["sustained"]
-    # Gated columns ride the record's figure rows.
-    rows = record["figures"]["fleet"]["series"]
+    # Capacity columns ride the figure's rows.
+    rows = figure["series"]
     assert [row["fleet_capacity_users"] for row in rows] == [
-        record["capacity"]["identity-strict"]["capacity_users"],
-        record["capacity"]["copy"]["capacity_users"]]
+        figure["capacity"]["identity-strict"]["capacity_users"],
+        figure["capacity"]["copy"]["capacity_users"]]
     assert all(row["slo_breach_windows"] == 0 for row in rows)
     assert all("param_users" not in row for row in rows)
+
+
+def test_fleet_record_diffs_and_gates_like_a_bench_record(searches):
+    from repro.obs.diff import build_diff, diff_is_zero, side_from_record
+
+    record = {k: v for k, v in searches[1].items()
+              if not k.startswith("_")}
+    assert moved_paths(record, searches[2]) == {}
+    side = side_from_record(record, "fleet")
+    assert ("fleet", "capacity", "copy") in side.points
+    assert ("fleet", "copy", "spans") in side.points
+    assert diff_is_zero(build_diff(side, side_from_record(record, "b")))
 
 
 def test_window_series_and_trace_exports(searches):
@@ -138,9 +152,7 @@ def test_window_series_and_trace_exports(searches):
 #: A search of a few short runs: bracket, one bisection, one re-run.
 _TINY_FLEET = FleetSizing(
     name="tiny", cores=1, duration_us=400.0, warmup_us=100.0,
-    start_users=1_000_000, max_doublings=3, rel_tol=0.5,
-    p99_objective_us=60.0, availability=0.999, window_us=200.0,
-    timeout_us=240.0)
+    max_doublings=3, rel_tol=0.5)
 
 
 def _fleet_cycles(scheme: str, users: int) -> int:
@@ -148,7 +160,6 @@ def _fleet_cycles(scheme: str, users: int) -> int:
         scheme=scheme, cores=_TINY_FLEET.cores, users=users,
         duration_us=_TINY_FLEET.duration_us,
         warmup_us=_TINY_FLEET.warmup_us,
-        objective=fleet_objective(_TINY_FLEET),
         obs=Observability.capture())).wall_cycles
 
 
@@ -176,7 +187,7 @@ def test_bench_fleet_figure_counts_every_search_run():
 
 
 # ----------------------------------------------------------------------
-# The regression gate on the new capacity columns.
+# The regression gate on the capacity columns.
 # ----------------------------------------------------------------------
 def _fleet_record(capacity: int, breaches: int) -> dict:
     row = {"scheme": "identity-strict", "workload": "fleet", "cores": 2,
@@ -188,19 +199,15 @@ def _fleet_record(capacity: int, breaches: int) -> dict:
                         schemes=("identity-strict",))
 
 
+def _moved_columns(baseline: dict, current: dict) -> list:
+    return [path.split("].")[1].split(":")[0]
+            for path in moved_paths(baseline, current).get("fleet", ())]
+
+
 def test_gate_trips_on_capacity_collapse():
     baseline = _fleet_record(capacity=4_000_000, breaches=0)
-    collapsed = _fleet_record(capacity=2_500_000, breaches=0)  # -37% > 25%
-    regressions = compare_records(baseline, collapsed)
-    assert [r.metric for r in regressions] == ["fleet_capacity_users"]
-
-
-def test_gate_tolerates_bisection_jitter_and_growth():
-    baseline = _fleet_record(capacity=4_000_000, breaches=0)
-    nudged = _fleet_record(capacity=3_200_000, breaches=0)     # -20% ok
-    assert compare_records(baseline, nudged) == []
-    improved = _fleet_record(capacity=8_000_000, breaches=0)
-    assert compare_records(baseline, improved) == []
+    collapsed = _fleet_record(capacity=2_500_000, breaches=0)
+    assert _moved_columns(baseline, collapsed) == ["fleet_capacity_users"]
 
 
 def test_gate_zero_baseline_breach_trips():
@@ -208,5 +215,4 @@ def test_gate_zero_baseline_breach_trips():
     appearing where the baseline had none is a regression."""
     baseline = _fleet_record(capacity=4_000_000, breaches=0)
     breaching = _fleet_record(capacity=4_000_000, breaches=2)
-    metrics = [r.metric for r in compare_records(baseline, breaching)]
-    assert metrics == ["slo_breach_windows"]
+    assert _moved_columns(baseline, breaching) == ["slo_breach_windows"]

@@ -4,14 +4,14 @@
 from worker processes must be byte-identical to a serial run once the
 host-dependent fields (timestamp, wall seconds, cycles/second) are
 stripped.  The throughput section itself must always be present, sane,
-and gated by the regression tolerances.
+and held above the regression gate's simulator-speed floor.
 """
 
 import glob
 import json
 
 from repro.bench.record import build_record, stable_view
-from repro.bench.regression import compare_records
+from repro.bench.regression import slow_sections
 from repro.bench.runner import FIGURE_SCHEMES, build_figures, select_figures
 from repro.bench.scales import BenchScale
 from repro.cli import main as cli_main
@@ -82,23 +82,20 @@ def _record_with_rate(rate: int) -> dict:
 
 def test_throughput_gate_trips_on_collapse():
     baseline = _record_with_rate(1_000_000)
-    slowed = _record_with_rate(100_000)        # 10x slower: beyond band
-    regressions = compare_records(baseline, slowed)
-    assert [r.metric for r in regressions] \
-        == ["sim_cycles_per_wall_second"] * 2
-    assert {r.figure for r in regressions} == {"fig05", "overall"}
+    slowed = _record_with_rate(100_000)        # 10x slower: under floor
+    assert slow_sections(baseline, slowed) == ["fig05", "overall"]
 
 
 def test_throughput_gate_tolerates_host_variance():
     baseline = _record_with_rate(1_000_000)
-    half = _record_with_rate(500_000)          # 2x slower: within band
-    assert compare_records(baseline, half) == []
+    half = _record_with_rate(500_000)          # 2x slower: above floor
+    assert slow_sections(baseline, half) == []
     faster = _record_with_rate(5_000_000)      # improvements never trip
-    assert compare_records(baseline, faster) == []
+    assert slow_sections(baseline, faster) == []
 
 
 def test_throughput_gate_skips_legacy_baselines():
     """A baseline recorded before the throughput section gates nothing."""
     legacy = build_record(mode="quick", figures={}, schemes=FIGURE_SCHEMES)
     current = _record_with_rate(1)
-    assert compare_records(legacy, current) == []
+    assert slow_sections(legacy, current) == []

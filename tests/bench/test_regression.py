@@ -1,19 +1,20 @@
-"""The regression gate: tolerance bands and span attribution.
+"""The regression gate: exact stable-view identity with the baseline.
 
 Built around synthetic records (no simulation runs) so the semantics
-are exact: an injected slowdown beyond the band trips the gate and the
-report names the span subtree that grew; within-band noise passes.
+are exact: any move of a simulated value — a slowdown, a 1% shift, an
+improvement, a fingerprint change — trips the gate, the report names
+the moved path and the span subtree that grew, and host-dependent
+fields never trip it.
 """
 
 import copy
+import json
 
 from repro.bench.record import build_record
 from repro.bench.regression import (
-    DEFAULT_TOLERANCES,
-    blame_span,
-    compare_records,
     gate_against_baseline,
-    render_gate_report,
+    gate_records,
+    moved_paths,
 )
 from repro.obs.spans import SpanNode
 
@@ -59,74 +60,88 @@ def _record(throughput: float, us_per_unit: float,
 
 def test_identical_records_pass():
     base = _record(6.6, 1.17)
-    assert compare_records(base, copy.deepcopy(base)) == []
-
-
-def test_within_tolerance_noise_passes():
-    base = _record(6.60, 1.170)
-    cur = _record(6.60 * 0.97, 1.170 * 1.03)   # 3% drift, 5% band
-    assert compare_records(base, cur) == []
-
-
-def test_improvement_never_trips():
-    base = _record(6.6, 1.17)
-    cur = _record(6.6 * 1.5, 1.17 / 1.5)
-    assert compare_records(base, cur) == []
+    assert moved_paths(base, copy.deepcopy(base)) == {}
+    status, report = gate_records(base, copy.deepcopy(base))
+    assert status == 0
+    assert "PASS" in report
 
 
 def test_injected_slowdown_trips_both_metrics():
     base = _record(6.6, 1.17)
     cur = _record(6.6 * 0.8, 1.17 * 1.25, lock_wait_cycles=40_000)
-    regs = compare_records(base, cur)
-    metrics = {r.metric for r in regs}
-    assert metrics == {"throughput_gbps", "us_per_unit"}
-    for reg in regs:
-        assert reg.figure == "fig03"
-        assert reg.scheme == "identity-strict"
-        assert "message_size=65536" in reg.key
+    moved = moved_paths(base, cur)
+    assert list(moved) == ["fig03"]
+    row = ("$.figures.fig03.series[identity-strict tcp_stream_rx "
+           "cores=1 message_size=65536]")
+    assert moved["fig03"][:2] == [
+        f"{row}.throughput_gbps: 6.6 != {6.6 * 0.8!r}",
+        f"{row}.us_per_unit: 1.17 != {1.17 * 1.25!r}"]
 
 
-def test_unmatched_points_are_skipped():
+def test_one_percent_shift_fails_and_names_its_path():
     base = _record(6.6, 1.17)
-    cur = _record(1.0, 9.9)
-    cur["figures"]["fig03"]["series"][0]["param_message_size"] = 1024
-    assert compare_records(base, cur) == []
-    cur2 = _record(1.0, 9.9)
-    cur2["figures"]["other"] = cur2["figures"].pop("fig03")
-    assert compare_records(base, cur2) == []
+    cur = _record(6.6 * 1.01, 1.17)
+    assert moved_paths(base, cur) == {"fig03": [
+        "$.figures.fig03.series[identity-strict tcp_stream_rx cores=1 "
+        f"message_size=65536].throughput_gbps: 6.6 != {6.6 * 1.01!r}"]}
+    assert gate_records(base, cur)[0] == 1
 
 
-def test_custom_tolerances():
+def test_improvement_fails():
+    base = _record(6.6, 1.17, lock_wait_cycles=40_000)
+    cur = _record(6.6 * 1.5, 1.17 / 1.5, lock_wait_cycles=10_000)
+    assert gate_records(base, cur)[0] == 1
+
+
+def test_fingerprint_change_fails():
     base = _record(6.6, 1.17)
-    cur = _record(6.6 * 0.97, 1.17)
-    tight = {"throughput_gbps": (True, 0.01)}
-    assert len(compare_records(base, cur, tight)) == 1
-    assert compare_records(base, cur, DEFAULT_TOLERANCES) == []
+    cur = copy.deepcopy(base)
+    cur["fingerprint"]["mode"] = "full"
+    cur["fingerprint"]["cost_model"]["memcpy_fixed_cycles"] += 1
+    assert moved_paths(base, cur) == {"fingerprint": [
+        "$.fingerprint.mode: 'quick' != 'full'",
+        "$.fingerprint.cost_model.memcpy_fixed_cycles: 40 != 41"]}
+    status, report = gate_records(base, cur)
+    assert status == 1
+    assert "fingerprint: 2 path(s) differ" in report
 
 
-def test_blame_names_the_grown_subtree():
-    base = SpanNode.from_dict(_span_tree(10_000))
-    cur = SpanNode.from_dict(_span_tree(60_000))
-    blamed = blame_span(base, cur)
-    assert blamed is not None
-    path, base_share, cur_share = blamed
-    assert path == ("dma_unmap", "lock_wait")
-    assert cur_share > base_share
+def test_only_record_is_compared_on_its_own_figures():
+    base = _record(6.6, 1.17)
+    base["figures"]["fig05"] = copy.deepcopy(base["figures"]["fig03"])
+    base["throughput"] = {
+        name: {"sim_cycles": cycles, "wall_seconds": 1.0,
+               "sim_cycles_per_wall_second": cycles}
+        for name, cycles in (("fig03", 100), ("fig05", 200),
+                             ("overall", 300))}
+    only = copy.deepcopy(base)
+    del only["figures"]["fig05"]
+    only["throughput"] = {"fig03": dict(base["throughput"]["fig03"]),
+                          "overall": dict(base["throughput"]["fig03"])}
+    # fig05 and the differing overall are not what this run ran.
+    assert moved_paths(base, only) == {}
+    only["throughput"]["fig03"]["sim_cycles"] += 1
+    assert moved_paths(base, only) == {"fig03": [
+        "$.throughput.fig03.sim_cycles: 100 != 101"]}
+    extra = copy.deepcopy(base)
+    extra["figures"]["fig99"] = copy.deepcopy(base["figures"]["fig03"])
+    assert moved_paths(base, extra) == {
+        "fig99": ["$.figures.fig99 (not in the baseline)"]}
 
 
 def test_gate_report_names_offending_span():
     base = _record(6.6, 1.17, lock_wait_cycles=10_000)
     cur = _record(6.6 * 0.7, 1.17 * 1.4, lock_wait_cycles=60_000)
-    regs = compare_records(base, cur)
-    report = render_gate_report(base, cur, regs)
+    status, report = gate_records(base, cur)
+    assert status == 1
     assert "FAIL" in report
-    assert "dma_unmap -> lock_wait" in report
+    verdict = next(line for line in report.splitlines()
+                   if "verdict:" in line)
+    assert "fig03 identity-strict spans: dma_unmap > lock_wait" in verdict
     assert "throughput_gbps" in report
 
 
 def test_gate_exit_status(tmp_path):
-    import json
-
     base = _record(6.6, 1.17)
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps(base))
@@ -142,57 +157,22 @@ def test_exposure_growth_beyond_band_trips():
                    stale_byte_cycles=1_000_000)
     cur = _record(6.6, 1.17, scheme="identity-deferred",
                   stale_byte_cycles=2_000_000)
-    regs = compare_records(base, cur)
-    assert {r.metric for r in regs} == {"exposure_stale_byte_cycles"}
-    assert regs[0].change == 1.0
-
-
-def test_exposure_within_band_passes():
-    base = _record(6.6, 1.17, scheme="identity-deferred",
-                   stale_byte_cycles=1_000_000)
-    cur = _record(6.6, 1.17, scheme="identity-deferred",
-                  stale_byte_cycles=1_400_000)   # +40%, 50% band
-    assert compare_records(base, cur) == []
+    (path,) = moved_paths(base, cur)["fig03"]
+    assert path.endswith(
+        "exposure_stale_byte_cycles: 1000000 != 2000000")
 
 
 def test_exposure_from_zero_baseline_trips():
     """copy's baseline exposure is provably zero; any growth from zero
-    must trip even though relative change is undefined."""
-    import math
-
+    trips."""
     base = _record(6.6, 1.17, scheme="copy",
                    stale_byte_cycles=0, excess_byte_cycles=0)
     cur = _record(6.6, 1.17, scheme="copy",
                   stale_byte_cycles=4096, excess_byte_cycles=8192)
-    regs = compare_records(base, cur)
-    assert {r.metric for r in regs} == {"exposure_stale_byte_cycles",
-                                        "exposure_excess_byte_cycles"}
-    for reg in regs:
-        assert reg.baseline == 0.0
-        assert reg.change == math.inf
-    report = render_gate_report(base, cur, regs)
+    paths = moved_paths(base, cur)["fig03"]
+    assert [path.split("].")[1] for path in paths] == [
+        "exposure_stale_byte_cycles: 0 != 4096",
+        "exposure_excess_byte_cycles: 0 != 8192"]
+    status, report = gate_records(base, cur)
+    assert status == 1
     assert "FAIL" in report
-
-
-def test_exposure_reduction_never_trips():
-    base = _record(6.6, 1.17, scheme="identity-deferred",
-                   stale_byte_cycles=2_000_000)
-    cur = _record(6.6, 1.17, scheme="identity-deferred",
-                  stale_byte_cycles=0)
-    assert compare_records(base, cur) == []
-
-
-def test_records_without_exposure_columns_still_gate():
-    """Old baselines (pre-exposure) skip the exposure metrics cleanly."""
-    base = _record(6.6, 1.17)
-    cur = _record(6.6, 1.17, stale_byte_cycles=5_000_000)
-    assert compare_records(base, cur) == []
-
-
-def test_mode_mismatch_warns_but_compares():
-    base = _record(6.6, 1.17)
-    cur = _record(6.6, 1.17)
-    cur["fingerprint"]["mode"] = "full"
-    report = render_gate_report(base, cur, compare_records(base, cur))
-    assert "different modes" in report
-    assert "PASS" in report

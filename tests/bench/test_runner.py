@@ -15,6 +15,7 @@ from repro.bench.record import (
     SCHEMA_VERSION,
     build_record,
     load_record,
+    record_basename,
     render_markdown,
     write_record,
 )
@@ -86,7 +87,9 @@ def test_record_round_trip(tmp_path, fig03_data):
     assert "memcpy_fixed_cycles" in fp["cost_model"]
     assert "derived" not in fp["cost_model"]
 
-    json_path, md_path = write_record(record, str(tmp_path))
+    json_path, md_path = write_record(record, str(tmp_path),
+                                      record_basename(record),
+                                      render_markdown(record))
     assert os.path.basename(json_path).startswith("BENCH_")
     loaded = load_record(json_path)
     assert loaded == json.loads(json.dumps(record))
@@ -111,6 +114,17 @@ def test_load_record_rejects_garbage(tmp_path):
     stale.write_text(json.dumps({"schema_version": 999, "figures": {}}))
     with pytest.raises(SystemExit):
         load_record(str(stale))
+
+
+def test_v1_record_is_refused(tmp_path):
+    """A schema-1 scale record (its points at the top level) is refused
+    with the version message rather than loading as an empty record."""
+    v1 = tmp_path / "scale.json"
+    v1.write_text(json.dumps({"schema_version": 1, "figures": {},
+                              "points": {"copy": []}}))
+    with pytest.raises(SystemExit, match="schema_version 1; "
+                                         f"this build reads {SCHEMA_VERSION}"):
+        load_record(str(v1))
 
 
 def test_quick_scale_covers_every_figure_knob():

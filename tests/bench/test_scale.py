@@ -13,9 +13,9 @@ import json
 
 import pytest
 
-from repro.bench.record import build_record, stable_view
-from repro.bench.regression import compare_records
-from repro.bench.scale import resolve_cores, resolve_schemes
+from repro.bench.record import build_record, load_record, stable_view
+from repro.bench.regression import moved_paths
+from repro.bench.scale import resolve_cores, resolve_schemes, scheme_points
 from repro.cli import main as cli_main
 
 _SWEEP_ARGS = ["scale", "--workload", "stream",
@@ -28,8 +28,7 @@ def _run_sweep(tmp_path, jobs: int) -> dict:
     status = cli_main(_SWEEP_ARGS + ["--jobs", str(jobs),
                                      "--out", str(out)])
     assert status == 0
-    with open(out / "scale.json") as fh:
-        record = json.load(fh)
+    record = load_record(str(out / "scale.json"))
     # The markdown report rides along under a fixed name.
     report = (out / "scale.md").read_text()
     record["_report"] = report
@@ -59,7 +58,7 @@ def test_strict_serial_fraction_dominates_copy(sweeps):
     """The paper's multicore collapse, quantified: strict's fitted
     serial fraction is several times copy's, and the contention matrix
     blames the invalidation-queue lock."""
-    analysis = sweeps[1]["analysis"]
+    analysis = sweeps[1]["figures"]["scale"]["analysis"]
     strict = analysis["identity-strict"]
     copy = analysis["copy"]
     assert strict["fit"]["serial_fraction"] > 3 * (
@@ -74,19 +73,28 @@ def test_strict_serial_fraction_dominates_copy(sweeps):
 
 def test_scale_record_structure(sweeps):
     record = sweeps[1]
-    assert record["workload"] == "stream"
-    assert record["cores"] == [1, 2, 4]
+    # A bench record: the envelope only, the sweep under one figure.
+    assert sorted(k for k in record if k != "_report") == [
+        "created", "figures", "fingerprint", "schema_version",
+        "throughput"]
+    assert list(record["figures"]) == ["scale"]
+    figure = record["figures"]["scale"]
+    assert figure["workload"] == "stream"
+    assert figure["cores"] == [1, 2, 4]
     # Aliases resolved to canonical names, order preserved.
-    assert list(record["points"]) == ["identity-strict", "copy"]
-    for scheme, points in record["points"].items():
-        assert [p["cores"] for p in points] == [1, 2, 4]
-        for point in points:
-            assert point["busy_cycles"] > 0
-            assert 0.0 <= point["scaling_serial_fraction"] <= 1.0
-        assert scheme in record["contention"]
-        assert [r["cores"] for r in record["queueing"][scheme]] == [1, 2, 4]
+    points = scheme_points(figure)
+    assert list(points) == ["identity-strict", "copy"]
+    for scheme, rows in points.items():
+        assert [p["cores"] for p in rows] == [1, 2, 4]
+        for row in rows:
+            assert row["figure"] == "scale"
+            assert row["workload"] == "stream"
+            assert row["busy_cycles"] > 0
+            assert 0.0 <= row["scaling_serial_fraction"] <= 1.0
+        assert scheme in figure["contention"]
+        assert [r["cores"] for r in figure["queueing"][scheme]] == [1, 2, 4]
     # Strict's invalidation queueing rows carry real traffic.
-    strict_rows = record["queueing"]["identity-strict"]
+    strict_rows = figure["queueing"]["identity-strict"]
     assert all(row["submissions"] > 0 for row in strict_rows)
     assert record["throughput"]["overall"]["sim_cycles"] > 0
 
@@ -112,7 +120,7 @@ def test_resolve_cores_sorted_unique_positive():
 
 
 # ----------------------------------------------------------------------
-# The regression gate on the new serialized-share columns.
+# The regression gate on the serialized-share columns.
 # ----------------------------------------------------------------------
 def _record_with_shares(serial: float, lock_wait: float) -> dict:
     row = {"scheme": "identity-strict", "workload": "stream", "cores": 16,
@@ -124,25 +132,32 @@ def _record_with_shares(serial: float, lock_wait: float) -> dict:
                         schemes=("identity-strict",))
 
 
+def _moved_columns(baseline: dict, current: dict) -> list:
+    return [path.split("].")[1].split(":")[0]
+            for path in moved_paths(baseline, current).get("fig06", ())]
+
+
 def test_gate_trips_on_serial_fraction_growth():
     baseline = _record_with_shares(serial=0.40, lock_wait=0.30)
-    grown = _record_with_shares(serial=0.55, lock_wait=0.30)  # +37% > 15%
-    regressions = compare_records(baseline, grown)
-    assert [r.metric for r in regressions] == ["scaling_serial_fraction"]
-
-
-def test_gate_tolerates_small_share_shift_and_improvement():
-    baseline = _record_with_shares(serial=0.40, lock_wait=0.30)
-    nudged = _record_with_shares(serial=0.44, lock_wait=0.33)  # within bands
-    assert compare_records(baseline, nudged) == []
-    improved = _record_with_shares(serial=0.10, lock_wait=0.05)
-    assert compare_records(baseline, improved) == []
+    grown = _record_with_shares(serial=0.55, lock_wait=0.30)
+    assert _moved_columns(baseline, grown) == ["scaling_serial_fraction"]
 
 
 def test_gate_zero_baseline_lock_wait_trips():
     """A scheme that provably never spun (share exactly 0) starting to
-    spin is a regression regardless of relative bands."""
+    spin is a regression."""
     baseline = _record_with_shares(serial=0.0, lock_wait=0.0)
     spinning = _record_with_shares(serial=0.01, lock_wait=0.01)
-    metrics = sorted(r.metric for r in compare_records(baseline, spinning))
-    assert metrics == ["lock_wait_share", "scaling_serial_fraction"]
+    assert _moved_columns(baseline, spinning) \
+        == ["lock_wait_share", "scaling_serial_fraction"]
+
+
+def test_scale_record_diffs_and_gates_like_a_bench_record(sweeps):
+    from repro.obs.diff import build_diff, diff_is_zero, side_from_record
+
+    record = {k: v for k, v in sweeps[1].items() if k != "_report"}
+    assert moved_paths(record, sweeps[2]) == {}
+    side = side_from_record(record, "scale")
+    assert ("scale", "analysis", "identity-strict") in side.points
+    assert ("scale", "identity-strict", "stream", "cores=4") in side.points
+    assert diff_is_zero(build_diff(side, side_from_record(record, "b")))

@@ -7,6 +7,7 @@ from repro.dma.api import DmaDirection
 from repro.dma.selfinval import SelfInvalidatingDmaApi
 from repro.dma.swiotlb import SWIOTLB_SLOT_BYTES, SwiotlbDmaApi
 from repro.errors import IommuFault, PoolExhaustedError
+from repro.workloads.netperf import StreamConfig, run_tcp_stream
 
 
 # ----------------------------------------------------------------------
@@ -119,14 +120,27 @@ def test_selfinval_budget_expiry_blocks_device(selfinval, machine,
 
 
 def test_selfinval_lifetime_expiry(selfinval, machine, allocators):
+    """The lifetime starts at unmap: a buffer the driver still holds
+    outlives it, an unmapped one faults once it has passed."""
     core = machine.core(0)
-    buf = allocators.kmalloc(4096, node=0)
-    handle = selfinval.dma_map(core, buf, DmaDirection.FROM_DEVICE)
-    selfinval.port().dma_write(handle.iova, b"fresh")
+    held, dropped = (allocators.kmalloc(4096, node=0) for _ in range(2))
+    held_handle = selfinval.dma_map(core, held, DmaDirection.FROM_DEVICE)
+    handle = selfinval.dma_map(core, dropped, DmaDirection.FROM_DEVICE)
+    selfinval.dma_unmap(core, handle)
     core.charge(1_000_000)  # >> 50 µs lifetime
+    selfinval.port().dma_write(held_handle.iova, b"posted long ago")
     with pytest.raises(IommuFault):
         selfinval.port().dma_write(handle.iova, b"stale")
-    selfinval.dma_unmap(core, handle)
+    selfinval.dma_unmap(core, held_handle)
+
+
+def test_selfinval_rx_stream_runs_at_the_defaults():
+    """RX buffers posted at ring setup wait far longer than the 100 µs
+    lifetime before the NIC fills them; none may expire while mapped."""
+    result = run_tcp_stream(StreamConfig(
+        scheme="self-invalidating", units_per_core=30, warmup_units=5))
+    assert result.units == 30
+    assert result.throughput_gbps > 0
 
 
 def test_selfinval_window_is_bounded(selfinval, machine, allocators):

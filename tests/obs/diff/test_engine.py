@@ -40,17 +40,39 @@ def test_baseline_self_diff_is_zero(baseline_record):
     assert not diff["only_a"] and not diff["only_b"]
 
 
-def test_load_side_dispatches_on_shape(tmp_path, baseline_record):
-    assert side_from_record(baseline_record, "x").kind == "bench"
-    scale = {"schema_version": 1, "workload": "stream", "figures": {},
-             "points": {"copy": [{"cores": 2, "units": 10,
-                                  "throughput_gbps": 1.5}]}}
-    side = side_from_record(scale, "s")
-    assert side.kind == "scale"
-    assert ("stream", "copy", "cores=2") in side.points
-    fleet = {"schema_version": 1, "figures": {},
-             "capacity": {"copy": {"fleet_capacity_users": 900}}}
-    assert side_from_record(fleet, "f").kind == "fleet"
+def test_one_loader_keys_rows_spans_and_sections(baseline_record):
+    side = side_from_record(baseline_record, "x")
+    assert side.kind == "bench"
+    assert ("fig03", "copy", "spans") in side.points
+    record = {"figures": {
+        "scale": {
+            "series": [{"scheme": "copy", "workload": "stream",
+                        "cores": 2, "units": 10, "throughput_gbps": 1.5},
+                       {"scheme": "copy", "workload": "stream",
+                        "cores": 4, "units": 10, "throughput_gbps": 2.5}],
+            "spans": {"copy": {"name": "run", "count": 0,
+                               "total_cycles": 80, "children": []}},
+            "workload": "stream", "cores": [2, 4],
+            "analysis": {"copy": {"serial_fraction": 0.2}},
+            "queueing": {"copy": [{"cores": 2}]},
+        },
+        "fleet": {
+            "series": [],
+            "objective": {"p99_us": 60.0},
+            "capacity": {"copy": {"capacity_users": 900}},
+        },
+    }}
+    side = side_from_record(record, "r")
+    assert side.keys() == [
+        ("fleet", "capacity", "copy"),
+        ("scale", "analysis", "copy"),
+        ("scale", "copy", "spans"),
+        ("scale", "copy", "stream", "cores=2"),
+        ("scale", "copy", "stream", "cores=4"),
+    ]
+    assert side.points[("scale", "copy", "spans")].units == 20
+    assert side.points[("fleet", "capacity", "copy")].metrics \
+        == {"capacity_users": 900}
 
 
 def test_injected_hot_path_tops_the_report(baseline_record):

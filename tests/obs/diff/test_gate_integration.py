@@ -5,9 +5,9 @@ from pathlib import Path
 
 from repro.bench.record import load_record
 from repro.bench.regression import (
-    compare_records,
     gate_against_baseline,
-    write_gate_diffs,
+    gate_records,
+    moved_paths,
 )
 
 BASELINE = Path(__file__).resolve().parents[3] \
@@ -41,9 +41,7 @@ def _inject_regression(record):
 def test_gate_writes_diff_artifact_naming_the_hot_path(tmp_path, capsys):
     baseline = load_record(str(BASELINE))
     current = _inject_regression(baseline)
-    regressions = compare_records(baseline, current)
-    assert regressions
-    assert {reg.figure for reg in regressions} == {"fig03"}
+    assert list(moved_paths(baseline, current)) == ["fig03"]
 
     rc = gate_against_baseline(str(BASELINE), current,
                                out_dir=str(tmp_path))
@@ -73,7 +71,6 @@ def test_passing_gate_writes_nothing(tmp_path, capsys):
 def test_write_gate_diffs_one_artifact_per_regressed_figure(tmp_path):
     baseline = load_record(str(BASELINE))
     current = _inject_regression(baseline)
-    regressions = compare_records(baseline, current)
-    written = write_gate_diffs(baseline, current, regressions,
-                               str(tmp_path))
-    assert [Path(p).name for p in written] == ["diff_fig03.md"]
+    status, _ = gate_records(baseline, current, str(tmp_path))
+    assert status == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["diff_fig03.md"]

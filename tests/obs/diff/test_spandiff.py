@@ -7,7 +7,7 @@ names the hot path itself instead of every ancestor above it.
 
 import pytest
 
-from repro.obs.diff.spandiff import diff_span_trees, share_blame
+from repro.obs.diff.spandiff import diff_span_trees
 from repro.obs.spans import SpanNode
 
 
@@ -104,19 +104,3 @@ def test_self_diff_is_zero():
     assert diff.is_zero
     assert diff.grown() == [] and diff.shrunk() == []
     assert diff.total_delta_per_unit == pytest.approx(0.0)
-
-
-def test_share_blame_matches_gate_semantics():
-    a = tree(BASE)
-    b = tree({
-        ("step",): (10, 2000),
-        ("step", "dma_unmap"): (10, 1600),
-        ("step", "dma_unmap", "iotlb_invalidate"): (10, 1400),
-    })
-    blamed = share_blame(a, b)
-    assert blamed is not None
-    path, a_share, b_share = blamed
-    assert path == ("step", "dma_unmap", "iotlb_invalidate")
-    assert b_share > a_share
-    # Nothing grew relative to itself: no blame.
-    assert share_blame(a, tree(BASE)) is None

@@ -7,11 +7,10 @@ machine-readable record plus a markdown report
 (:mod:`repro.bench.ledger`), and can gate the run against a prior
 baseline record (:mod:`repro.bench.regression`): the record must equal
 the baseline exactly under :func:`repro.bench.record.stable_view`.
-``scale`` and ``fleet`` write records of the same shape.  The resource
+``scale`` writes a record of the same shape.  The resource
 accounting smoke checks live in :mod:`repro.bench.invariants`.
 
-Every run behind ``bench``, ``report``, ``scale``, ``fleet`` and
-``diff`` is a :class:`~repro.bench.points.RunPoint` executed by
+Every run behind ``bench``, ``report``, ``scale`` and ``diff`` is a :class:`~repro.bench.points.RunPoint` executed by
 :func:`repro.bench.points.run_point`, and every ``--jobs`` fan-out is
 :func:`repro.bench.points.fan_out`.
 """

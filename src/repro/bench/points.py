@@ -1,4 +1,4 @@
-"""Run points and the one fan-out behind bench, report, scale, fleet and diff.
+"""Run points and the one fan-out behind bench, report, scale and diff.
 
 Every number those commands report is one workload run at one point
 under capture, and this module is the only place that happens:
@@ -29,7 +29,6 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
 
 from repro.obs.context import Observability
 from repro.stats.results import RunResult
-from repro.workloads.fleet import FleetConfig, run_fleet
 from repro.workloads.memcached import MemcachedConfig, run_memcached
 from repro.workloads.netperf import (
     RRConfig,
@@ -76,7 +75,6 @@ WORKLOADS: Dict[str, Workload] = {
     "storage": Workload(StorageConfig, run_storage, {},
                         {"cores": "cores", "size": "block_size",
                          "units": "ops_per_core", "warmup": "warmup_ops"}),
-    "fleet": Workload(FleetConfig, run_fleet, {}, {"cores": "cores"}),
 }
 
 
@@ -118,7 +116,7 @@ def run_observed(point: RunPoint,
 
 def run_point(point: RunPoint) -> Tuple[RunResult, Observability]:
     """Run one point under capture; returns the result and the
-    observability that recorded it (spans, requests, SLO windows)."""
+    observability that recorded it (spans, requests, locks)."""
     obs = Observability.capture(trace_capacity=TRACE_CAPACITY)
     return run_observed(point, obs), obs
 

@@ -1,14 +1,14 @@
 """Machine-readable records: one shape for every persisted artifact.
 
-``BENCH_<timestamp>.json``, ``scale.json``, ``fleet.json`` and the
-CLI's ``--json`` output hold only ``schema_version``, ``created``, a
+``BENCH_<timestamp>.json``, ``scale.json`` and the CLI's ``--json``
+output hold only ``schema_version``, ``created``, a
 **fingerprint** (git SHA, mode, scheme set, every cost model constant,
 so two records can be compared meaningfully), per-name **figures** and
 a **throughput** section (simulated cycles and simulator speed per
 figure and ``overall``).  A figure holds its ``series`` rows — the
 :func:`repro.stats.export.result_to_row` rows, or a sweep's points —
 plus optional per-scheme ``spans`` trees and per-scheme sections (a
-scale sweep's ``analysis``, a fleet search's ``capacity``).
+scale sweep's ``analysis``).
 :func:`row_key` names a series row for the diff loader and the
 baseline gate alike.
 
@@ -155,7 +155,7 @@ def record_basename(record: Dict) -> str:
 def write_record(record: Dict, out_dir: str, base: str,
                  markdown: str) -> Tuple[str, str]:
     """Write ``<base>.json`` + its ``<base>.md`` report; returns both
-    paths.  The one writer behind ``bench``, ``scale`` and ``fleet``."""
+    paths.  The one writer behind ``bench`` and ``scale``."""
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, f"{base}.json")
     with open(json_path, "w") as fh:

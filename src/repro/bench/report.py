@@ -108,33 +108,6 @@ def _exposure_table(record: Dict) -> List[str]:
     return lines
 
 
-def _fleet_table(record: Dict) -> List[str]:
-    """Fleet capacity per scheme (from the ``fleet`` figure's rows)."""
-    rows = [row for row
-            in record.get("figures", {}).get("fleet", {}).get("series", ())
-            if row.get("fleet_capacity_users") is not None]
-    if not rows:
-        return ["(no fleet capacity data in this run — the `fleet` "
-                "figure was excluded)"]
-    lines = [
-        "Max sustained user population per scheme before any SLO window "
-        "breaches (see `python -m repro fleet` for the full search "
-        "curves and breach forensics).",
-        "",
-        "| scheme | capacity [users] | breach windows @ capacity "
-        "| worst window p99 [us] | drops |",
-        "|---|---:|---:|---:|---:|",
-    ]
-    for row in rows:
-        lines.append(
-            f"| {row.get('scheme')} "
-            f"| {row.get('fleet_capacity_users'):,} "
-            f"| {row.get('slo_breach_windows')} "
-            f"| {row.get('slo_worst_p99_us')} "
-            f"| {row.get('slo_drops')} |")
-    return lines
-
-
 def _tail_attribution(tail: float) -> Tuple[List[str], List]:
     """Contrast captures: where the tail goes, strict vs copy.
 
@@ -196,10 +169,6 @@ def run_report(out: Optional[str] = None,
         "## Exposure (summed across series points)",
         "",
         *_exposure_table(record),
-        "",
-        "## Fleet capacity at the SLO",
-        "",
-        *_fleet_table(record),
         "",
         f"## Tail attribution (p{tail:g}, {_ATTRIBUTION_CORES}-core RX, "
         f"{_ATTRIBUTION_SIZE}B frames)",

@@ -62,43 +62,32 @@ Results = Dict[str, List[RunResult]]
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One registry entry: a named figure and how to build it.
-
-    ``build(scale)`` returns the figure's record data and the simulated
-    cycles of every run behind it — more than its series rows hold when
-    the figure is a capacity search.
-    """
+    """One registry entry: a named figure's run points at a scale and the
+    renderer of its text table."""
 
     name: str
     title: str
-    build: Callable[[BenchScale], Tuple[dict, int]]
+    points: Callable[[BenchScale], List[RunPoint]]
+    render: Callable[[Results], str]
 
-
-def _point_figure(name: str, title: str,
-                  points: Callable[[BenchScale], List[RunPoint]],
-                  render: Callable[[Results], str]) -> FigureSpec:
-    """A figure built by running its points in order: one series row per
-    point, one merged span tree per scheme, and the rendered table."""
-    def build(scale: BenchScale) -> Tuple[dict, int]:
+    def build(self, scale: BenchScale) -> dict:
+        """Run the points in order: one series row per point, one merged
+        span tree per scheme, and the rendered table."""
         results: Results = {}
         trees: Dict[str, List[SpanNode]] = {}
-        for point in points(scale):
+        for point in self.points(scale):
             result, obs = run_point(point)
             results.setdefault(point.scheme, []).append(result)
             trees.setdefault(point.scheme, []).append(obs.spans.tree())
-        runs = [result for scheme_runs in results.values()
-                for result in scheme_runs]
-        figure = {
-            "title": title,
-            "series": [dict(result_to_row(result), figure=name)
-                       for result in runs],
+        return {
+            "title": self.title,
+            "series": [dict(result_to_row(result), figure=self.name)
+                       for scheme_runs in results.values()
+                       for result in scheme_runs],
             "spans": {scheme: merge_span_trees(scheme_trees).to_dict()
                       for scheme, scheme_trees in trees.items()},
-            "report": render(results),
+            "report": self.render(results),
         }
-        return figure, sum(result.wall_cycles for result in runs)
-
-    return FigureSpec(name, title, build)
 
 
 def _stream_points(scale: BenchScale, workload: str,
@@ -132,7 +121,7 @@ def _stream_figure(name: str, title: str, workload: str,
 
     render = _breakdown_table(title) if breakdown \
         else _throughput_table(title)
-    return _point_figure(name, title, points, render)
+    return FigureSpec(name, title, points, render)
 
 
 _FIG01_TITLE = "Figure 1: IOMMU protection cost, RX 16KB, 1 vs N cores"
@@ -199,15 +188,9 @@ def _render_scalinv(results: Results) -> str:
     return "\n".join(lines)
 
 
-def _fleet_build(scale: BenchScale) -> Tuple[dict, int]:
-    # Lazy import: repro.bench.fleet imports this module's helpers.
-    from repro.bench.fleet import build_fleet_figure
-    return build_fleet_figure()
-
-
 #: The registry, in the paper's figure order.
 FIGURES: Tuple[FigureSpec, ...] = (
-    _point_figure(
+    FigureSpec(
         "fig01", _FIG01_TITLE,
         lambda scale: _stream_points(scale, "stream", _FIG01_SCHEMES,
                                      (1, scale.multi_cores),
@@ -225,17 +208,17 @@ FIGURES: Tuple[FigureSpec, ...] = (
                    multi=True),
     _stream_figure("fig08", "Figure 8: 16-core RX breakdown [us], 64KB",
                    "stream", multi=True, breakdown=True),
-    _point_figure(
+    FigureSpec(
         "fig09", "Figure 9: TCP_RR latency",
         lambda scale: _rr_points(scale, scale.message_sizes("fig09")),
         lambda results: render_latency_table(
             results, title="Figure 9: TCP_RR latency (netperf TCP_RR)")),
-    _point_figure(
+    FigureSpec(
         "fig10", "Figure 10: TCP_RR CPU breakdown",
         lambda scale: _rr_points(scale, scale.message_sizes("fig10")),
         _breakdown_table(
             "Figure 10: TCP_RR CPU breakdown per transaction [us], 64KB")),
-    _point_figure(
+    FigureSpec(
         "fig11", "Figure 11: memcached",
         lambda scale: [sized_point("memcached", scheme,
                                    cores=scale.memcached_cores,
@@ -245,7 +228,7 @@ FIGURES: Tuple[FigureSpec, ...] = (
         lambda results: render_memcached_table(
             {scheme: runs[0] for scheme, runs in results.items()},
             title="Figure 11: memcached + memslap")),
-    _point_figure(
+    FigureSpec(
         "storage", "Storage block I/O",
         lambda scale: [sized_point("storage", scheme, size=block_size,
                                    units=scale.storage_ops,
@@ -253,8 +236,7 @@ FIGURES: Tuple[FigureSpec, ...] = (
                        for scheme in FIGURE_SCHEMES
                        for block_size in scale.storage_block_sizes],
         _render_storage),
-    FigureSpec("fleet", "Fleet capacity at the SLO", _fleet_build),
-    _point_figure(
+    FigureSpec(
         "fig_scalinv", _FIG_SCALINV_TITLE,
         lambda scale: _stream_points(scale, "stream", SCALINV_SCHEMES,
                                      scale.scalinv_cores,
@@ -278,7 +260,7 @@ def select_figures(only: Optional[Sequence[str]]) -> List[FigureSpec]:
     return [by_name[name] for name in only]
 
 
-def _build_figure(name: str, scale: BenchScale) -> Tuple[dict, int]:
+def _build_figure(name: str, scale: BenchScale) -> dict:
     """Build one registry figure by name (a picklable worker)."""
     return next(spec for spec in FIGURES if spec.name == name).build(scale)
 
@@ -295,22 +277,24 @@ def build_figures(specs: Sequence[FigureSpec], scale: BenchScale,
     them back **in spec order**: both return values are deterministic
     regardless of job count.  Returns ``(figures, throughput)``: the
     per-figure record data plus a ``sim_cycles_per_wall_second`` entry
-    per figure and ``"overall"``.  Each entry counts every simulation
-    run inside the timed build and sums figure build times, not
-    makespan — comparable across job counts.
+    per figure and ``"overall"``.  A figure's simulated cycles are its
+    series rows' ``wall_cycles``, and ``"overall"`` sums figure build
+    times, not makespan — comparable across job counts.
     """
     titles = {spec.name: spec.title for spec in specs}
 
-    def note(name: str, result: Tuple[dict, int], seconds: float) -> None:
+    def note(name: str, data: dict, seconds: float) -> None:
         print(f"[{label}] {name:<8} {titles[name]:<50} "
               f"{seconds:6.1f}s", file=sys.stderr)
 
     names = [spec.name for spec in specs]
     built = fan_out(functools.partial(_build_figure, scale=scale), names,
                     jobs, note)
-    figures = {name: data for name, ((data, _), _) in zip(names, built)}
-    throughput = {name: throughput_entry(sim_cycles, seconds)
-                  for name, ((_, sim_cycles), seconds) in zip(names, built)}
+    figures = {name: data for name, (data, _) in zip(names, built)}
+    throughput = {
+        name: throughput_entry(
+            sum(row["wall_cycles"] for row in data["series"]), seconds)
+        for name, (data, seconds) in zip(names, built)}
     throughput["overall"] = throughput_entry(
         sum(entry["sim_cycles"] for entry in throughput.values()),
         sum(seconds for _, seconds in built))

@@ -274,31 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output directory for scale.json/scale.md "
                               "(default benchmarks/results)")
 
-    fleet_p = sub.add_parser(
-        "fleet",
-        help="fleet capacity observatory: max sustained users per "
-             "scheme at an SLO objective, with breach forensics")
-    fleet_p.add_argument("--schemes", metavar="LIST",
-                         default="identity-strict,copy",
-                         help="comma-separated schemes to search "
-                              "(aliases like strict/copy allowed; "
-                              "default identity-strict,copy)")
-    fleet_sizing = fleet_p.add_mutually_exclusive_group()
-    fleet_sizing.add_argument("--quick", action="store_true",
-                              help="smoke sizing (default)")
-    fleet_sizing.add_argument("--full", action="store_true",
-                              help="report sizing: longer diurnal "
-                                   "trace, tighter bisection")
-    fleet_p.add_argument("--jobs", type=_positive_int, default=1,
-                         metavar="N",
-                         help="search schemes across N processes; the "
-                              "record is byte-stable regardless of N "
-                              "(default 1)")
-    fleet_p.add_argument("--out", metavar="DIR", default=None,
-                         help="output directory for fleet.json/fleet.md/"
-                              "fleet_windows.jsonl "
-                              "(default benchmarks/results)")
-
     diff_p = sub.add_parser(
         "diff",
         help="differential root-cause report: A/B attribution between "
@@ -658,13 +633,6 @@ def _dispatch(args) -> int:
         return run_scale(workload=args.workload, schemes=schemes,
                          cores=cores, mode=mode, jobs=args.jobs,
                          out_dir=args.out)
-    if args.command == "fleet":
-        from repro.bench.fleet import run_fleet_capacity
-
-        schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-        mode = "full" if args.full else "quick"
-        return run_fleet_capacity(schemes=schemes, mode=mode,
-                                  jobs=args.jobs, out_dir=args.out)
     if args.command == "diff":
         from repro.obs.diff.command import run_diff
 

@@ -20,7 +20,6 @@ from repro.obs.exposure import ExposureAccountant
 from repro.obs.locks import LockContentionRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.requests import RequestRecorder
-from repro.obs.slo import SloRecorder
 from repro.obs.spans import SpanRecorder
 from repro.obs.trace import EV_PHASE, NullTracer, RingTracer
 
@@ -43,54 +42,42 @@ class PhaseRecord:
 class Observability:
     """Tracer + metrics + spans + phase timeline for one simulated run."""
 
-    def __init__(self, tracer=None, metrics: MetricsRegistry | None = None,
-                 enabled: bool = True,
-                 spans: SpanRecorder | None = None,
-                 exposure: ExposureAccountant | None = None,
-                 requests: RequestRecorder | None = None):
+    def __init__(self, tracer=None):
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: Hierarchical cycle-attribution recorder (see repro.obs.spans).
-        self.spans = spans if spans is not None else SpanRecorder()
+        self.spans = SpanRecorder()
         #: Exposure accountant (see repro.obs.exposure): stale windows,
         #: granularity excess, mapped surface, fault forensics.
-        self.exposure = exposure if exposure is not None \
-            else ExposureAccountant(metrics=self.metrics, spans=self.spans)
+        self.exposure = ExposureAccountant(metrics=self.metrics,
+                                           spans=self.spans)
         #: Request-scoped causal tracing (see repro.obs.requests):
         #: per-request ids, stage timelines, tail-latency attribution.
-        self.requests = requests if requests is not None \
-            else RequestRecorder()
+        self.requests = RequestRecorder()
         #: Per-lock contention matrix (see repro.obs.locks): waiter and
         #: holder cycles by core, waiter→holder hand-off edges.  Feeds
         #: the scalability observatory's contention attribution.
         self.locks = LockContentionRecorder()
-        #: Streaming SLO telemetry (see repro.obs.slo): tumbling windows
-        #: of request latency judged against an objective, with breach
-        #: forensics drawn from the span and lock recorders.  Inert
-        #: until a workload calls ``obs.slo.configure(objective)``.
-        self.slo = SloRecorder(metrics=self.metrics, spans=self.spans,
-                               locks=self.locks)
-        #: Master switch instrumented hot paths guard on.  Disabled means
-        #: neither events, metrics, spans, nor exposure are recorded.
-        self.enabled = enabled and self.tracer.enabled
+        #: Master switch instrumented hot paths guard on.  Disabled (a
+        #: :class:`NullTracer`) means neither events, metrics, spans,
+        #: nor exposure are recorded.
+        self.enabled = self.tracer.enabled
         self.phases: List[PhaseRecord] = []
         if self.enabled:
             # Wire the request recorder into the rest of the layer:
             # spans feed it stages, the tracer stamps events with the
-            # active rid, fault forensics can name in-flight rids, and
-            # completed requests stream into the SLO windows.
+            # active rid, and fault forensics can name in-flight rids.
             self.spans.listener = self.requests
             self.requests.tracer = self.tracer
             if hasattr(self.tracer, "rid_of"):
                 self.tracer.rid_of = self.requests.current_rid
             self.exposure.requests = self.requests
-            self.requests.listener = self.slo
 
     # ------------------------------------------------------------------
     @classmethod
     def null(cls) -> "Observability":
         """A disabled context (what every run gets unless it opts in)."""
-        return cls(tracer=NullTracer(), enabled=False)
+        return cls(tracer=NullTracer())
 
     @classmethod
     def capture(cls, trace_capacity: int = 1 << 16) -> "Observability":

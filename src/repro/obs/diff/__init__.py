@@ -5,8 +5,8 @@ identical load — and every scheme the ROADMAP adds (per-core
 invalidation queues, IOTLB prefetch, the post-2016 contenders) will be
 judged the same way.  This package is the comparison engine: given two
 sides — live runs, persisted artifacts (``BENCH_*.json``,
-``scale.json``, ``fleet.json``), or a run against the checked-in
-baseline — it produces one deterministic differential report:
+``scale.json``), or a run against the checked-in baseline — it
+produces one deterministic differential report:
 
 * a **span-trie diff** (:mod:`repro.obs.diff.spandiff`) with per-unit-
   of-work-normalized self-cycle deltas, naming grown and shrunk

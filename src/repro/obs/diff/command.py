@@ -3,7 +3,7 @@
 Three modes, decided by how many record paths the user gave:
 
 * **two paths** — diff artifact A against artifact B (any mix of
-  ``BENCH_*.json``, ``scale.json``, ``fleet.json``);
+  ``BENCH_*.json`` and ``scale.json``);
 * **one path** — diff the checked-in regression baseline
   (``benchmarks/results/baseline.json``) against the given artifact,
   the "did my branch move anything" question;

@@ -6,18 +6,18 @@ keyed so the two sides align.  Every persisted record has one shape
 row by :func:`repro.bench.record.row_key` — ``(figure, scheme,
 workload, cores, params…)`` — a span tree by ``(figure, scheme,
 "spans")``, and a per-scheme section entry (a scale sweep's
-``analysis``, a fleet search's ``capacity``) by ``(figure, section,
-scheme)``.  Live pairs key by ``(workload, cores…)`` with the scheme
-deliberately excluded, so an ``identity-strict`` run lines up against a
-``copy`` run of the same load.  Each point carries its flattenable
-metric payload and its units of work; span trees and request tail
-reports ride alongside when the source has them (live captures always
-do; records carry spans per figure × scheme).
+``analysis``) by ``(figure, section, scheme)``.  Live pairs key by
+``(workload, cores…)`` with the scheme deliberately excluded, so an
+``identity-strict`` run lines up against a ``copy`` run of the same
+load.  Each point carries its flattenable metric payload and its units
+of work; span trees and request tail reports ride alongside when the
+source has them (live captures always do; records carry spans per
+figure × scheme).
 
 Three constructors cover the CLI's modes:
 
 * :func:`load_side` / :func:`side_from_record` — any persisted record
-  (``BENCH_*.json``, ``scale.json``, ``fleet.json``);
+  (``BENCH_*.json``, ``scale.json``);
 * :func:`side_from_capture` — one completed instrumented run (how
   ``repro report`` reuses its tail-attribution captures);
 * :func:`run_live_pair` — run two schemes under identical load as two

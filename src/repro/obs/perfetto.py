@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.requests import cycles_to_us
 from repro.obs.trace import EV_LOCK_CONTEND
@@ -91,7 +91,7 @@ def _lock_waiter_counters(obs) -> List[Dict[str, object]]:
     return events
 
 
-def perfetto_trace(obs, max_requests: Optional[int] = None) -> Dict[str, object]:
+def perfetto_trace(obs) -> Dict[str, object]:
     """Build the Chrome ``trace_event`` JSON object for a traced run."""
     events: List[Dict[str, object]] = []
     cores_seen = set()
@@ -108,8 +108,6 @@ def perfetto_trace(obs, max_requests: Optional[int] = None) -> Dict[str, object]
     })
 
     records = obs.requests.retained()
-    if max_requests is not None:
-        records = records[:max_requests]
     for record in records:
         cores_seen.add(record.core)
         args = {"rid": record.rid, "kind": record.kind,
@@ -190,10 +188,9 @@ def perfetto_trace(obs, max_requests: Optional[int] = None) -> Dict[str, object]
     }
 
 
-def write_perfetto(obs, path: str,
-                   max_requests: Optional[int] = None) -> int:
+def write_perfetto(obs, path: str) -> int:
     """Write the trace JSON to ``path``; returns the event count."""
-    trace = perfetto_trace(obs, max_requests=max_requests)
+    trace = perfetto_trace(obs)
     with open(path, "w") as fh:
         json.dump(trace, fh, separators=(",", ":"))
     return len(trace["traceEvents"])

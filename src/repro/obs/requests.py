@@ -240,10 +240,6 @@ class RequestRecorder:
     def __init__(self) -> None:
         #: Set by Observability so begin/end can emit trace events.
         self.tracer = None
-        #: Optional observer with ``on_request(record)``, called with
-        #: every completed (outermost) request — how the SLO recorder
-        #: folds requests into windows.
-        self.listener = None
         self._next_rid = 1
         self._active: Dict[int, _ActiveRequest] = {}
         self.started = 0
@@ -330,8 +326,6 @@ class RequestRecorder:
             if len(self._sample) >= _SAMPLE_CAP:
                 self._sample = self._sample[::2]
                 self._sample_stride *= 2
-        if self.listener is not None:
-            self.listener.on_request(record)
         return record
 
     def mark(self, core, name: str) -> None:

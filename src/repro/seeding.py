@@ -2,8 +2,8 @@
 
 Workloads and the fault planner all need *independent* pseudo-random
 streams derived from one user-facing seed: memcached's per-core request
-mixes, the storage workload's read/write choices, the fleet workload's
-connection composition, the fault plan's per-site schedules.  Ad-hoc
+mixes, the storage workload's read/write choices, the fault plan's
+per-site schedules.  Ad-hoc
 mixing (``seed ^ cid``) is dangerous when streams are composed — two
 generators seeded ``seed ^ 1`` and ``seed ^ 1`` collide, and XOR mixes
 of small integers keep the streams correlated.

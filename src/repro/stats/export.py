@@ -98,14 +98,6 @@ def result_to_row(result: RunResult) -> dict:
             row["iotlb_prefetches"] = prefetches
             row["iotlb_prefetch_hit_rate"] = round(
                 iotlb.get("prefetch_hits", 0) / prefetches, 6)
-    slo = result.extras.get("slo")
-    if isinstance(slo, dict) and slo.get("armed"):
-        # SLO-window columns (see repro.obs.slo): breach counts gate
-        # with the zero-baseline rule — a run that was clean at the
-        # baseline must stay clean.
-        row["slo_breach_windows"] = slo.get("breach_windows", 0)
-        row["slo_worst_p99_us"] = slo.get("worst_p99_us")
-        row["slo_drops"] = slo.get("drops", 0)
     return row
 
 

@@ -9,8 +9,9 @@ and held above the regression gate's simulator-speed floor.
 
 import glob
 import json
+from pathlib import Path
 
-from repro.bench.record import build_record, stable_view
+from repro.bench.record import build_record, load_record, stable_view
 from repro.bench.regression import slow_sections
 from repro.bench.runner import FIGURE_SCHEMES, build_figures, select_figures
 from repro.bench.scales import BenchScale
@@ -31,9 +32,23 @@ TINY = BenchScale(
 
 _TWO_FIGURES = ["storage", "fig05"]
 
+BASELINE = Path(__file__).resolve().parents[2] \
+    / "benchmarks" / "results" / "baseline.json"
+
 
 def _stable_json(record: dict) -> str:
     return json.dumps(stable_view(record), sort_keys=True)
+
+
+def _assert_sim_cycles_are_row_cycles(figures: dict,
+                                      throughput: dict) -> None:
+    """A figure's simulated cycles are its series rows' wall cycles, and
+    ``overall`` sums the figures."""
+    for name, figure in figures.items():
+        assert throughput[name]["sim_cycles"] == sum(
+            row["wall_cycles"] for row in figure["series"]), name
+    assert throughput["overall"]["sim_cycles"] == sum(
+        throughput[name]["sim_cycles"] for name in figures)
 
 
 def test_parallel_build_matches_serial():
@@ -51,6 +66,13 @@ def test_parallel_build_matches_serial():
         assert parallel_tp[name]["sim_cycles"] \
             == serial_tp[name]["sim_cycles"]
         assert parallel_tp[name]["sim_cycles_per_wall_second"] > 0
+    _assert_sim_cycles_are_row_cycles(serial_figures, serial_tp)
+
+
+def test_baseline_sim_cycles_are_its_rows_cycles():
+    baseline = load_record(str(BASELINE))
+    _assert_sim_cycles_are_row_cycles(baseline["figures"],
+                                      baseline["throughput"])
 
 
 def test_bench_jobs_records_byte_identical(tmp_path):

@@ -1,6 +1,6 @@
 """The run-point executor: the workload table and the one fan-out.
 
-``fan_out`` is what makes every bench, scale, fleet and diff artifact
+``fan_out`` is what makes every bench, scale and diff artifact
 independent of ``--jobs``: results come back in task order whatever
 order the workers finish in, each task is timed inside its worker, and
 a single task never pays for a process pool.

@@ -46,8 +46,7 @@ TINY = BenchScale(
 @pytest.fixture(scope="module")
 def fig03_data():
     spec = next(s for s in FIGURES if s.name == "fig03")
-    data, _ = spec.build(TINY)
-    return data
+    return spec.build(TINY)
 
 
 def test_registry_names_are_unique_and_ordered():
@@ -144,7 +143,7 @@ def test_fig_scalinv_build_tiny():
     from repro.bench.runner import SCALINV_SCHEMES
 
     spec = next(s for s in FIGURES if s.name == "fig_scalinv")
-    data, _ = spec.build(TINY)
+    data = spec.build(TINY)
     rows = data["series"]
     assert len(rows) == len(SCALINV_SCHEMES) * len(TINY.scalinv_cores)
     by_scheme = {}

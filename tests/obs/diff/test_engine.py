@@ -56,23 +56,17 @@ def test_one_loader_keys_rows_spans_and_sections(baseline_record):
             "analysis": {"copy": {"serial_fraction": 0.2}},
             "queueing": {"copy": [{"cores": 2}]},
         },
-        "fleet": {
-            "series": [],
-            "objective": {"p99_us": 60.0},
-            "capacity": {"copy": {"capacity_users": 900}},
-        },
     }}
     side = side_from_record(record, "r")
     assert side.keys() == [
-        ("fleet", "capacity", "copy"),
         ("scale", "analysis", "copy"),
         ("scale", "copy", "spans"),
         ("scale", "copy", "stream", "cores=2"),
         ("scale", "copy", "stream", "cores=4"),
     ]
     assert side.points[("scale", "copy", "spans")].units == 20
-    assert side.points[("fleet", "capacity", "copy")].metrics \
-        == {"capacity_users": 900}
+    assert side.points[("scale", "analysis", "copy")].metrics \
+        == {"serial_fraction": 0.2}
 
 
 def test_injected_hot_path_tops_the_report(baseline_record):

@@ -16,9 +16,9 @@ def test_null_context_is_disabled():
 
 
 def test_null_tracer_forces_disabled():
-    # Even with enabled=True, a NullTracer cannot capture anything.
-    obs = Observability(tracer=NullTracer(), enabled=True)
-    assert obs.enabled is False
+    # The tracer decides: a NullTracer context captures nothing.
+    assert Observability(tracer=NullTracer()).enabled is False
+    assert Observability().enabled is False
 
 
 def test_capture_context_is_enabled():

@@ -85,15 +85,6 @@ def test_write_perfetto_round_trips_through_json(tmp_path):
     assert loaded["otherData"]["source"] == "repro.obs.perfetto"
 
 
-def test_max_requests_caps_the_export():
-    obs = _traced_obs()
-    capped = perfetto_trace(obs, max_requests=3)
-    assert capped["otherData"]["requests_exported"] == 3
-    rids = {ev["args"]["rid"] for ev in capped["traceEvents"]
-            if ev["ph"] == "X" and ev.get("cat") == "request"}
-    assert len(rids) == 3
-
-
 def test_empty_run_exports_only_metadata():
     obs = Observability.capture(trace_capacity=16)
     trace = perfetto_trace(obs)

@@ -28,7 +28,7 @@ _RR = dict(scheme="copy", message_size=64, transactions=40,
            warmup_transactions=10)
 
 #: Runner, config class and parameters of each run the cycle-identity
-#: test traces (RX stream and fleet have tests of their own below).
+#: test traces (RX stream has tests of its own below).
 _TRACED_RUNS = {
     "rr": (run_tcp_rr, RRConfig, _RR),
     "stream-tx": (run_tcp_stream_tx, StreamConfig,
@@ -174,44 +174,6 @@ def test_request_null_run_records_nothing():
     assert null_obs.requests.started == 0
     assert null_obs.requests.completed == 0
     assert null_obs.requests.open_requests == 0
-
-
-def test_slo_armed_fleet_run_is_cycle_identical():
-    """The SLO recorder (windows, drop accounting, forensics snapshots)
-    rides the request listener and reads clocks only — an armed fleet
-    run reproduces the bare run's cycles exactly."""
-    from repro.workloads.fleet import FleetConfig, run_fleet
-
-    cfg = dict(scheme="identity-strict", cores=2, users=4_000_000,
-               duration_us=800.0, warmup_us=150.0)
-    bare = run_fleet(FleetConfig(**cfg))
-    obs = Observability.capture(trace_capacity=256)
-    traced = run_fleet(FleetConfig(**cfg, obs=obs))
-    assert traced.wall_cycles == bare.wall_cycles
-    assert traced.busy_cycles == bare.busy_cycles
-    assert traced.breakdown_cycles == bare.breakdown_cycles
-    assert traced.units == bare.units
-    # The recorder actually recorded: the measured phase was windowed.
-    summary = obs.slo.summary()
-    assert summary["armed"]
-    assert summary["windows"] > 0
-    assert summary["completions"] > 0
-    assert traced.extras["slo"]["windows"] == summary["windows"]
-    assert "slo" not in bare.extras
-
-
-def test_slo_null_run_records_nothing():
-    """With the null context the SLO recorder is never configured —
-    the workload's arm site is behind the same guard."""
-    from repro.workloads.fleet import FleetConfig, run_fleet
-
-    null_obs = Observability(tracer=NullTracer())
-    result = run_fleet(FleetConfig(
-        scheme="copy", cores=2, users=1_000_000,
-        duration_us=400.0, warmup_us=100.0, obs=null_obs))
-    assert not null_obs.slo.armed
-    assert null_obs.slo.windows == []
-    assert "slo" not in result.extras
 
 
 def test_span_instrumented_run_is_byte_identical():

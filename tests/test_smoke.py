@@ -56,5 +56,5 @@ def test_missing_throughput_names_zeroed_and_absent_figures():
     assert smoke.missing_throughput(baseline) == []
     rerun = copy.deepcopy(baseline)
     rerun["throughput"]["fig05"]["sim_cycles_per_wall_second"] = 0
-    del rerun["throughput"]["fleet"]
-    assert smoke.missing_throughput(rerun) == ["fig05", "fleet"]
+    del rerun["throughput"]["fig11"]
+    assert smoke.missing_throughput(rerun) == ["fig05", "fig11"]

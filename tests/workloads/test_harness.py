@@ -13,7 +13,6 @@ import pytest
 
 from repro.hw.machine import Machine
 from repro.obs.context import Observability
-from repro.workloads.fleet import FleetConfig, run_fleet
 from repro.workloads.harness import Tally
 from repro.workloads.memcached import MemcachedConfig, run_memcached
 from repro.workloads.netperf import (RRConfig, StreamConfig, run_tcp_rr,
@@ -36,9 +35,6 @@ RUNS = {
     "memcached": (run_memcached, MemcachedConfig,
                   dict(scheme="copy", cores=2, transactions_per_core=20,
                        warmup_transactions=5)),
-    "fleet": (run_fleet, FleetConfig,
-              dict(scheme="copy", cores=2, users=1_000_000,
-                   duration_us=200.0, warmup_us=50.0)),
 }
 
 

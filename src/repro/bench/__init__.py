@@ -10,7 +10,8 @@ the baseline exactly under :func:`repro.bench.record.stable_view`.
 ``scale`` writes a record of the same shape.  The resource
 accounting smoke checks live in :mod:`repro.bench.invariants`.
 
-Every run behind ``bench``, ``report``, ``scale`` and ``diff`` is a :class:`~repro.bench.points.RunPoint` executed by
+Every run behind ``bench``, ``scale`` and ``diff`` is a
+:class:`~repro.bench.points.RunPoint` executed by
 :func:`repro.bench.points.run_point`, and every ``--jobs`` fan-out is
 :func:`repro.bench.points.fan_out`.
 """

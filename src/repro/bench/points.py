@@ -1,4 +1,4 @@
-"""Run points and the one fan-out behind bench, report, scale and diff.
+"""Run points and the one fan-out behind bench, scale and diff.
 
 Every number those commands report is one workload run at one point
 under capture, and this module is the only place that happens:

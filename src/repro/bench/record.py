@@ -13,8 +13,9 @@ scale sweep's ``analysis``).
 baseline gate alike.
 
 The bench markdown report embeds the paper-fidelity table
-(:mod:`repro.bench.ledger`) and the paper-style text tables, so a
-record is readable without tooling.
+(:mod:`repro.bench.ledger`), the paper-style text tables and two tables
+computed from the series rows (request-latency tails and per-scheme
+exposure), so a record is readable without tooling.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import os
 import subprocess
 from datetime import datetime, timezone
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.ledger import evaluate, render_fidelity
 from repro.obs.spans import SpanNode
@@ -181,9 +182,58 @@ def _span_highlights(figure: dict, max_schemes: int = 4) -> str:
     return "\n\n".join(parts)
 
 
+def _latency_table(record: Dict) -> List[str]:
+    """Every series row with request-tail columns, side by side."""
+    lines = []
+    for name, figure in record.get("figures", {}).items():
+        for row in figure.get("series", ()):
+            if row.get("latency_p50_us") is None:
+                continue
+            params = ", ".join(
+                f"{key[len('param_'):]}={value}"
+                for key, value in sorted(row.items())
+                if key.startswith("param_") and key != "param_cores"
+                and key != "param_direction")
+            lines.append(
+                f"| {name} | {row.get('scheme')} | {row.get('workload')} "
+                f"| {row.get('cores')} | {params} "
+                f"| {row.get('latency_p50_us')} "
+                f"| {row.get('latency_p99_us')} "
+                f"| {row.get('latency_p999_us')} |")
+    if not lines:
+        return ["(no request-latency data in this run)"]
+    return ["| figure | scheme | workload | cores | params | p50 [us] "
+            "| p99 [us] | p99.9 [us] |",
+            "|---|---|---|---:|---|---:|---:|---:|", *lines]
+
+
+def _exposure_table(record: Dict) -> List[str]:
+    """Per-scheme exposure totals summed across the series rows."""
+    per_scheme: Dict[str, Dict[str, int]] = {}
+    for figure in record.get("figures", {}).values():
+        for row in figure.get("series", ()):
+            if row.get("exposure_stale_byte_cycles") is None:
+                continue
+            agg = per_scheme.setdefault(str(row.get("scheme")),
+                                        {"stale": 0, "excess": 0,
+                                         "faults": 0})
+            agg["stale"] += row.get("exposure_stale_byte_cycles", 0)
+            agg["excess"] += row.get("exposure_excess_byte_cycles", 0)
+            agg["faults"] += row.get("exposure_faults", 0)
+    if not per_scheme:
+        return ["(no exposure data in this run)"]
+    return ["| scheme | stale [B·cyc] | granularity excess [B·cyc] "
+            "| faults |",
+            "|---|---:|---:|---:|",
+            *(f"| {scheme} | {agg['stale']:,} | {agg['excess']:,} "
+              f"| {agg['faults']:,} |"
+              for scheme, agg in sorted(per_scheme.items()))]
+
+
 def render_markdown(record: Dict) -> str:
     """A self-contained report: fingerprint, simulator throughput,
-    paper fidelity, per-figure tables and spans."""
+    paper fidelity, per-figure tables and spans, request-latency tails
+    and exposure totals."""
     fp = record.get("fingerprint", {})
     lines = [
         "# Benchmark record",
@@ -220,4 +270,7 @@ def render_markdown(record: Dict) -> str:
         highlights = _span_highlights(figure)
         if highlights:
             lines.extend(["```text", highlights, "```", ""])
+    lines.extend(["## Request latency tails", "", *_latency_table(record),
+                  "", "## Exposure (summed across series points)", "",
+                  *_exposure_table(record), ""])
     return "\n".join(lines)

@@ -3,8 +3,9 @@
 Every figure/table of the paper is a :class:`FigureSpec` that runs at a
 selectable scale (:mod:`repro.bench.scales`): a list of
 :class:`~repro.bench.points.RunPoint` plus the renderer of its text
-table.  :func:`build_figures` fans the figures out through
-:func:`repro.bench.points.fan_out` and feeds one fingerprinted record
+table.  :func:`build_figures` runs each distinct point of the selected
+figures once through :func:`repro.bench.points.fan_out`, builds every
+figure as a view of those runs, and feeds one fingerprinted record
 (:mod:`repro.bench.record`), the paper-fidelity ledger
 (:mod:`repro.bench.ledger`) and the optional regression gate
 (:mod:`repro.bench.regression`).
@@ -18,7 +19,6 @@ an uninstrumented run, so span capture is unconditionally on here.
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 import time
@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.ledger import broken, evaluate, render_fidelity
 from repro.bench.points import (
+    WORKLOADS,
     RunPoint,
     fan_out,
     run_point,
@@ -69,25 +70,6 @@ class FigureSpec:
     title: str
     points: Callable[[BenchScale], List[RunPoint]]
     render: Callable[[Results], str]
-
-    def build(self, scale: BenchScale) -> dict:
-        """Run the points in order: one series row per point, one merged
-        span tree per scheme, and the rendered table."""
-        results: Results = {}
-        trees: Dict[str, List[SpanNode]] = {}
-        for point in self.points(scale):
-            result, obs = run_point(point)
-            results.setdefault(point.scheme, []).append(result)
-            trees.setdefault(point.scheme, []).append(obs.spans.tree())
-        return {
-            "title": self.title,
-            "series": [dict(result_to_row(result), figure=self.name)
-                       for scheme_runs in results.values()
-                       for result in scheme_runs],
-            "spans": {scheme: merge_span_trees(scheme_trees).to_dict()
-                      for scheme, scheme_trees in trees.items()},
-            "report": self.render(results),
-        }
 
 
 def _stream_points(scale: BenchScale, workload: str,
@@ -248,7 +230,8 @@ FIGURE_NAMES = tuple(spec.name for spec in FIGURES)
 
 
 def select_figures(only: Optional[Sequence[str]]) -> List[FigureSpec]:
-    """Resolve ``--only`` selections against the registry (fail fast)."""
+    """Resolve ``--only`` selections against the registry (fail fast); a
+    repeated name selects its figure once."""
     if not only:
         return list(FIGURES)
     by_name = {spec.name: spec for spec in FIGURES}
@@ -257,47 +240,95 @@ def select_figures(only: Optional[Sequence[str]]) -> List[FigureSpec]:
         raise SystemExit(
             f"error: unknown figure(s) {', '.join(unknown)}; "
             f"choices: {', '.join(FIGURE_NAMES)}")
-    return [by_name[name] for name in only]
+    return [by_name[name] for name in dict.fromkeys(only)]
 
 
-def _build_figure(name: str, scale: BenchScale) -> dict:
-    """Build one registry figure by name (a picklable worker)."""
-    return next(spec for spec in FIGURES if spec.name == name).build(scale)
+def _point_key(point: RunPoint) -> tuple:
+    """A point's identity in the point table: workload, scheme and
+    sorted config fields."""
+    return (point.workload, point.scheme,
+            tuple(sorted(point.params.items())))
+
+
+def _run_captured(point: RunPoint) -> Tuple[RunResult, SpanNode]:
+    """Run one point under capture: its result and span tree (a
+    picklable worker)."""
+    result, obs = run_point(point)
+    return result, obs.spans.tree()
+
+
+def _figure(spec: FigureSpec, points: Sequence[RunPoint],
+            runs: Sequence[Tuple[RunResult, SpanNode]]) -> dict:
+    """One figure as a view of its points' runs, in point order: one
+    series row per point, one merged span tree per scheme, and the
+    rendered table."""
+    results: Results = {}
+    trees: Dict[str, List[SpanNode]] = {}
+    for point, (result, tree) in zip(points, runs):
+        results.setdefault(point.scheme, []).append(result)
+        trees.setdefault(point.scheme, []).append(tree)
+    return {
+        "title": spec.title,
+        "series": [dict(result_to_row(result), figure=spec.name)
+                   for scheme_runs in results.values()
+                   for result in scheme_runs],
+        "spans": {scheme: merge_span_trees(scheme_trees).to_dict()
+                  for scheme, scheme_trees in trees.items()},
+        "report": spec.render(results),
+    }
 
 
 def build_figures(specs: Sequence[FigureSpec], scale: BenchScale,
-                  jobs: int = 1, label: str = "bench",
-                  ) -> Tuple[Dict[str, dict], Dict[str, dict]]:
-    """Build every figure, timed — THE shared timed-run helper behind
-    ``bench`` and ``report`` (one implementation, so the two progress/
-    timing paths cannot drift).
+                  jobs: int = 1) -> Tuple[Dict[str, dict], Dict[str, dict]]:
+    """Build every figure from one point table, timed.
 
-    Figures are independent tasks of :func:`repro.bench.points.fan_out`,
-    so ``jobs > 1`` distributes them over worker processes and merges
-    them back **in spec order**: both return values are deterministic
-    regardless of job count.  Returns ``(figures, throughput)``: the
-    per-figure record data plus a ``sim_cycles_per_wall_second`` entry
-    per figure and ``"overall"``.  A figure's simulated cycles are its
-    series rows' ``wall_cycles``, and ``"overall"`` sums figure build
-    times, not makespan — comparable across job counts.
+    The table holds each distinct point of ``specs`` once, in the order
+    the figures first read it.  Its points are the tasks of
+    :func:`repro.bench.points.fan_out`, merged back **in table order**,
+    and each figure is a view of its own points' runs, so both return
+    values are identical at any job count.  Returns ``(figures,
+    throughput)``: the per-figure record data plus a
+    ``sim_cycles_per_wall_second`` entry per figure and ``"overall"``.
+    A figure's simulated cycles are its series rows' ``wall_cycles`` and
+    its wall seconds its points'; a point several figures read counts in
+    each, and ``"overall"`` sums the figures (figure work, not elapsed
+    time, so it is comparable across job counts).
     """
-    titles = {spec.name: spec.title for spec in specs}
+    started = time.perf_counter()
+    figure_points = {spec.name: spec.points(scale) for spec in specs}
+    table = {_point_key(point): point
+             for points in figure_points.values() for point in points}
 
-    def note(name: str, data: dict, seconds: float) -> None:
-        print(f"[{label}] {name:<8} {titles[name]:<50} "
-              f"{seconds:6.1f}s", file=sys.stderr)
+    def note(point: RunPoint, run: Tuple[RunResult, SpanNode],
+             seconds: float) -> None:
+        result = run[0]
+        size = result.params.get(WORKLOADS[point.workload].knobs["size"])
+        print(f"[bench] {point.workload:<9} {point.scheme:<25} "
+              f"cores={result.cores:<3} size={size:<6} "
+              f"{result.throughput_gbps:8.2f} Gb/s  {seconds:5.1f}s",
+              file=sys.stderr)
 
-    names = [spec.name for spec in specs]
-    built = fan_out(functools.partial(_build_figure, scale=scale), names,
-                    jobs, note)
-    figures = {name: data for name, (data, _) in zip(names, built)}
+    built = dict(zip(table, fan_out(_run_captured, list(table.values()),
+                                    jobs, note)))
+    figures: Dict[str, dict] = {}
+    seconds: Dict[str, float] = {}
+    for spec in specs:
+        points = figure_points[spec.name]
+        runs = [built[_point_key(point)] for point in points]
+        figures[spec.name] = _figure(spec, points, [run for run, _ in runs])
+        seconds[spec.name] = sum(wall for _, wall in runs)
     throughput = {
         name: throughput_entry(
-            sum(row["wall_cycles"] for row in data["series"]), seconds)
-        for name, (data, seconds) in zip(names, built)}
+            sum(row["wall_cycles"] for row in data["series"]),
+            seconds[name])
+        for name, data in figures.items()}
     throughput["overall"] = throughput_entry(
         sum(entry["sim_cycles"] for entry in throughput.values()),
-        sum(seconds for _, seconds in built))
+        sum(seconds.values()))
+    rate = throughput["overall"]["sim_cycles_per_wall_second"]
+    print(f"[bench] {len(specs)} figures, {len(table)} distinct points in "
+          f"{time.perf_counter() - started:.1f}s (jobs={jobs}, "
+          f"{rate:,} sim cycles/s)")
     return figures, throughput
 
 
@@ -307,7 +338,7 @@ def run_bench(mode: str = "quick", only: Optional[Sequence[str]] = None,
     """Run the registry, write the record + report, check the
     paper-fidelity ledger, optionally gate.
 
-    ``jobs`` shards the figure matrix across processes; the merged
+    ``jobs`` shards the distinct run points across processes; the merged
     record is byte-stable regardless of job count (modulo the timestamp
     and the wall-clock throughput fields).  Returns the process exit
     status: 0 on success, 1 when a ledger claim is broken or the
@@ -332,17 +363,11 @@ def run_bench(mode: str = "quick", only: Optional[Sequence[str]] = None,
     specs = select_figures(only)
     out = out_dir or default_results_dir()
 
-    started = time.perf_counter()
-    figures, throughput = build_figures(specs, scale, jobs=jobs,
-                                        label="bench")
+    figures, throughput = build_figures(specs, scale, jobs=jobs)
     record = build_record(mode=scale.name, figures=figures,
                           schemes=FIGURE_SCHEMES, throughput=throughput)
     json_path, md_path = write_record(record, out, record_basename(record),
                                       render_markdown(record))
-    rate = throughput["overall"]["sim_cycles_per_wall_second"]
-    print(f"[bench] {len(specs)} figures in "
-          f"{time.perf_counter() - started:.1f}s (jobs={jobs}, "
-          f"{rate:,} sim cycles/s)")
     print(f"[bench] record : {json_path}")
     print(f"[bench] report : {md_path}")
 

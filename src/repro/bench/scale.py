@@ -182,11 +182,10 @@ def build_sweep(workload: str, schemes: Sequence[str],
                 ) -> Tuple[List[Dict], Dict[str, dict]]:
     """Run every (scheme, cores) point; returns ``(rows, throughput)``.
 
-    Mirrors :func:`repro.bench.runner.build_figures`: points are
-    :func:`repro.bench.points.fan_out` tasks merged back **in task
-    order**, so the scheme-major rows are deterministic at any ``jobs``
-    count.  Each row is the point dict plus its ``figure``, ``scheme``
-    and ``workload``.  The throughput section sums per-point wall times
+    Points are :func:`repro.bench.points.fan_out` tasks merged back
+    **in task order**, so the scheme-major rows are deterministic at
+    any ``jobs`` count.  Each row is the point dict plus its
+    ``figure``, ``scheme`` and ``workload``.  The throughput section sums per-point wall times
     (not makespan), comparable across job counts the way the bench
     section is.
     """

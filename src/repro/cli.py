@@ -11,7 +11,6 @@ Examples::
     python -m repro storage --scheme copy --block-size 262144
     python -m repro trace --workload stream --cores 16 \\
         --scheme identity+ --requests --tail p99 --perfetto trace.json
-    python -m repro report --out REPORT.md
     python -m repro diff --workload stream --schemes strict,copy
     python -m repro diff benchmarks/results/BENCH_quick.json
 
@@ -168,20 +167,20 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--size", type=int, default=16384,
                         help="message size in bytes")
     stream.add_argument("--cores", type=int, default=1)
-    stream.add_argument("--units", type=int, default=1000,
+    stream.add_argument("--units", type=_positive_int, default=1000,
                         help="segments (rx) / messages (tx) per core")
 
     rr = sub.add_parser("rr", parents=[tracing],
                         help="netperf TCP_RR latency (Fig 9)")
     rr.add_argument("--scheme", type=_scheme, default="copy")
     rr.add_argument("--size", type=int, default=64)
-    rr.add_argument("--transactions", type=int, default=300)
+    rr.add_argument("--transactions", type=_positive_int, default=300)
 
     mc = sub.add_parser("memcached", parents=[tracing],
                         help="memcached + memslap (Fig 11)")
     mc.add_argument("--scheme", type=_scheme, default="copy")
     mc.add_argument("--cores", type=int, default=16)
-    mc.add_argument("--transactions", type=int, default=400,
+    mc.add_argument("--transactions", type=_positive_int, default=400,
                     help="transactions per core")
 
     st = sub.add_parser("storage", parents=[tracing],
@@ -189,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--scheme", type=_scheme, default="copy")
     st.add_argument("--block-size", type=int, default=4096)
     st.add_argument("--cores", type=int, default=1)
-    st.add_argument("--ops", type=int, default=400, help="ops per core")
+    st.add_argument("--ops", type=_positive_int, default=400,
+                    help="ops per core")
 
     trace = sub.add_parser(
         "trace", parents=[tracing],
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="message size (stream/rr) or block size "
                             "(storage) in bytes")
     trace.add_argument("--cores", type=int, default=1)
-    trace.add_argument("--units", type=int, default=400,
+    trace.add_argument("--units", type=_positive_int, default=400,
                        help="units/transactions/ops per core")
     trace.add_argument("--requests", action="store_true",
                        help="also print the causal timeline of the "
@@ -320,24 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the artifacts without printing the "
                              "report")
 
-    report = sub.add_parser(
-        "report", help="one-shot consolidated report: quick bench + "
-                       "markdown summary with latency tails")
-    report.add_argument("--out", metavar="PATH", default=None,
-                        help="write the markdown report to PATH "
-                             "(default benchmarks/results/REPORT.md)")
-    report.add_argument("--only", action="append", metavar="FIG",
-                        help="limit the bench sweep to this figure "
-                             "(repeatable)")
-    report.add_argument("--tail", type=parse_percentile, default=99.0,
-                        metavar="PCT",
-                        help="tail percentile for the attribution "
-                             "section (default p99)")
-    report.add_argument("--jobs", type=_positive_int, default=1,
-                        metavar="N",
-                        help="build figures across N processes "
-                             "(default 1)")
-
     bench = sub.add_parser(
         "bench", help="unified figure runner: BENCH_*.json + report + "
                       "optional regression gate")
@@ -357,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default benchmarks/results)")
     bench.add_argument("--jobs", type=_positive_int, default=1,
                        metavar="N",
-                       help="shard the figure matrix across N processes; "
-                            "the merged record is byte-stable regardless "
-                            "of N (default 1)")
+                       help="run the distinct run points across N "
+                            "processes; the merged record is byte-stable "
+                            "regardless of N (default 1)")
 
     return parser
 
@@ -644,11 +626,6 @@ def _dispatch(args) -> int:
                         size=args.size, units=args.units,
                         tail=args.tail, jobs=args.jobs,
                         out_dir=args.out, quiet=args.quiet)
-    if args.command == "report":
-        from repro.bench.report import run_report
-
-        return run_report(out=args.out, only=args.only, tail=args.tail,
-                          jobs=args.jobs)
     if args.command == "bench":
         from repro.bench.runner import run_bench
 

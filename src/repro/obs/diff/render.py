@@ -114,24 +114,6 @@ def _quantile_section(section: Dict[str, object],
     lines.append("")
 
 
-def render_diff_embed(diff: Dict[str, object]) -> List[str]:
-    """Compact body for embedding inside a larger report: verdict, span
-    movement, quantile shift — no top-level heading and no full metric
-    dump (that's the standalone report's job)."""
-    summary = diff.get("summary", {})
-    lines: List[str] = [
-        f"`{diff['a']['label']}` (A) vs `{diff['b']['label']}` (B) — "
-        f"{summary.get('verdict', '?')}",
-        "",
-    ]
-    for section in diff.get("spans", ()):
-        _span_section(section, lines)
-    if diff.get("quantile_shift"):
-        for section in diff["quantile_shift"]:
-            _quantile_section(section, lines)
-    return lines
-
-
 def render_diff_markdown(diff: Dict[str, object]) -> str:
     """The human-facing differential report."""
     summary = diff.get("summary", {})

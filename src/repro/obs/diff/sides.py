@@ -18,8 +18,7 @@ Three constructors cover the CLI's modes:
 
 * :func:`load_side` / :func:`side_from_record` — any persisted record
   (``BENCH_*.json``, ``scale.json``);
-* :func:`side_from_capture` — one completed instrumented run (how
-  ``repro report`` reuses its tail-attribution captures);
+* :func:`side_from_capture` — one completed instrumented run;
 * :func:`run_live_pair` — run two schemes under identical load as two
   :class:`~repro.bench.points.RunPoint` tasks of
   :func:`repro.bench.points.fan_out`, one process each when

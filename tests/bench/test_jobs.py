@@ -11,6 +11,7 @@ import glob
 import json
 from pathlib import Path
 
+from repro.bench import runner
 from repro.bench.record import build_record, load_record, stable_view
 from repro.bench.regression import slow_sections
 from repro.bench.runner import FIGURE_SCHEMES, build_figures, select_figures
@@ -53,10 +54,8 @@ def _assert_sim_cycles_are_row_cycles(figures: dict,
 
 def test_parallel_build_matches_serial():
     specs = select_figures(_TWO_FIGURES)
-    serial_figures, serial_tp = build_figures(specs, TINY, jobs=1,
-                                              label="test")
-    parallel_figures, parallel_tp = build_figures(specs, TINY, jobs=2,
-                                                  label="test")
+    serial_figures, serial_tp = build_figures(specs, TINY, jobs=1)
+    parallel_figures, parallel_tp = build_figures(specs, TINY, jobs=2)
     assert parallel_figures == serial_figures
     # Figures come back merged in spec order, not completion order.
     assert list(parallel_figures) == _TWO_FIGURES
@@ -67,6 +66,33 @@ def test_parallel_build_matches_serial():
             == serial_tp[name]["sim_cycles"]
         assert parallel_tp[name]["sim_cycles_per_wall_second"] > 0
     _assert_sim_cycles_are_row_cycles(serial_figures, serial_tp)
+
+
+def test_each_distinct_point_is_simulated_once(monkeypatch):
+    """At TINY the breakdown size is the single-core size, so fig05
+    reads fig03's points; a repeated ``--only`` name selects its figure
+    once.  Every figure still equals the same figure built alone."""
+    run_point = runner.run_point
+    calls = []
+
+    def counted(point):
+        calls.append(point)
+        return run_point(point)
+
+    monkeypatch.setattr(runner, "run_point", counted)
+    figures, throughput = build_figures(
+        select_figures(["fig03", "fig05", "storage", "fig05"]), TINY)
+    assert list(figures) == ["fig03", "fig05", "storage"]
+    # fig03's points (fig05 reads the same ones) and storage's.
+    assert len(calls) == 2 * len(FIGURE_SCHEMES)
+    assert len({(p.workload, p.scheme, tuple(sorted(p.params.items())))
+                for p in calls}) == len(calls)
+    for name in figures:
+        alone, alone_tp = build_figures(select_figures([name]), TINY)
+        assert figures[name] == alone[name], name
+        assert throughput[name]["sim_cycles"] \
+            == alone_tp[name]["sim_cycles"], name
+    _assert_sim_cycles_are_row_cycles(figures, throughput)
 
 
 def test_baseline_sim_cycles_are_its_rows_cycles():

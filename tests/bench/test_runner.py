@@ -20,9 +20,9 @@ from repro.bench.record import (
     write_record,
 )
 from repro.bench.runner import (
-    FIGURES,
     FIGURE_NAMES,
     FIGURE_SCHEMES,
+    build_figures,
     select_figures,
 )
 from repro.bench.scales import QUICK_SCALE, BenchScale
@@ -43,10 +43,14 @@ TINY = BenchScale(
 )
 
 
+def _build(name: str) -> dict:
+    figures, _ = build_figures(select_figures([name]), TINY)
+    return figures[name]
+
+
 @pytest.fixture(scope="module")
 def fig03_data():
-    spec = next(s for s in FIGURES if s.name == "fig03")
-    return spec.build(TINY)
+    return _build("fig03")
 
 
 def test_registry_names_are_unique_and_ordered():
@@ -59,6 +63,8 @@ def test_select_figures_rejects_unknown_names():
     assert [s.name for s in select_figures(None)] == list(FIGURE_NAMES)
     assert [s.name for s in select_figures(["fig08", "fig03"])] \
         == ["fig08", "fig03"]
+    assert [s.name for s in select_figures(["fig05", "fig05"])] \
+        == ["fig05"]
     with pytest.raises(SystemExit):
         select_figures(["fig99"])
 
@@ -98,6 +104,21 @@ def test_record_round_trip(tmp_path, fig03_data):
     assert "spans — identity-strict" in markdown
     with open(md_path) as fh:
         assert fh.read() == markdown
+
+
+def test_markdown_carries_latency_and_exposure_tables(fig03_data):
+    record = build_record(mode="tiny", figures={"fig03": fig03_data},
+                          schemes=FIGURE_SCHEMES)
+    markdown = render_markdown(record)
+    assert "## Request latency tails" in markdown
+    assert "p99.9 [us]" in markdown
+    assert "| fig03 | copy | tcp_stream_rx |" in markdown
+    assert "## Exposure" in markdown
+    assert "| identity-deferred |" in markdown
+    empty = render_markdown(build_record(mode="tiny", figures={},
+                                         schemes=FIGURE_SCHEMES))
+    assert "(no request-latency data in this run)" in empty
+    assert "(no exposure data in this run)" in empty
 
 
 def test_load_record_rejects_garbage(tmp_path):
@@ -142,8 +163,7 @@ def test_fig_scalinv_build_tiny():
     the record gates."""
     from repro.bench.runner import SCALINV_SCHEMES
 
-    spec = next(s for s in FIGURES if s.name == "fig_scalinv")
-    data = spec.build(TINY)
+    data = _build("fig_scalinv")
     rows = data["series"]
     assert len(rows) == len(SCALINV_SCHEMES) * len(TINY.scalinv_cores)
     by_scheme = {}

@@ -203,13 +203,18 @@ def test_trace_rejects_bad_percentile():
         build_parser().parse_args(["trace", "--tail", "p200"])
 
 
-def test_report_parser_flags():
-    args = build_parser().parse_args(
-        ["report", "--only", "fig03", "--out", "/tmp/r.md",
-         "--tail", "p99.9"])
-    assert args.only == ["fig03"]
-    assert args.out == "/tmp/r.md"
-    assert args.tail == 99.9
+@pytest.mark.parametrize("argv", [
+    ("stream", "--units", "-5"),
+    ("trace", "--units", "0"),
+    ("rr", "--transactions", "0"),
+    ("memcached", "--transactions", "0"),
+    ("storage", "--ops", "0"),
+], ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_workload_unit_counts_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
 
 
 def test_unknown_scheme_rejected():

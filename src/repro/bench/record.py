@@ -208,12 +208,19 @@ def _latency_table(record: Dict) -> List[str]:
 
 
 def _exposure_table(record: Dict) -> List[str]:
-    """Per-scheme exposure totals summed across the series rows."""
+    """Per-scheme exposure totals summed across the distinct run points:
+    a point several figures read (their rows equal but for ``figure``)
+    counts once."""
     per_scheme: Dict[str, Dict[str, int]] = {}
-    for figure in record.get("figures", {}).values():
+    points = set()
+    for name, figure in record.get("figures", {}).items():
         for row in figure.get("series", ()):
             if row.get("exposure_stale_byte_cycles") is None:
                 continue
+            point = row_key(name, row)[1:]
+            if point in points:
+                continue
+            points.add(point)
             agg = per_scheme.setdefault(str(row.get("scheme")),
                                         {"stale": 0, "excess": 0,
                                          "faults": 0})
@@ -271,6 +278,6 @@ def render_markdown(record: Dict) -> str:
         if highlights:
             lines.extend(["```text", highlights, "```", ""])
     lines.extend(["## Request latency tails", "", *_latency_table(record),
-                  "", "## Exposure (summed across series points)", "",
+                  "", "## Exposure (summed across distinct run points)", "",
                   *_exposure_table(record), ""])
     return "\n".join(lines)

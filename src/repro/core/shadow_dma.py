@@ -25,19 +25,21 @@ byte-granularity protection at huge-buffer sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.hints import CopyHint, clamp_hint
 from repro.core.shadow_pool import ShadowBufferMeta, ShadowBufferPool
 from repro.dma.api import DmaDirection, DmaHandle, IommuDmaApi, MappedBlock
 from repro.errors import DmaApiError, PoolExhaustedError, ReproError
-from repro.hw.cpu import CAT_COPY_MGMT, Core
+from repro.hw.cpu import CAT_COPY_MGMT, CAT_MEMCPY, ChargeBatch, Core
+from repro.hw.locks import UncontendedPairs
 from repro.hw.machine import Machine
 from repro.iommu.iommu import Iommu
 from repro.iova.base import IovaAllocator
+from repro.kalloc.buddy import BuddyAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
 from repro.obs.trace import EV_DMA_BOUNCE
-from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
+from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_order
 
 
 class _PhysView:
@@ -202,6 +204,126 @@ class ShadowDmaApi(IommuDmaApi):
                                nbytes=copy_len,
                                remote=meta.domain_node != buf.node)
         self.pool.release_shadow(core, meta)
+
+    # ------------------------------------------------------------------
+    # Ring setup and teardown in one pass.
+    # ------------------------------------------------------------------
+    def dma_map_fresh(self, core: Core, buddy: BuddyAllocator, size: int,
+                      count: int, direction: DmaDirection, post_cycles: int,
+                      mapped: List[Tuple[KBuffer, DmaHandle]]) -> None:
+        """One pass over fresh shadows for device-written buffers.
+
+        While this core's free list for the class is empty, each map
+        grows the pool by one whole-page shadow
+        (:meth:`ShadowBufferPool.acquire_fresh`) and copies nothing.  The
+        one clock the pass reads is the metadata lock's: its first pair
+        goes through the lock and the rest, uncontended, are accounted
+        by :class:`~repro.hw.locks.UncontendedPairs`; every other charge
+        (both page allocations, pool acquire and grow, the page-table
+        update, the caller's ``post_cycles``) is held and applied as one
+        sum per category.  A buffer the pool would serve otherwise — a
+        free shadow on the list, a full metadata array, the byte cap —
+        goes through :meth:`_map_fresh_one`, and so does every buffer of
+        a device-read direction, a hybrid size or a sub-page class.
+        """
+        pool = self.pool
+        class_index = pool.codec.class_for_size(size)
+        if not self._unobserved or class_index is None \
+                or direction.device_reads:
+            return super().dma_map_fresh(core, buddy, size, count,
+                                         direction, post_cycles, mapped)
+        rights = direction.perm
+        order = page_order(size)
+        node = core.numa_node
+        charges = ChargeBatch(core)
+        pairs = UncontendedPairs(charges)
+        room = pool.fresh_room(core, class_index, rights)
+        done = 0
+        try:
+            for _ in range(count):
+                if not room:
+                    pairs.settle()
+                    buf = KBuffer(pa=buddy.alloc_pages(order, core),
+                                  size=size, node=node)
+                    mapped.append(self._map_fresh_one(
+                        core, buddy, buf, direction, post_cycles))
+                    room = pool.fresh_room(core, class_index, rights)
+                    continue
+                buf = KBuffer(buddy.alloc_pages_held(order, charges), size,
+                              node)
+                try:
+                    meta = pool.acquire_fresh(core, buf, class_index,
+                                              rights, charges, pairs)
+                except ReproError:
+                    pairs.settle()
+                    buddy.free_pages(buf.pa, core)
+                    raise
+                room -= 1
+                handle = DmaHandle(meta.iova, size, direction)
+                self._live_fresh(buf, handle, meta)
+                mapped.append((buf, handle))
+                charges.add(post_cycles)
+                done += 1
+        finally:
+            pairs.settle()
+            self.stats.note_maps(done, size)
+
+    def dma_unmap_free(self, core: Core,
+                       mapped: Sequence[Tuple[KBuffer, DmaHandle]],
+                       buddies: Sequence[BuddyAllocator]) -> None:
+        """One pass over buffers shadowed from the metadata arrays.
+
+        Each unmaps as :meth:`_unmap` unmaps it: the RX hint still reads
+        the shadow's (possibly stale) length and the bytes still move,
+        then the shadow goes back to its free list
+        (:meth:`ShadowBufferPool.release_fresh`) and the pages to the
+        buddy.  The clocks read are the free lists' tail locks, taken
+        through :class:`~repro.hw.locks.UncontendedPairs`; every other
+        charge is held.  Any other buffer — a hybrid, bounce or fallback
+        mapping, or a release the pool would migrate — goes through
+        ``dma_unmap`` and ``free_pages``.
+        """
+        if not self._unobserved:
+            return super().dma_unmap_free(core, mapped, buddies)
+        pool = self.pool
+        cost = self.cost
+        memory = self.machine.memory
+        charges = ChargeBatch(core)
+        pairs = UncontendedPairs(charges)
+        try:
+            for buf, handle in mapped:
+                live = self._live.get(handle.iova)
+                meta = live.cookie if (live is not None
+                                       and live.handle == handle) else None
+                if not (isinstance(meta, ShadowBufferMeta)
+                        and pool.holds_carved(meta)
+                        and meta.os_buf is not None
+                        and (pool.sticky or core.cid == meta.owner_core)):
+                    pairs.settle()
+                    self.dma_unmap(core, handle)
+                    buddies[buf.node].free_pages(buf.pa, core)
+                    continue
+                del self._live[handle.iova]
+                charges.add(cost.pool_find_cycles, CAT_COPY_MGMT)
+                if handle.direction.device_writes:
+                    copy_len = handle.size
+                    if self._rx_hint is not None:
+                        charges.add(cost.copy_hint_cycles, CAT_COPY_MGMT)
+                        view = _PhysView(memory, meta.pa, handle.size)
+                        copy_len = clamp_hint(
+                            self._rx_hint(view, handle.size), handle.size)
+                    if copy_len > 0:
+                        cycles, pollution = self._copy_cycles(
+                            copy_len, meta.domain_node != buf.node)
+                        charges.add(cycles, CAT_MEMCPY)
+                        charges.add(pollution)
+                        memory.copy(buf.pa, meta.pa, copy_len)
+                pool.release_fresh(core, meta, charges, pairs)
+                self.stats.unmaps += 1
+                charges.add(cost.page_free_cycles)
+                buddies[buf.node].free_pages(buf.pa)
+        finally:
+            pairs.settle()
 
     # ------------------------------------------------------------------
     # Hybrid huge buffers (§5.5).

@@ -35,8 +35,8 @@ from repro.errors import (
     ReproError,
 )
 from repro.faults.plan import SITE_POOL_GROW
-from repro.hw.cpu import CAT_COPY_MGMT, Core
-from repro.hw.locks import SpinLock
+from repro.hw.cpu import CAT_COPY_MGMT, CAT_PT_MGMT, ChargeBatch, Core
+from repro.hw.locks import SpinLock, UncontendedPairs
 from repro.hw.machine import Machine
 from repro.iommu.iommu import Domain, Iommu
 from repro.iommu.page_table import Perm
@@ -515,6 +515,93 @@ class ShadowBufferPool:
                                  rights=rights.name)
             self.obs.metrics.counter("pool.fallback_allocations").inc()
         return meta
+
+    # ------------------------------------------------------------------
+    # Ring setup and teardown in one pass (see ShadowDmaApi.dma_map_fresh
+    # and dma_unmap_free): acquire_shadow and release_shadow with their
+    # charges held and their lock pairs made off the clock.
+    # ------------------------------------------------------------------
+    def fresh_room(self, core: Core, class_index: int, rights: Perm) -> int:
+        """How many acquisitions in a row by ``core`` would each grow the
+        pool by one whole-page shadow through its metadata array — the
+        ones :meth:`acquire_fresh` makes: none while the free list holds
+        a shadow or the class is sub-page, and no more than the array
+        and the byte cap leave room for."""
+        size = self.size_classes[class_index]
+        flist = self._lists.get((core.cid, class_index, rights))
+        if size < PAGE_SIZE or (flist is not None and (
+                flist.private_cache or flist.head is not None)):
+            return 0
+        array = self._arrays[(self.machine.node_of_core(core.cid),
+                              class_index)]
+        room = array.capacity - len(array.entries)
+        if self.max_pool_bytes is not None:
+            room = min(room, (self.max_pool_bytes
+                              - self.stats.bytes_allocated) // size)
+        return max(room, 0)
+
+    def acquire_fresh(self, core: Core, os_buf: KBuffer, class_index: int,
+                      rights: Perm, charges: ChargeBatch,
+                      pairs: UncontendedPairs) -> ShadowBufferMeta:
+        """:meth:`acquire_shadow` for an acquisition :meth:`fresh_room`
+        counted: a grow by one shadow (:meth:`_make_meta`), charges held
+        in ``charges``, the metadata lock's pair made through
+        ``pairs``."""
+        cost = self.cost
+        charges.add(cost.pool_acquire_cycles + cost.pool_grow_cycles,
+                    CAT_COPY_MGMT)
+        flist = self._list_for(core.cid, class_index, rights)
+        size = self.size_classes[class_index]
+        node = self.machine.node_of_core(core.cid)
+        pa = self.allocators.buddies[node].alloc_pages_held(
+            page_order(size), charges)
+        array = self._arrays[(node, class_index)]
+        pairs.pair(array.lock)
+        index = array.take_index()
+        iova = self.codec.encode(core.cid, rights, class_index, index)
+        # Shadow IOVAs are page aligned and nothing here is observed, so
+        # the PTEs go straight into the table.
+        npages = size >> PAGE_SHIFT
+        self.domain.page_table.map_range(iova >> PAGE_SHIFT, pa >> PAGE_SHIFT,
+                                         npages, rights)
+        charges.add(cost.pt_map_range_cycles(npages), CAT_PT_MGMT)
+        meta = ShadowBufferMeta(
+            meta_index=index, domain_node=node, class_index=class_index,
+            size=size, pa=pa, iova=iova, list_key=flist.key,
+        )
+        array.entries[index] = meta
+        self.stats.note_grow(size, 1)
+        flist.total_buffers += 1
+        meta.os_buf = os_buf
+        self.stats.note_acquire()
+        return meta
+
+    def holds_carved(self, meta: ShadowBufferMeta) -> bool:
+        """Whether :meth:`find_shadow` resolves ``meta.iova`` to ``meta``
+        through its metadata array (not the §5.3 fallback table)."""
+        if meta.fallback:
+            return False
+        entries = self._arrays[(meta.domain_node, meta.class_index)].entries
+        return meta.meta_index < len(entries) \
+            and entries[meta.meta_index] is meta
+
+    def release_fresh(self, core: Core, meta: ShadowBufferMeta,
+                      charges: ChargeBatch,
+                      pairs: UncontendedPairs) -> None:
+        """:meth:`release_shadow` of an acquired shadow that stays on
+        its list (a sticky pool, or its owner core releasing): charges
+        held in ``charges``, the tail lock's pair made through
+        ``pairs``."""
+        remote = core.cid != meta.owner_core
+        charges.add(self.cost.pool_release_cycles, CAT_COPY_MGMT)
+        if remote:
+            charges.add(self.cost.pool_remote_release_cycles,
+                        CAT_COPY_MGMT)
+        meta.os_buf = None
+        self.stats.note_release(remote)
+        flist = self._lists[meta.list_key]
+        pairs.pair(flist.tail_lock)
+        flist.push_tail(meta)
 
     # ------------------------------------------------------------------
     # Non-sticky ablation (§5.3 explains why sticky wins; this path

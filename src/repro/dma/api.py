@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import DmaApiError, ReproError
 from repro.hw.cpu import CAT_MEMCPY, CAT_OTHER, Core
@@ -32,6 +32,7 @@ from repro.hw.machine import Machine
 from repro.iommu.iommu import DmaPort, Domain, Iommu, TranslatingDmaPort
 from repro.iommu.page_table import Perm
 from repro.iova.base import IovaAllocator
+from repro.kalloc.buddy import BuddyAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
 from repro.obs.context import NULL_OBS
 from repro.obs.requests import MARK_COPIED, MARK_MAPPED, MARK_UNMAPPED
@@ -118,6 +119,11 @@ class DmaApiStats:
     def note_map(self, size: int) -> None:
         self.maps += 1
         self.bytes_mapped += size
+
+    def note_maps(self, count: int, size: int) -> None:
+        """:meth:`note_map` for ``count`` maps of ``size`` bytes."""
+        self.maps += count
+        self.bytes_mapped += count * size
 
 
 class DmaApi(abc.ABC):
@@ -235,6 +241,80 @@ class DmaApi(abc.ABC):
         for handle in handles:
             self.dma_unmap(core, handle)
 
+    # ------------------------------------------------------------------
+    # Ring setup and teardown: a ring's worth of buffers at a time.
+    # ------------------------------------------------------------------
+    def dma_map_fresh(self, core: Core, buddy: BuddyAllocator, size: int,
+                      count: int, direction: DmaDirection, post_cycles: int,
+                      mapped: List[Tuple[KBuffer, DmaHandle]]) -> None:
+        """Allocate ``count`` buffers of ``size`` bytes from ``buddy``
+        (``core``'s node) and map each, charging ``post_cycles`` of the
+        caller's own per-buffer work after each map; appends ``(buffer,
+        handle)`` to ``mapped`` in order.
+
+        This base is the per-buffer loop: ``alloc_pages``, ``dma_map``
+        and the caller's charge, a failed map giving its pages back
+        before the error propagates — so ``mapped`` holds the buffers
+        that succeeded.  A scheme whose fresh maps read no clock
+        overrides it with one pass that charges the same cycles in the
+        same order and leaves the same state; a buffer needing more
+        than that pass does takes :meth:`_map_fresh_one` at its place.
+        The one pass opens no span and consults no fault site, so it
+        runs only when nothing observes the run (:attr:`_unobserved`);
+        captured and fault-injected runs keep this loop.
+        """
+        order = page_order(size)
+        for _ in range(count):
+            buf = KBuffer(pa=buddy.alloc_pages(order, core), size=size,
+                          node=core.numa_node)
+            mapped.append(self._map_fresh_one(core, buddy, buf, direction,
+                                              post_cycles))
+
+    def _map_fresh_one(self, core: Core, buddy: BuddyAllocator,
+                       buf: KBuffer, direction: DmaDirection,
+                       post_cycles: int) -> Tuple[KBuffer, DmaHandle]:
+        """One buffer of :meth:`dma_map_fresh` whose pages are allocated
+        (and charged): ``dma_map`` it, then charge ``post_cycles``."""
+        try:
+            handle = self.dma_map(core, buf, direction)
+        except ReproError:
+            buddy.free_pages(buf.pa, core)
+            raise
+        core.charge(post_cycles, CAT_OTHER)
+        return buf, handle
+
+    def dma_unmap_free(self, core: Core,
+                       mapped: Sequence[Tuple[KBuffer, DmaHandle]],
+                       buddies: Sequence[BuddyAllocator]) -> None:
+        """Unmap each ``(buffer, handle)`` in order and free the
+        buffer's pages to its node's buddy.
+
+        This base is the per-buffer loop; an override charges the same
+        cycles in the same order and leaves the same state.
+        """
+        for buf, handle in mapped:
+            self.dma_unmap(core, handle)
+            buddies[buf.node].free_pages(buf.pa, core)
+
+    @property
+    def _unobserved(self) -> bool:
+        """No recorder and no fault plan armed (both fixed when the
+        system is built): the one-pass overrides of
+        :meth:`dma_map_fresh` and :meth:`dma_unmap_free` run only
+        then."""
+        return not (self.obs.enabled or self.machine.faults.enabled)
+
+    def _live_fresh(self, buf: KBuffer, handle: DmaHandle,
+                    cookie: object) -> None:
+        """Record a mapping made off the ``dma_map`` path, with its
+        double-issue check (callers count ``stats`` themselves).
+        ``dma_map`` has the same lines inline: it runs per packet."""
+        if handle.iova in self._live:
+            raise DmaApiError(
+                f"scheme bug: IOVA {handle.iova:#x} handed out twice")
+        self._live[handle.iova] = _LiveMapping(buf=buf, handle=handle,
+                                               cookie=cookie)
+
     @abc.abstractmethod
     def port(self) -> DmaPort:
         """The bus connection the device should issue its DMAs through."""
@@ -275,6 +355,16 @@ class DmaApi(abc.ABC):
             self.obs.metrics.histogram("dma.copy_bytes").observe(nbytes)
             self.obs.requests.mark(core, MARK_COPIED)
             self.obs.spans.end(core)
+
+    def _copy_cycles(self, nbytes: int, remote: bool) -> Tuple[int, int]:
+        """The memcpy and cache-pollution cycles :meth:`_charged_copy`
+        charges for ``nbytes`` (a positive count), for callers that hold
+        their charges (``_charged_copy`` computes them inline: it runs
+        per packet)."""
+        cycles = self.cost.memcpy_cycles(nbytes)
+        if remote:
+            cycles = round(cycles * self.cost.numa_remote_copy_factor)
+        return cycles, self.cost.pollution_cycles(nbytes)
 
     # ------------------------------------------------------------------
     # Deferred-work hooks (no-ops for strict schemes).

@@ -8,13 +8,20 @@ device's port bypasses translation entirely.
 
 from __future__ import annotations
 
+from typing import List, Sequence, Tuple
+
 from repro.dma.api import CoherentBuffer, DmaApi, DmaDirection, DmaHandle
 from repro.errors import DmaApiError
-from repro.hw.cpu import Core
+from repro.hw.cpu import CAT_OTHER, ChargeBatch, Core
 from repro.hw.machine import Machine
 from repro.iommu.iommu import PassthroughDmaPort
+from repro.kalloc.buddy import BuddyAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
 from repro.sim.units import page_order
+
+#: A handful of cycles for the (no-op) ``dma_map_single`` or
+#: ``dma_unmap_single`` call itself.
+_CALL_CYCLES = 20
 
 
 class NoIommuDmaApi(DmaApi):
@@ -35,13 +42,63 @@ class NoIommuDmaApi(DmaApi):
 
     def _map(self, core: Core, buf: KBuffer,
              direction: DmaDirection) -> tuple[DmaHandle, object]:
-        # A handful of cycles for the (no-op) dma_map_single call itself.
-        core.charge(20)
+        core.charge(_CALL_CYCLES)
         return DmaHandle(iova=buf.pa, size=buf.size, direction=direction), None
 
     def _unmap(self, core: Core, buf: KBuffer, handle: DmaHandle,
                cookie: object) -> None:
-        core.charge(20)
+        core.charge(_CALL_CYCLES)
+
+    def dma_map_fresh(self, core: Core, buddy: BuddyAllocator, size: int,
+                      count: int, direction: DmaDirection, post_cycles: int,
+                      mapped: List[Tuple[KBuffer, DmaHandle]]) -> None:
+        """One pass: nothing here reads a clock, so every buffer's page
+        allocation, map call and ``post_cycles`` (all ``other``) are
+        charged as one sum."""
+        if not self._unobserved:
+            return super().dma_map_fresh(core, buddy, size, count,
+                                         direction, post_cycles, mapped)
+        order = page_order(size)
+        node = core.numa_node
+        charges = ChargeBatch(core,
+                              per_item=((_CALL_CYCLES + post_cycles,
+                                         CAT_OTHER),))
+        done = 0
+        try:
+            for _ in range(count):
+                pa = buddy.alloc_pages_held(order, charges)
+                charges.items += 1
+                buf = KBuffer(pa, size, node)
+                handle = DmaHandle(pa, size, direction)
+                self._live_fresh(buf, handle, None)
+                mapped.append((buf, handle))
+                done += 1
+        finally:
+            charges.apply()
+            self.stats.note_maps(done, size)
+
+    def dma_unmap_free(self, core: Core,
+                       mapped: Sequence[Tuple[KBuffer, DmaHandle]],
+                       buddies: Sequence[BuddyAllocator]) -> None:
+        """One pass: the unmap calls and page frees read no clock, so
+        they are charged as one sum."""
+        if not self._unobserved:
+            return super().dma_unmap_free(core, mapped, buddies)
+        live = self._live
+        charges = ChargeBatch(core, per_item=(
+            (_CALL_CYCLES + self.cost.page_free_cycles, CAT_OTHER),))
+        try:
+            for buf, handle in mapped:
+                mapping = live.get(handle.iova)
+                if mapping is None or mapping.handle != handle:
+                    charges.apply()
+                    self.dma_unmap(core, handle)    # raises: not live
+                del live[handle.iova]
+                self.stats.unmaps += 1
+                charges.items += 1
+                buddies[buf.node].free_pages(buf.pa)
+        finally:
+            charges.apply()
 
     def dma_alloc_coherent(self, core: Core, size: int,
                            node: int = 0) -> CoherentBuffer:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.dma.api import DmaDirection, DmaHandle
+from repro.dma.api import DmaApi, DmaDirection, DmaHandle
 from repro.dma.direct import NoIommuDmaApi
 from repro.errors import PoolExhaustedError
 from repro.faults.plan import SITE_POOL_GROW
@@ -45,6 +45,11 @@ class SwiotlbDmaApi(NoIommuDmaApi):
     (one global pool lock, so it does not scale either)."""
 
     name = "swiotlb"
+
+    # Every bounce slot is taken under the pool lock, so ring setup and
+    # teardown keep the per-buffer loop.
+    dma_map_fresh = DmaApi.dma_map_fresh
+    dma_unmap_free = DmaApi.dma_unmap_free
 
     def __init__(self, machine: Machine, allocators: KernelAllocators,
                  pool_slots: int = 32 * 1024, node: int = 0):

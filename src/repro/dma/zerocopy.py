@@ -26,20 +26,22 @@ charged page-granular cost per page.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dma.api import DmaDirection, DmaHandle, IommuDmaApi
+from repro.dma.api import DmaApi, DmaDirection, DmaHandle, IommuDmaApi
 from repro.errors import DmaApiError, ReproError
-from repro.hw.cpu import CAT_OTHER, CAT_PT_MGMT, Core
+from repro.hw.cpu import CAT_OTHER, CAT_PT_MGMT, ChargeBatch, Core
 from repro.hw.locks import NullLock, SpinLock
 from repro.hw.machine import Machine
 from repro.iommu.invalidation import PendingInvalidation
 from repro.iommu.iommu import Iommu
 from repro.iommu.page_table import Perm, PteEntry
+from repro.iova.allocators import IdentityIovaAllocator
 from repro.iova.base import IovaAllocator
+from repro.kalloc.buddy import BuddyAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
 from repro.obs.trace import EV_INV_DEFER
-from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
+from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_order
 
 
 @dataclass(slots=True)
@@ -133,6 +135,139 @@ class ZeroCopyDmaApi(IommuDmaApi):
         cookie = _MapCookie(iova_base=iova_base, npages=npages,
                             pa_base=pa_base)
         return handle, cookie
+
+    # ------------------------------------------------------------------
+    # Ring setup and teardown in one pass (identity IOVAs only: the
+    # other allocators take a lock per range).
+    # ------------------------------------------------------------------
+    def dma_map_fresh(self, core: Core, buddy: BuddyAllocator, size: int,
+                      count: int, direction: DmaDirection, post_cycles: int,
+                      mapped: List[Tuple[KBuffer, DmaHandle]]) -> None:
+        """One pass over identity mappings of fresh pages.
+
+        A buffer whose pages carry no reference and no cached
+        translation maps as :meth:`_map` maps it — one ``map_range``
+        over its pages (page by page, with a hint each, under
+        ``prefetch``) — and nothing on the way reads a clock, so the
+        pass holds every charge (page allocation, identity IOVA,
+        page-table update, the caller's ``post_cycles``) and applies
+        one sum per category.  Any other buffer goes through
+        :meth:`_map_fresh_one`.
+        """
+        if not (self._unobserved and isinstance(self.iova_allocator,
+                                                IdentityIovaAllocator)):
+            return super().dma_map_fresh(core, buddy, size, count,
+                                         direction, post_cycles, mapped)
+        cost = self.cost
+        perm = direction.perm
+        order = page_order(size)
+        npages = ((size - 1) >> PAGE_SHIFT) + 1
+        node = core.numa_node
+        refs = self._page_refs
+        iotlb = self.iommu.iotlb
+        domain_id = self.domain_id
+        table = self.domain.page_table
+        if self.prefetch:
+            table_cycles = npages * (cost.pt_map_range_cycles(1)
+                                     + cost.iotlb_prefetch_cycles)
+        else:
+            table_cycles = cost.pt_map_range_cycles(npages)
+        # Only a hint insert adds IOTLB entries here, so without prefetch
+        # an empty IOTLB stays empty for the whole pass.
+        check_iotlb = self.prefetch or len(iotlb) > 0
+        charges = ChargeBatch(core, per_item=(
+            (cost.iova_identity_cycles + post_cycles, CAT_OTHER),
+            (table_cycles, CAT_PT_MGMT)))
+        done = 0
+        try:
+            for _ in range(count):
+                pa = buddy.alloc_pages_held(order, charges)
+                buf = KBuffer(pa, size, node)
+                first = pa >> PAGE_SHIFT
+                pages = range(first, first + npages)
+                if not refs.keys().isdisjoint(pages) or (check_iotlb and any(
+                        iotlb.contains(domain_id, page) for page in pages)):
+                    charges.apply()
+                    mapped.append(self._map_fresh_one(
+                        core, buddy, buf, direction, post_cycles))
+                    continue
+                # Identity IOVA: IOVA page = frame, so the PTEs go straight
+                # into the table (nothing here is observed).
+                table.map_range(first, first, npages, perm)
+                charges.items += 1
+                for page in pages:
+                    refs[page] = _PageRef(refcount=1, perm=perm)
+                    if self.prefetch:
+                        iotlb.prefetch(domain_id, page, PteEntry(page, perm))
+                handle = DmaHandle(pa, size, direction)
+                self._live_fresh(buf, handle, _MapCookie(
+                    iova_base=pa, npages=npages, pa_base=pa))
+                mapped.append((buf, handle))
+                done += 1
+        finally:
+            charges.apply()
+            self.stats.note_maps(done, size)
+
+    def dma_unmap_free(self, core: Core,
+                       mapped: Sequence[Tuple[KBuffer, DmaHandle]],
+                       buddies: Sequence[BuddyAllocator]) -> None:
+        """One pass over identity mappings that hold their pages alone.
+
+        Such a buffer's PTEs leave the table in one range, as
+        :meth:`_unmap_pages` clears them, with the charge held; what the
+        policy owes next (:meth:`_retire_fresh`) applies the held charges
+        before it reads a clock.  The page frees are held too.  Any other
+        buffer goes through ``dma_unmap`` and ``free_pages``.
+        """
+        if not (self._unobserved and isinstance(self.iova_allocator,
+                                                IdentityIovaAllocator)):
+            return super().dma_unmap_free(core, mapped, buddies)
+        refs = self._page_refs
+        table = self.domain.page_table
+        free_cycles = self.cost.page_free_cycles
+        charges = ChargeBatch(core)
+        try:
+            for buf, handle in mapped:
+                cookie = self._sole_cookie(handle)
+                if cookie is None:
+                    charges.apply()
+                    self.dma_unmap(core, handle)
+                    buddies[buf.node].free_pages(buf.pa, core)
+                    continue
+                del self._live[handle.iova]
+                first, npages = cookie.iova_base >> PAGE_SHIFT, cookie.npages
+                for page in range(first, first + npages):
+                    del refs[page]
+                table.unmap_range(first, npages)
+                charges.add(self.cost.pt_unmap_range_cycles(npages),
+                            CAT_PT_MGMT)
+                self._retire_fresh(core, charges, cookie)
+                self.stats.unmaps += 1
+                charges.add(free_cycles)
+                buddies[buf.node].free_pages(buf.pa)
+        finally:
+            charges.apply()
+
+    def _sole_cookie(self, handle: DmaHandle) -> Optional[_MapCookie]:
+        """The cookie of the live mapping ``handle`` names when every
+        page it covers holds only this mapping's reference."""
+        live = self._live.get(handle.iova)
+        if live is None or live.handle != handle:
+            return None
+        cookie = live.cookie
+        refs = self._page_refs
+        first = cookie.iova_base >> PAGE_SHIFT
+        for page in range(first, first + cookie.npages):
+            ref = refs.get(page)
+            if ref is None or ref.refcount != 1:
+                return None
+        return cookie
+
+    def _retire_fresh(self, core: Core, charges: ChargeBatch,
+                      cookie: _MapCookie) -> None:
+        """What this policy's ``_unmap`` does once the buffer's own PTEs
+        are cleared, for :meth:`dma_unmap_free`."""
+        raise NotImplementedError
 
     def _install(self, core: Core, start: int, stop: int, delta: int,
                  perm: Perm) -> None:
@@ -272,6 +407,17 @@ class StrictZeroCopyDmaApi(ZeroCopyDmaApi):
             self._invalidate_cleared(core, cleared)
         self.iova_allocator.free(cookie.iova_base, cookie.npages, core)
 
+    def _retire_fresh(self, core: Core, charges: ChargeBatch,
+                      cookie: _MapCookie) -> None:
+        """The strict invalidation this unmap owes, submitted in order
+        (it reads the clock, so the held charges go first), then the
+        IOVA."""
+        charges.apply()
+        first = cookie.iova_base >> PAGE_SHIFT
+        self._invalidate_cleared(core, list(range(first,
+                                                  first + cookie.npages)))
+        self.iova_allocator.free(cookie.iova_base, cookie.npages, core)
+
 
 class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
     """Deferred protection: batch invalidations (250 unmaps / 10 ms).
@@ -349,6 +495,38 @@ class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
         )
         self._list_lock.release(core)
         if must_flush:
+            self._flush_slot(core, slot)
+
+    def dma_unmap_free(self, core: Core,
+                       mapped: Sequence[Tuple[KBuffer, DmaHandle]],
+                       buddies: Sequence[BuddyAllocator]) -> None:
+        # A global flush list takes a spinlock per unmap: the loop.
+        if not self.per_core_batching:
+            return DmaApi.dma_unmap_free(self, core, mapped, buddies)
+        super().dma_unmap_free(core, mapped, buddies)
+
+    def _retire_fresh(self, core: Core, charges: ChargeBatch,
+                      cookie: _MapCookie) -> None:
+        """:meth:`_unmap`'s queueing, every page cleared, with the clock
+        read from the held charges; a flush it triggers runs for real
+        once they apply."""
+        slot = self._slot(core)
+        self._list_lock.acquire(core)
+        charges.add(self.cost.deferred_bookkeeping_cycles)
+        now = charges.now
+        pending = self._pending[slot]
+        pending.append(PendingInvalidation(
+            domain_id=self.domain.domain_id,
+            iova_page=cookie.iova_base >> PAGE_SHIFT,
+            npages=cookie.npages, queued_at=now))
+        self._pending_iova_frees[slot].append((cookie.iova_base,
+                                               cookie.npages))
+        must_flush = (len(pending) >= self.cost.deferred_batch_size
+                      or now - pending[0].queued_at
+                      >= self.window_budget_cycles)
+        self._list_lock.release(core)
+        if must_flush:
+            charges.apply()
             self._flush_slot(core, slot)
 
     def _flush_slot(self, core: Core, slot: int) -> None:

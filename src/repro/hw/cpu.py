@@ -93,6 +93,57 @@ class Core:
         return min(1.0, self.busy_cycles / window_cycles)
 
 
+class ChargeBatch:
+    """Charges for one core, held back and applied as one sum per
+    category.
+
+    Only valid across work that reads no clock: :attr:`now` is the clock
+    the core would show had every held charge been applied, and
+    :meth:`apply` must run before anything reads ``core.now`` itself.
+    Categories are applied in the order they were first held, so the
+    core's breakdown gains keys in the order per-charge calls add them.
+
+    A run of identical items can be held by count: ``per_item`` lists
+    the ``(cycles, category)`` charges of one item, and :attr:`items`
+    counts the items held.
+    """
+
+    __slots__ = ("core", "per_item", "items", "_item_cycles", "_held",
+                 "_total")
+
+    def __init__(self, core: Core, per_item: Iterable = ()):
+        self.core = core
+        self.per_item = tuple(per_item)
+        self.items = 0
+        self._item_cycles = sum(cycles for cycles, _ in self.per_item)
+        self._held: dict = {}
+        self._total = 0
+
+    def add(self, cycles: int, category: str = CAT_OTHER) -> None:
+        """Hold ``cycles`` of busy time in ``category``."""
+        if cycles < 0:
+            raise ValueError(f"negative charge: {cycles}")
+        if cycles:
+            held = self._held
+            held[category] = held.get(category, 0) + cycles
+            self._total += cycles
+
+    @property
+    def now(self) -> int:
+        return self.core.now + self._total + self.items * self._item_cycles
+
+    def apply(self) -> None:
+        """Charge everything held, one call per category."""
+        if self.items:
+            for cycles, category in self.per_item:
+                self.add(self.items * cycles, category)
+            self.items = 0
+        for category, cycles in self._held.items():
+            self.core.charge(cycles, category)
+        self._held.clear()
+        self._total = 0
+
+
 @dataclass
 class CoreSnapshot:
     """A point-in-time copy of one core's accounting state."""

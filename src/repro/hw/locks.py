@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.hw.cpu import CAT_SPINLOCK, Core
+from repro.hw.cpu import CAT_SPINLOCK, ChargeBatch, Core
 from repro.obs.context import NULL_OBS, Observability
 from repro.obs.spans import SPAN_LOCK_WAIT
 from repro.obs.trace import EV_LOCK_ACQUIRE, EV_LOCK_CONTEND, EV_LOCK_RELEASE
@@ -122,9 +122,74 @@ class SpinLock:
         self._last_holder_cid = core.cid
         self._holder = None
 
+    def note_uncontended(self, core: Core, count: int, at: int) -> None:
+        """Account ``count`` uncontended acquire/release pairs by
+        ``core`` that held the lock for no cycles, the last one taken at
+        ``at``, leaving exactly what the real calls leave.
+
+        For callers that hold back their charges (a
+        :class:`~repro.hw.cpu.ChargeBatch`): they charge each pair's
+        ``lock_uncontended_cycles`` themselves and pass the clock the
+        last acquisition would have read.  Only an observer-free lock
+        qualifies, and a pair the lock would have made wait is refused.
+        """
+        if self.obs.enabled or self._holder is not None:
+            raise SimulationError(f"lock {self.name}: cannot account "
+                                  f"acquisitions off the clock")
+        if count <= 0:
+            return
+        if at < self.free_at:
+            raise SimulationError(f"lock {self.name}: acquisition at {at} "
+                                  f"would wait until {self.free_at}")
+        self.stats.acquisitions += count
+        self._acquired_at = self.free_at = at
+        self._last_holder_cid = core.cid
+
     @property
     def held(self) -> bool:
         return self._holder is not None
+
+
+class UncontendedPairs:
+    """Acquire/release pairs one core makes, holding nothing while it
+    holds a lock, during a run whose charges a
+    :class:`~repro.hw.cpu.ChargeBatch` holds back.
+
+    A lock's first pair in the run goes through the lock for real, once
+    the held charges are applied, since it may wait for another core's
+    release.  After that only this core touches the lock and its clock
+    only moves forward, so every later pair is uncontended: :meth:`pair`
+    holds its ``lock_uncontended_cycles`` and :meth:`settle` accounts
+    the pairs with :meth:`SpinLock.note_uncontended`.  Settle before
+    anything else reads the clock or one of the locks.
+    """
+
+    def __init__(self, charges: ChargeBatch):
+        self.charges = charges
+        #: Lock → [pairs held back, clock of the last one].
+        self._runs: dict = {}
+
+    def pair(self, lock: SpinLock) -> None:
+        """One acquire/release pair on ``lock``."""
+        run = self._runs.get(lock)
+        if run is None:
+            core = self.charges.core
+            self.charges.apply()
+            lock.acquire(core)
+            lock.release(core)
+            self._runs[lock] = [0, core.now]
+            return
+        self.charges.add(lock.cost.lock_uncontended_cycles, CAT_SPINLOCK)
+        run[0] += 1
+        run[1] = self.charges.now
+
+    def settle(self) -> None:
+        """Apply the held charges and account every held pair."""
+        self.charges.apply()
+        core = self.charges.core
+        for lock, (count, at) in self._runs.items():
+            lock.note_uncontended(core, count, at)
+        self._runs.clear()
 
 
 class NullLock:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.errors import KallocError
-from repro.hw.cpu import Core
+from repro.hw.cpu import ChargeBatch, Core
 from repro.sim.costmodel import CostModel
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 
@@ -63,26 +63,44 @@ class BuddyAllocator:
             raise KallocError(f"order {order} out of range")
         if core is not None:
             core.charge(self.cost.page_alloc_cycles)
+        free = self._free
         current = order
-        while current <= self.max_order and not self._free[current]:
+        while not free[current]:
             current += 1
-        if current > self.max_order:
-            raise KallocError(
-                f"out of pages: want order {order}, "
-                f"{self.allocated_pages}/{self.total_pages} allocated"
-            )
-        pfn = min(self._free[current])
-        self._free[current].discard(pfn)
+            if current > self.max_order:
+                raise KallocError(
+                    f"out of pages: want order {order}, "
+                    f"{self.allocated_pages}/{self.total_pages} allocated"
+                )
+        block = free[current]
+        pfn = min(block)
+        block.remove(pfn)
         # Split down to the requested order, releasing the upper halves.
         while current > order:
             current -= 1
-            buddy = pfn + (1 << current)
-            self._free[current].add(buddy)
+            free[current].add(pfn + (1 << current))
         self._allocated[pfn] = order
-        self.allocated_pages += 1 << order
-        self.peak_allocated_pages = max(self.peak_allocated_pages,
-                                        self.allocated_pages)
+        allocated = self.allocated_pages + (1 << order)
+        self.allocated_pages = allocated
+        if allocated > self.peak_allocated_pages:
+            self.peak_allocated_pages = allocated
         return self.base_pa + (pfn << PAGE_SHIFT)
+
+    def alloc_pages_held(self, order: int, charges: ChargeBatch) -> int:
+        """:meth:`alloc_pages` with its charge held in ``charges``.
+
+        A refused allocation changes nothing, so the held charges are
+        applied and the charged allocation refuses again, raising where
+        ``alloc_pages(order, core)`` raises.
+        """
+        try:
+            pa = self.alloc_pages(order)
+        except KallocError:
+            charges.apply()
+            self.alloc_pages(order, charges.core)
+            raise
+        charges.add(self.cost.page_alloc_cycles)
+        return pa
 
     def free_pages(self, pa: int, core: Core | None = None) -> None:
         """Free a block previously returned by :meth:`alloc_pages`."""

@@ -19,7 +19,7 @@ which a driver is allowed to do but never required to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.hints import ip_length_hint
 from repro.core.shadow_dma import ShadowDmaApi
@@ -132,16 +132,31 @@ class NicDriver:
         self._tx_slots[qid] = {}
         self.nic.attach_rings(qid, rx, tx)
         self._rx_deficit[qid] = 0
-        for _ in range(self.rx_ring_size - 1):
-            self._post_rx_buffer(core, qid, strict=True)
+        # dma_map_fresh allocates and maps rx_ring_size - 1 buffers,
+        # charging each descriptor's refill work, and the ring takes every
+        # descriptor in one write.  A failed map propagates once the
+        # buffers mapped before it are posted.
+        mapped: List[Tuple[KBuffer, DmaHandle]] = []
+        try:
+            self.dma_api.dma_map_fresh(
+                core, self.allocators.buddies[node], self.rx_buf_size,
+                self.rx_ring_size - 1, DmaDirection.FROM_DEVICE,
+                self.cost.rx_refill_cycles, mapped)
+        finally:
+            first = rx.post_many([Descriptor(handle.iova, self.rx_buf_size,
+                                             FLAG_READY)
+                                  for _, handle in mapped])
+            slots = self._rx_slots[qid]
+            for index, (buf, handle) in enumerate(mapped, first):
+                slots[index] = _RxSlot(buf=buf, handle=handle)
 
     def teardown_queue(self, core: Core, qid: int) -> None:
         """Unmap and free everything the queue still holds."""
-        for slot in self._rx_slots[qid].values():
-            self.dma_api.dma_unmap(core, slot.handle)
-            self.allocators.buddies[slot.buf.node].free_pages(
-                slot.buf.pa, core)
-        self._rx_slots[qid].clear()
+        slots = self._rx_slots[qid]
+        self.dma_api.dma_unmap_free(
+            core, [(slot.buf, slot.handle) for slot in slots.values()],
+            self.allocators.buddies)
+        slots.clear()
         self.reap_tx(core, qid)
         if self._tx_slots[qid]:
             raise SimulationError("teardown with un-reaped TX slots")
@@ -152,13 +167,11 @@ class NicDriver:
     # ------------------------------------------------------------------
     # RX path.
     # ------------------------------------------------------------------
-    def _post_rx_buffer(self, core: Core, qid: int,
-                        strict: bool = False) -> bool:
-        """Allocate, map, and arm one RX buffer.
+    def _post_rx_buffer(self, core: Core, qid: int) -> bool:
+        """Allocate, map, and arm one RX buffer (ring refill).
 
         Returns ``False`` on map failure (pages are returned to the buddy
-        — nothing leaks); with ``strict`` the failure propagates instead,
-        which setup uses so a broken queue never half-exists.
+        — nothing leaks).
         """
         node = core.numa_node
         pa = self.allocators.buddies[node].alloc_pages(self._rx_buf_order,
@@ -169,8 +182,6 @@ class NicDriver:
                                           DmaDirection.FROM_DEVICE)
         except ReproError:
             self.allocators.buddies[node].free_pages(pa, core)
-            if strict:
-                raise
             self.stats.rx_refill_failures += 1
             return False
         ring = self._rx_rings[qid]

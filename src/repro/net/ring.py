@@ -13,7 +13,7 @@ Descriptor layout (16 bytes, little endian): ``addr:u64 len:u32 flags:u32``.
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from repro.dma.api import CoherentBuffer, DmaApi
 from repro.errors import ConfigurationError, SimulationError
@@ -95,6 +95,21 @@ class DescriptorRing:
         index = self.tail
         self.write_descriptor(index, desc)
         self.tail += 1
+        return index
+
+    def post_many(self, descs: Sequence[Descriptor]) -> int:
+        """Arm the next ``len(descs)`` slots in order, with one memory
+        write per contiguous run of slots; returns the first slot's
+        index.  A batch that does not fit is refused whole."""
+        index = self.tail
+        if self.tail - self.head + len(descs) > self.entries:
+            raise SimulationError(f"ring {self.name} overflow")
+        packed = b"".join([_DESC.pack(*desc) for desc in descs])
+        head_room = (self.entries - index % self.entries) * DESC_SIZE
+        write = self.machine.memory.write
+        write(self._slot_pa(index), packed[:head_room])
+        write(self.coherent.kbuf.pa, packed[head_room:])
+        self.tail += len(descs)
         return index
 
     def reap(self) -> tuple[int, Descriptor] | None:

@@ -283,6 +283,15 @@ class RRConfig:
     scheme_kwargs: Dict[str, object] = field(default_factory=dict)
     obs: Optional[Observability] = None
 
+    def __post_init__(self) -> None:
+        if self.message_size < 1:
+            raise ConfigurationError("message_size must be positive")
+        if self.transactions < 1:
+            raise ConfigurationError("transactions must be positive")
+        if self.warmup_transactions < 0:
+            raise ConfigurationError(
+                "warmup_transactions must not be negative")
+
 
 def run_tcp_rr(cfg: RRConfig) -> RunResult:
     """Closed-loop request/response: one transaction in flight at a time.

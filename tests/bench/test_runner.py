@@ -6,6 +6,7 @@ fingerprinted, with one serialized row per run (the same
 one span tree per scheme.
 """
 
+import copy
 import json
 import os
 
@@ -119,6 +120,25 @@ def test_markdown_carries_latency_and_exposure_tables(fig03_data):
                                          schemes=FIGURE_SCHEMES))
     assert "(no request-latency data in this run)" in empty
     assert "(no exposure data in this run)" in empty
+
+
+def test_exposure_table_counts_a_shared_point_once(fig03_data):
+    """Two figures reading the same run points sum them once; a point
+    that differs in a parameter still adds."""
+    def exposure(figures):
+        markdown = render_markdown(build_record(
+            mode="tiny", figures=figures, schemes=FIGURE_SCHEMES))
+        return markdown.split(
+            "## Exposure (summed across distinct run points)")[1]
+
+    shared = copy.deepcopy(fig03_data)
+    for row in shared["series"]:
+        row["figure"] = "fig05"
+    alone = exposure({"fig03": fig03_data})
+    assert exposure({"fig03": fig03_data, "fig05": shared}) == alone
+    for row in shared["series"]:
+        row["param_message_size"] = 4096
+    assert exposure({"fig03": fig03_data, "fig05": shared}) != alone
 
 
 def test_load_record_rejects_garbage(tmp_path):

@@ -9,8 +9,11 @@ simulated cycles, so:
   run — the trace is a pure observer.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.dma.registry import ALL_SCHEMES
 from repro.obs.context import Observability
 from repro.obs.trace import (
     EV_DMA_MAP,
@@ -19,6 +22,7 @@ from repro.obs.trace import (
     NullTracer,
 )
 from repro.stats.export import to_json
+from repro.system import System
 from repro.workloads.memcached import MemcachedConfig, run_memcached
 from repro.workloads.netperf import RRConfig, StreamConfig, run_tcp_rr, \
     run_tcp_stream_rx, run_tcp_stream_tx
@@ -42,6 +46,64 @@ _TRACED_RUNS = {
                   dict(scheme="copy", cores=2, transactions_per_core=30,
                        warmup_transactions=10)),
 }
+
+
+#: RunResult extras only a captured run carries.
+_OBS_EXTRAS = ("metrics", "exposure", "requests", "locks")
+
+
+def _run_keeping_system(monkeypatch, config):
+    """Run an RX stream and return its result and the system it built
+    (torn down by then)."""
+    built = []
+    build = System.build.__func__
+
+    def keep(cls, system_config):
+        built.append(build(cls, system_config))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(System, "build", classmethod(keep))
+        result = run_tcp_stream_rx(config)
+    (system,) = built
+    return result, system
+
+
+def _assert_capture_changes_nothing(monkeypatch, **cfg):
+    """An uncaptured run of a scheme with a one-pass ``dma_map_fresh``
+    and ``dma_unmap_free`` sets its rings up and tears them down in one
+    pass; a captured one maps and unmaps buffer by buffer.  The rows
+    must agree (observability extras aside), and after teardown both
+    leave no mapping live and equal shadow-pool counters."""
+    bare, bare_system = _run_keeping_system(monkeypatch,
+                                            StreamConfig(**cfg))
+    traced, traced_system = _run_keeping_system(
+        monkeypatch, StreamConfig(**cfg, obs=Observability.capture()))
+    rows = []
+    for result in (bare, traced):
+        row = dataclasses.asdict(result)
+        row["extras"] = {k: v for k, v in row["extras"].items()
+                         if k not in _OBS_EXTRAS}
+        rows.append(row)
+    assert rows[0] == rows[1]
+    assert bare_system.dma_api.live_mappings == 0
+    assert traced_system.dma_api.live_mappings == 0
+    pool = getattr(bare_system.dma_api, "pool", None)
+    if pool is not None:
+        assert vars(pool.stats) == vars(traced_system.dma_api.pool.stats)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_captured_rx_stream_matches_uncaptured(scheme, monkeypatch):
+    _assert_capture_changes_nothing(
+        monkeypatch, scheme=scheme, direction="rx", cores=2,
+        message_size=16384, units_per_core=20, warmup_units=5)
+
+
+def test_captured_16_core_copy_rx_matches_uncaptured(monkeypatch):
+    _assert_capture_changes_nothing(
+        monkeypatch, scheme="copy", direction="rx", cores=16,
+        message_size=16384, units_per_core=10, warmup_units=3)
 
 
 def test_null_tracer_run_is_byte_identical():

@@ -217,6 +217,12 @@ def test_workload_unit_counts_must_be_positive(argv, capsys):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["0", "-64"])
+def test_rr_message_size_must_be_positive(size, capsys):
+    assert main(["rr", "--size", size, "--transactions", "20"]) == 2
+    assert "message_size must be positive" in capsys.readouterr().err
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["stream", "--scheme", "bogus"])

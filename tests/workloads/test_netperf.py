@@ -80,6 +80,18 @@ def test_invalid_message_size_rejected():
         StreamConfig(message_size=0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("message_size", 0, "message_size must be positive"),
+    ("message_size", -64, "message_size must be positive"),
+    ("transactions", 0, "transactions must be positive"),
+    ("warmup_transactions", -1, "warmup_transactions must not be negative"),
+])
+def test_invalid_rr_config_rejected(field, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        RRConfig(**{field: value})
+    RRConfig(warmup_transactions=0)
+
+
 def test_multicore_rx_uses_all_cores():
     r = run_tcp_stream_rx(small_stream(scheme="copy", cores=4,
                                        message_size=16384,

@@ -25,13 +25,13 @@ byte-granularity protection at huge-buffer sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.hints import CopyHint, clamp_hint
 from repro.core.shadow_pool import ShadowBufferMeta, ShadowBufferPool
 from repro.dma.api import DmaDirection, DmaHandle, IommuDmaApi, MappedBlock
 from repro.errors import DmaApiError, PoolExhaustedError, ReproError
-from repro.hw.cpu import CAT_COPY_MGMT, CAT_MEMCPY, ChargeBatch, Core
+from repro.hw.cpu import CAT_COPY_MGMT, ChargeBatch, Core
 from repro.hw.locks import UncontendedPairs
 from repro.hw.machine import Machine
 from repro.iommu.iommu import Iommu
@@ -152,8 +152,7 @@ class ShadowDmaApi(IommuDmaApi):
             self._charged_copy(core, dst_pa=meta.pa, src_pa=buf.pa,
                                nbytes=copy_len,
                                remote=meta.domain_node != buf.node)
-        handle = DmaHandle(iova=meta.iova, size=buf.size, direction=direction)
-        return handle, meta
+        return DmaHandle(meta.iova, buf.size, direction), meta
 
     def _map_bounce(self, core: Core, buf: KBuffer,
                     direction: DmaDirection) -> tuple[DmaHandle, MappedBlock]:
@@ -171,8 +170,7 @@ class ShadowDmaApi(IommuDmaApi):
             self.obs.tracer.emit(EV_DMA_BOUNCE, core.now, core.cid,
                                  iova=block.iova, size=buf.size)
             self.obs.metrics.counter("dma.bounce_maps").inc()
-        return (DmaHandle(iova=block.iova, size=buf.size,
-                          direction=direction), block)
+        return DmaHandle(block.iova, buf.size, direction), block
 
     def _unmap(self, core: Core, buf: KBuffer, handle: DmaHandle,
                cookie: object) -> None:
@@ -206,7 +204,7 @@ class ShadowDmaApi(IommuDmaApi):
         self.pool.release_shadow(core, meta)
 
     # ------------------------------------------------------------------
-    # Ring setup and teardown in one pass.
+    # Ring setup in one pass.
     # ------------------------------------------------------------------
     def dma_map_fresh(self, core: Core, buddy: BuddyAllocator, size: int,
                       count: int, direction: DmaDirection, post_cycles: int,
@@ -243,8 +241,8 @@ class ShadowDmaApi(IommuDmaApi):
             for _ in range(count):
                 if not room:
                     pairs.settle()
-                    buf = KBuffer(pa=buddy.alloc_pages(order, core),
-                                  size=size, node=node)
+                    buf = KBuffer(buddy.alloc_pages(order, core), size,
+                                  node)
                     mapped.append(self._map_fresh_one(
                         core, buddy, buf, direction, post_cycles))
                     room = pool.fresh_room(core, class_index, rights)
@@ -267,63 +265,6 @@ class ShadowDmaApi(IommuDmaApi):
         finally:
             pairs.settle()
             self.stats.note_maps(done, size)
-
-    def dma_unmap_free(self, core: Core,
-                       mapped: Sequence[Tuple[KBuffer, DmaHandle]],
-                       buddies: Sequence[BuddyAllocator]) -> None:
-        """One pass over buffers shadowed from the metadata arrays.
-
-        Each unmaps as :meth:`_unmap` unmaps it: the RX hint still reads
-        the shadow's (possibly stale) length and the bytes still move,
-        then the shadow goes back to its free list
-        (:meth:`ShadowBufferPool.release_fresh`) and the pages to the
-        buddy.  The clocks read are the free lists' tail locks, taken
-        through :class:`~repro.hw.locks.UncontendedPairs`; every other
-        charge is held.  Any other buffer — a hybrid, bounce or fallback
-        mapping, or a release the pool would migrate — goes through
-        ``dma_unmap`` and ``free_pages``.
-        """
-        if not self._unobserved:
-            return super().dma_unmap_free(core, mapped, buddies)
-        pool = self.pool
-        cost = self.cost
-        memory = self.machine.memory
-        charges = ChargeBatch(core)
-        pairs = UncontendedPairs(charges)
-        try:
-            for buf, handle in mapped:
-                live = self._live.get(handle.iova)
-                meta = live.cookie if (live is not None
-                                       and live.handle == handle) else None
-                if not (isinstance(meta, ShadowBufferMeta)
-                        and pool.holds_carved(meta)
-                        and meta.os_buf is not None
-                        and (pool.sticky or core.cid == meta.owner_core)):
-                    pairs.settle()
-                    self.dma_unmap(core, handle)
-                    buddies[buf.node].free_pages(buf.pa, core)
-                    continue
-                del self._live[handle.iova]
-                charges.add(cost.pool_find_cycles, CAT_COPY_MGMT)
-                if handle.direction.device_writes:
-                    copy_len = handle.size
-                    if self._rx_hint is not None:
-                        charges.add(cost.copy_hint_cycles, CAT_COPY_MGMT)
-                        view = _PhysView(memory, meta.pa, handle.size)
-                        copy_len = clamp_hint(
-                            self._rx_hint(view, handle.size), handle.size)
-                    if copy_len > 0:
-                        cycles, pollution = self._copy_cycles(
-                            copy_len, meta.domain_node != buf.node)
-                        charges.add(cycles, CAT_MEMCPY)
-                        charges.add(pollution)
-                        memory.copy(buf.pa, meta.pa, copy_len)
-                pool.release_fresh(core, meta, charges, pairs)
-                self.stats.unmaps += 1
-                charges.add(cost.page_free_cycles)
-                buddies[buf.node].free_pages(buf.pa)
-        finally:
-            pairs.settle()
 
     # ------------------------------------------------------------------
     # Hybrid huge buffers (§5.5).
@@ -396,8 +337,7 @@ class ShadowDmaApi(IommuDmaApi):
         cookie = _HybridCookie(iova_base=iova_base, total_pages=total_pages,
                                head_meta=head_meta, tail_meta=tail_meta,
                                head_len=head_len, tail_len=tail_len)
-        return (DmaHandle(iova=handle_iova, size=buf.size,
-                          direction=direction), cookie)
+        return DmaHandle(handle_iova, buf.size, direction), cookie
 
     def _unmap_hybrid(self, core: Core, buf: KBuffer, handle: DmaHandle,
                       cookie: _HybridCookie) -> None:

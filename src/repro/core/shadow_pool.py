@@ -517,9 +517,9 @@ class ShadowBufferPool:
         return meta
 
     # ------------------------------------------------------------------
-    # Ring setup and teardown in one pass (see ShadowDmaApi.dma_map_fresh
-    # and dma_unmap_free): acquire_shadow and release_shadow with their
-    # charges held and their lock pairs made off the clock.
+    # Ring setup in one pass (see ShadowDmaApi.dma_map_fresh):
+    # acquire_shadow with its charges held and its lock pair made off the
+    # clock.
     # ------------------------------------------------------------------
     def fresh_room(self, core: Core, class_index: int, rights: Perm) -> int:
         """How many acquisitions in a row by ``core`` would each grow the
@@ -575,33 +575,6 @@ class ShadowBufferPool:
         meta.os_buf = os_buf
         self.stats.note_acquire()
         return meta
-
-    def holds_carved(self, meta: ShadowBufferMeta) -> bool:
-        """Whether :meth:`find_shadow` resolves ``meta.iova`` to ``meta``
-        through its metadata array (not the §5.3 fallback table)."""
-        if meta.fallback:
-            return False
-        entries = self._arrays[(meta.domain_node, meta.class_index)].entries
-        return meta.meta_index < len(entries) \
-            and entries[meta.meta_index] is meta
-
-    def release_fresh(self, core: Core, meta: ShadowBufferMeta,
-                      charges: ChargeBatch,
-                      pairs: UncontendedPairs) -> None:
-        """:meth:`release_shadow` of an acquired shadow that stays on
-        its list (a sticky pool, or its owner core releasing): charges
-        held in ``charges``, the tail lock's pair made through
-        ``pairs``."""
-        remote = core.cid != meta.owner_core
-        charges.add(self.cost.pool_release_cycles, CAT_COPY_MGMT)
-        if remote:
-            charges.add(self.cost.pool_remote_release_cycles,
-                        CAT_COPY_MGMT)
-        meta.os_buf = None
-        self.stats.note_release(remote)
-        flist = self._lists[meta.list_key]
-        pairs.pair(flist.tail_lock)
-        flist.push_tail(meta)
 
     # ------------------------------------------------------------------
     # Non-sticky ablation (§5.3 explains why sticky wins; this path

@@ -242,7 +242,7 @@ class DmaApi(abc.ABC):
             self.dma_unmap(core, handle)
 
     # ------------------------------------------------------------------
-    # Ring setup and teardown: a ring's worth of buffers at a time.
+    # Ring setup: a ring's worth of buffers at a time.
     # ------------------------------------------------------------------
     def dma_map_fresh(self, core: Core, buddy: BuddyAllocator, size: int,
                       count: int, direction: DmaDirection, post_cycles: int,
@@ -265,8 +265,8 @@ class DmaApi(abc.ABC):
         """
         order = page_order(size)
         for _ in range(count):
-            buf = KBuffer(pa=buddy.alloc_pages(order, core), size=size,
-                          node=core.numa_node)
+            buf = KBuffer(buddy.alloc_pages(order, core), size,
+                          core.numa_node)
             mapped.append(self._map_fresh_one(core, buddy, buf, direction,
                                               post_cycles))
 
@@ -283,25 +283,11 @@ class DmaApi(abc.ABC):
         core.charge(post_cycles, CAT_OTHER)
         return buf, handle
 
-    def dma_unmap_free(self, core: Core,
-                       mapped: Sequence[Tuple[KBuffer, DmaHandle]],
-                       buddies: Sequence[BuddyAllocator]) -> None:
-        """Unmap each ``(buffer, handle)`` in order and free the
-        buffer's pages to its node's buddy.
-
-        This base is the per-buffer loop; an override charges the same
-        cycles in the same order and leaves the same state.
-        """
-        for buf, handle in mapped:
-            self.dma_unmap(core, handle)
-            buddies[buf.node].free_pages(buf.pa, core)
-
     @property
     def _unobserved(self) -> bool:
         """No recorder and no fault plan armed (both fixed when the
         system is built): the one-pass overrides of
-        :meth:`dma_map_fresh` and :meth:`dma_unmap_free` run only
-        then."""
+        :meth:`dma_map_fresh` run only then."""
         return not (self.obs.enabled or self.machine.faults.enabled)
 
     def _live_fresh(self, buf: KBuffer, handle: DmaHandle,
@@ -355,16 +341,6 @@ class DmaApi(abc.ABC):
             self.obs.metrics.histogram("dma.copy_bytes").observe(nbytes)
             self.obs.requests.mark(core, MARK_COPIED)
             self.obs.spans.end(core)
-
-    def _copy_cycles(self, nbytes: int, remote: bool) -> Tuple[int, int]:
-        """The memcpy and cache-pollution cycles :meth:`_charged_copy`
-        charges for ``nbytes`` (a positive count), for callers that hold
-        their charges (``_charged_copy`` computes them inline: it runs
-        per packet)."""
-        cycles = self.cost.memcpy_cycles(nbytes)
-        if remote:
-            cycles = round(cycles * self.cost.numa_remote_copy_factor)
-        return cycles, self.cost.pollution_cycles(nbytes)
 
     # ------------------------------------------------------------------
     # Deferred-work hooks (no-ops for strict schemes).

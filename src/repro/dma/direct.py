@@ -8,7 +8,7 @@ device's port bypasses translation entirely.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.dma.api import CoherentBuffer, DmaApi, DmaDirection, DmaHandle
 from repro.errors import DmaApiError
@@ -43,7 +43,7 @@ class NoIommuDmaApi(DmaApi):
     def _map(self, core: Core, buf: KBuffer,
              direction: DmaDirection) -> tuple[DmaHandle, object]:
         core.charge(_CALL_CYCLES)
-        return DmaHandle(iova=buf.pa, size=buf.size, direction=direction), None
+        return DmaHandle(buf.pa, buf.size, direction), None
 
     def _unmap(self, core: Core, buf: KBuffer, handle: DmaHandle,
                cookie: object) -> None:
@@ -76,29 +76,6 @@ class NoIommuDmaApi(DmaApi):
         finally:
             charges.apply()
             self.stats.note_maps(done, size)
-
-    def dma_unmap_free(self, core: Core,
-                       mapped: Sequence[Tuple[KBuffer, DmaHandle]],
-                       buddies: Sequence[BuddyAllocator]) -> None:
-        """One pass: the unmap calls and page frees read no clock, so
-        they are charged as one sum."""
-        if not self._unobserved:
-            return super().dma_unmap_free(core, mapped, buddies)
-        live = self._live
-        charges = ChargeBatch(core, per_item=(
-            (_CALL_CYCLES + self.cost.page_free_cycles, CAT_OTHER),))
-        try:
-            for buf, handle in mapped:
-                mapping = live.get(handle.iova)
-                if mapping is None or mapping.handle != handle:
-                    charges.apply()
-                    self.dma_unmap(core, handle)    # raises: not live
-                del live[handle.iova]
-                self.stats.unmaps += 1
-                charges.items += 1
-                buddies[buf.node].free_pages(buf.pa)
-        finally:
-            charges.apply()
 
     def dma_alloc_coherent(self, core: Core, size: int,
                            node: int = 0) -> CoherentBuffer:

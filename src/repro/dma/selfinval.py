@@ -151,8 +151,7 @@ class SelfInvalidatingDmaApi(IommuDmaApi):
             raise
         # Arming the counters is one extra descriptor write.
         core.charge(60, CAT_OTHER)
-        return (DmaHandle(iova=iova_base + offset, size=buf.size,
-                          direction=direction), armed)
+        return DmaHandle(iova_base + offset, buf.size, direction), armed
 
     def _unmap(self, core: Core, buf: KBuffer, handle: DmaHandle,
                cookie: _ArmedMapping) -> None:

@@ -46,10 +46,9 @@ class SwiotlbDmaApi(NoIommuDmaApi):
 
     name = "swiotlb"
 
-    # Every bounce slot is taken under the pool lock, so ring setup and
-    # teardown keep the per-buffer loop.
+    # Every bounce slot is taken under the pool lock, so ring setup keeps
+    # the per-buffer loop.
     dma_map_fresh = DmaApi.dma_map_fresh
-    dma_unmap_free = DmaApi.dma_unmap_free
 
     def __init__(self, machine: Machine, allocators: KernelAllocators,
                  pool_slots: int = 32 * 1024, node: int = 0):
@@ -111,8 +110,7 @@ class SwiotlbDmaApi(NoIommuDmaApi):
         bounce_pa = self.pool_base + slot * SWIOTLB_SLOT_BYTES
         if direction.device_reads:
             self._charged_copy(core, bounce_pa, buf.pa, buf.size)
-        handle = DmaHandle(iova=bounce_pa, size=buf.size,
-                           direction=direction)
+        handle = DmaHandle(bounce_pa, buf.size, direction)
         return handle, _Bounce(slot_start=slot, nslots=nslots,
                                bounce_pa=bounce_pa)
 

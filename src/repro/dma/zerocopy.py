@@ -26,9 +26,9 @@ charged page-granular cost per page.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.dma.api import DmaApi, DmaDirection, DmaHandle, IommuDmaApi
+from repro.dma.api import DmaDirection, DmaHandle, IommuDmaApi
 from repro.errors import DmaApiError, ReproError
 from repro.hw.cpu import CAT_OTHER, CAT_PT_MGMT, ChargeBatch, Core
 from repro.hw.locks import NullLock, SpinLock
@@ -130,15 +130,14 @@ class ZeroCopyDmaApi(IommuDmaApi):
                 self._invalidate_cleared(core, cleared)
             self.iova_allocator.free(iova_base, npages, core)
             raise
-        handle = DmaHandle(iova=iova_base + offset, size=buf.size,
-                           direction=direction)
+        handle = DmaHandle(iova_base + offset, buf.size, direction)
         cookie = _MapCookie(iova_base=iova_base, npages=npages,
                             pa_base=pa_base)
         return handle, cookie
 
     # ------------------------------------------------------------------
-    # Ring setup and teardown in one pass (identity IOVAs only: the
-    # other allocators take a lock per range).
+    # Ring setup in one pass (identity IOVAs only: the other allocators
+    # take a lock per range).
     # ------------------------------------------------------------------
     def dma_map_fresh(self, core: Core, buddy: BuddyAllocator, size: int,
                       count: int, direction: DmaDirection, post_cycles: int,
@@ -208,67 +207,6 @@ class ZeroCopyDmaApi(IommuDmaApi):
             charges.apply()
             self.stats.note_maps(done, size)
 
-    def dma_unmap_free(self, core: Core,
-                       mapped: Sequence[Tuple[KBuffer, DmaHandle]],
-                       buddies: Sequence[BuddyAllocator]) -> None:
-        """One pass over identity mappings that hold their pages alone.
-
-        Such a buffer's PTEs leave the table in one range, as
-        :meth:`_unmap_pages` clears them, with the charge held; what the
-        policy owes next (:meth:`_retire_fresh`) applies the held charges
-        before it reads a clock.  The page frees are held too.  Any other
-        buffer goes through ``dma_unmap`` and ``free_pages``.
-        """
-        if not (self._unobserved and isinstance(self.iova_allocator,
-                                                IdentityIovaAllocator)):
-            return super().dma_unmap_free(core, mapped, buddies)
-        refs = self._page_refs
-        table = self.domain.page_table
-        free_cycles = self.cost.page_free_cycles
-        charges = ChargeBatch(core)
-        try:
-            for buf, handle in mapped:
-                cookie = self._sole_cookie(handle)
-                if cookie is None:
-                    charges.apply()
-                    self.dma_unmap(core, handle)
-                    buddies[buf.node].free_pages(buf.pa, core)
-                    continue
-                del self._live[handle.iova]
-                first, npages = cookie.iova_base >> PAGE_SHIFT, cookie.npages
-                for page in range(first, first + npages):
-                    del refs[page]
-                table.unmap_range(first, npages)
-                charges.add(self.cost.pt_unmap_range_cycles(npages),
-                            CAT_PT_MGMT)
-                self._retire_fresh(core, charges, cookie)
-                self.stats.unmaps += 1
-                charges.add(free_cycles)
-                buddies[buf.node].free_pages(buf.pa)
-        finally:
-            charges.apply()
-
-    def _sole_cookie(self, handle: DmaHandle) -> Optional[_MapCookie]:
-        """The cookie of the live mapping ``handle`` names when every
-        page it covers holds only this mapping's reference."""
-        live = self._live.get(handle.iova)
-        if live is None or live.handle != handle:
-            return None
-        cookie = live.cookie
-        refs = self._page_refs
-        first = cookie.iova_base >> PAGE_SHIFT
-        for page in range(first, first + cookie.npages):
-            ref = refs.get(page)
-            if ref is None or ref.refcount != 1:
-                return None
-        return cookie
-
-    def _retire_fresh(self, core: Core, charges: ChargeBatch,
-                      cookie: _MapCookie) -> None:
-        """What this policy's ``_unmap`` does once the buffer's own PTEs
-        are cleared, for :meth:`dma_unmap_free`."""
-        raise NotImplementedError
-
     def _install(self, core: Core, start: int, stop: int, delta: int,
                  perm: Perm) -> None:
         """Map the fresh IOVA pages ``[start, stop)`` onto frames
@@ -305,7 +243,7 @@ class ZeroCopyDmaApi(IommuDmaApi):
                        perm: Perm) -> None:
         """Post an IOTLB prefetch hint for a just-installed mapping."""
         self.iommu.iotlb.prefetch(self.domain.domain_id, iova_page,
-                                  PteEntry(pfn=pfn, perm=perm))
+                                  PteEntry(pfn, perm))
         core.charge(self.cost.iotlb_prefetch_cycles, CAT_PT_MGMT)
 
     def _map_one_page(self, core: Core, iova_page: int, pfn: int,
@@ -407,17 +345,6 @@ class StrictZeroCopyDmaApi(ZeroCopyDmaApi):
             self._invalidate_cleared(core, cleared)
         self.iova_allocator.free(cookie.iova_base, cookie.npages, core)
 
-    def _retire_fresh(self, core: Core, charges: ChargeBatch,
-                      cookie: _MapCookie) -> None:
-        """The strict invalidation this unmap owes, submitted in order
-        (it reads the clock, so the held charges go first), then the
-        IOVA."""
-        charges.apply()
-        first = cookie.iova_base >> PAGE_SHIFT
-        self._invalidate_cleared(core, list(range(first,
-                                                  first + cookie.npages)))
-        self.iova_allocator.free(cookie.iova_base, cookie.npages, core)
-
 
 class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
     """Deferred protection: batch invalidations (250 unmaps / 10 ms).
@@ -495,38 +422,6 @@ class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
         )
         self._list_lock.release(core)
         if must_flush:
-            self._flush_slot(core, slot)
-
-    def dma_unmap_free(self, core: Core,
-                       mapped: Sequence[Tuple[KBuffer, DmaHandle]],
-                       buddies: Sequence[BuddyAllocator]) -> None:
-        # A global flush list takes a spinlock per unmap: the loop.
-        if not self.per_core_batching:
-            return DmaApi.dma_unmap_free(self, core, mapped, buddies)
-        super().dma_unmap_free(core, mapped, buddies)
-
-    def _retire_fresh(self, core: Core, charges: ChargeBatch,
-                      cookie: _MapCookie) -> None:
-        """:meth:`_unmap`'s queueing, every page cleared, with the clock
-        read from the held charges; a flush it triggers runs for real
-        once they apply."""
-        slot = self._slot(core)
-        self._list_lock.acquire(core)
-        charges.add(self.cost.deferred_bookkeeping_cycles)
-        now = charges.now
-        pending = self._pending[slot]
-        pending.append(PendingInvalidation(
-            domain_id=self.domain.domain_id,
-            iova_page=cookie.iova_base >> PAGE_SHIFT,
-            npages=cookie.npages, queued_at=now))
-        self._pending_iova_frees[slot].append((cookie.iova_base,
-                                               cookie.npages))
-        must_flush = (len(pending) >= self.cost.deferred_batch_size
-                      or now - pending[0].queued_at
-                      >= self.window_budget_cycles)
-        self._list_lock.release(core)
-        if must_flush:
-            charges.apply()
             self._flush_slot(core, slot)
 
     def _flush_slot(self, core: Core, slot: int) -> None:

@@ -111,11 +111,15 @@ class IoPageTable:
             if leaf is not None and (page & _INDEX_MASK) in leaf:
                 raise DmaApiError(
                     f"IOVA page {page:#x} already mapped (would overwrite)")
+        # One entry per page: tuple.__new__ skips PteEntry's generated
+        # __new__ and its argument parsing.
+        new = tuple.__new__
+        delta = pfn - iova_page
         for page in range(iova_page, end):
             leaf = leaves.get(page >> _LEVEL_BITS)
             if leaf is None:
                 leaf = self._new_leaf(page >> _LEVEL_BITS)
-            leaf[page & _INDEX_MASK] = PteEntry(pfn + (page - iova_page), perm)
+            leaf[page & _INDEX_MASK] = new(PteEntry, (page + delta, perm))
         self.mapped_pages += npages
 
     def unmap_range(self, iova_page: int, npages: int) -> None:

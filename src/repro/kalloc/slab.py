@@ -14,8 +14,7 @@ page quantities (as Linux's kmalloc does for large objects).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from repro.errors import KallocError
 from repro.hw.cpu import Core
@@ -27,8 +26,7 @@ from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_order
 SLAB_SIZE_CLASSES = (32, 64, 128, 256, 512, 1024, 2048)
 
 
-@dataclass(frozen=True)
-class KBuffer:
+class KBuffer(NamedTuple):
     """A kernel allocation: physical address, usable size, owning node."""
 
     pa: int
@@ -111,7 +109,7 @@ class SlabAllocator:
             pa = self.buddy.alloc_pages(order)
             self._large[pa] = order
             self.live_allocations += 1
-            return KBuffer(pa=pa, size=size, node=self.node)
+            return KBuffer(pa, size, self.node)
         cache = self._caches[cls]
         pa = cache.take()
         if pa is None:
@@ -121,7 +119,7 @@ class SlabAllocator:
             assert pa is not None
         self._objects[pa] = cls
         self.live_allocations += 1
-        return KBuffer(pa=pa, size=size, node=self.node)
+        return KBuffer(pa, size, self.node)
 
     def kfree(self, buf: KBuffer, core: Core | None = None) -> None:
         """Return an allocation to its cache (or the buddy allocator)."""

@@ -152,11 +152,11 @@ class NicDriver:
 
     def teardown_queue(self, core: Core, qid: int) -> None:
         """Unmap and free everything the queue still holds."""
-        slots = self._rx_slots[qid]
-        self.dma_api.dma_unmap_free(
-            core, [(slot.buf, slot.handle) for slot in slots.values()],
-            self.allocators.buddies)
-        slots.clear()
+        for slot in self._rx_slots[qid].values():
+            self.dma_api.dma_unmap(core, slot.handle)
+            self.allocators.buddies[slot.buf.node].free_pages(
+                slot.buf.pa, core)
+        self._rx_slots[qid].clear()
         self.reap_tx(core, qid)
         if self._tx_slots[qid]:
             raise SimulationError("teardown with un-reaped TX slots")
@@ -176,7 +176,7 @@ class NicDriver:
         node = core.numa_node
         pa = self.allocators.buddies[node].alloc_pages(self._rx_buf_order,
                                                        core)
-        buf = KBuffer(pa=pa, size=self.rx_buf_size, node=node)
+        buf = KBuffer(pa, self.rx_buf_size, node)
         try:
             handle = self.dma_api.dma_map(core, buf,
                                           DmaDirection.FROM_DEVICE)
@@ -362,8 +362,7 @@ class NicDriver:
         while offset < buf.size:
             chunk = min(PAGE_SIZE - ((buf.pa + offset) & (PAGE_SIZE - 1)),
                         buf.size - offset)
-            elements.append(KBuffer(pa=buf.pa + offset, size=chunk,
-                                    node=buf.node))
+            elements.append(KBuffer(buf.pa + offset, chunk, buf.node))
             offset += chunk
         if not self._tx_ring_slots_ready(core, qid, needed=len(elements)):
             self._drop_chunk(core, buf, free_buffer)

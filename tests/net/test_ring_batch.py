@@ -1,13 +1,14 @@
-"""Ring setup and teardown in one pass leave the state the per-buffer
-loop leaves.
+"""Ring setup in one pass leaves the state the per-buffer loop leaves.
 
-The driver fills each RX ring with one ``dma_map_fresh`` call and drains
-it with one ``dma_unmap_free`` call.  Their base implementation is the
-per-buffer loop; with observability and fault injection off, no-iommu,
-identity-IOVA zero-copy and copy run one pass instead.  Each case builds
-two identical systems, pins one to the base loop, and compares the whole
-simulated state after ``setup_queues`` and, after the same RX traffic on
-both, after ``teardown_queues``: core clocks, busy cycles and
+The driver fills each RX ring with one ``dma_map_fresh`` call.  Its base
+implementation is the per-buffer loop; with observability and fault
+injection off, no-iommu, identity-IOVA zero-copy and copy run one pass
+instead.  Teardown is one path: ``dma_unmap`` and ``free_pages`` per
+buffer, whatever observes the run.  Each case builds two identical
+systems, pins one to the base loop, and compares the whole simulated
+state after ``setup_queues`` and, after the same RX traffic on both,
+after ``teardown_queues`` (so a ring the pass set up tears down to the
+state of a ring the loop set up): core clocks, busy cycles and
 breakdowns, every lock's timestamps and counters, the buddy, IOVA,
 page-table, IOTLB and shadow-pool state, ring and buffer memory, driver
 slots and deficits, and the DMA API's live mappings and stats.
@@ -31,8 +32,8 @@ from repro.system import System, SystemConfig
 RX_MULTICORE = ("no-iommu", "copy", "identity-deferred", "identity-strict",
                 "identity-strict-percore")
 
-#: The ring setup and teardown entry points, whose base is the loop.
-_ROUTES = ("dma_map_fresh", "dma_unmap_free")
+#: The ring setup entry point, whose base is the loop.
+_ROUTES = ("dma_map_fresh",)
 
 _ATOMS = frozenset((type(None), bool, int, float, str, bytes))
 
@@ -151,8 +152,10 @@ def _first_difference(a: list, b: list):
 def _compare(scheme: str, cores: int, rx_buf_size: int,
              rx_ring_size: int = 512, frames_per_queue: int = 3) -> None:
     """Set both systems up, then run the same traffic on both and tear
-    them down.  The traffic runs the same code on both routes, so equal
-    state after setup implies equal state before teardown."""
+    them down.  The traffic and the teardown run the same code on both
+    systems, so equal state after setup implies equal state before
+    teardown; the image after it checks that nothing the pass left
+    behind (a lock stamp, a free-list order) shows there."""
     batched = _system(scheme, cores, rx_buf_size, rx_ring_size,
                       batched=True)
     looped = _system(scheme, cores, rx_buf_size, rx_ring_size,
@@ -184,7 +187,8 @@ def test_batched_ring_setup_matches_loop_16_cores(scheme):
 def test_observed_setup_maps_each_buffer(observed):
     """A recorder or a fault plan keeps ring setup on the per-buffer
     loop, so every map opens its span and consults its fault sites; an
-    unobserved copy system maps none of its ring through ``dma_map``."""
+    unobserved copy system maps none of its ring through ``dma_map``.
+    Teardown unmaps every buffer through ``dma_unmap`` in all three."""
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
     from repro.obs.context import Observability
@@ -195,8 +199,11 @@ def test_observed_setup_maps_each_buffer(observed):
     system = System.build(SystemConfig(scheme="copy", cores=1,
                                        rx_ring_size=64, **extra))
     api = system.dma_api
-    maps = []
-    dma_map = api.dma_map
+    maps, unmaps = [], []
+    dma_map, dma_unmap = api.dma_map, api.dma_unmap
     api.dma_map = lambda *args: maps.append(args) or dma_map(*args)
+    api.dma_unmap = lambda *args: unmaps.append(args) or dma_unmap(*args)
     system.setup_queues()
     assert len(maps) == (0 if observed == "neither" else 63)
+    system.teardown_queues()
+    assert len(unmaps) == 63

@@ -38,7 +38,6 @@ from repro.iommu.iommu import Iommu
 from repro.iova.base import IovaAllocator
 from repro.kalloc.buddy import BuddyAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
-from repro.obs.trace import EV_DMA_BOUNCE
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_order
 
 
@@ -167,9 +166,7 @@ class ShadowDmaApi(IommuDmaApi):
                                nbytes=buf.size)
         self.bounce_maps += 1
         if self.obs.enabled:
-            self.obs.tracer.emit(EV_DMA_BOUNCE, core.now, core.cid,
-                                 iova=block.iova, size=buf.size)
-            self.obs.metrics.counter("dma.bounce_maps").inc()
+            self.obs.dma_bounced(core, block.iova, buf.size)
         return DmaHandle(block.iova, buf.size, direction), block
 
     def _unmap(self, core: Core, buf: KBuffer, handle: DmaHandle,

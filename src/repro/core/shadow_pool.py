@@ -42,8 +42,7 @@ from repro.iommu.iommu import Domain, Iommu
 from repro.iommu.page_table import Perm
 from repro.iova.base import IovaAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
-from repro.obs.spans import SPAN_POOL_ACQUIRE, SPAN_POOL_RELEASE
-from repro.obs.trace import EV_POOL_FALLBACK, EV_POOL_GROW, EV_POOL_SHRINK
+from repro.obs import SPAN_POOL_ACQUIRE, SPAN_POOL_RELEASE
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_order
 
 ListKey = Tuple[int, int, Perm]  # (owner core id, class index, rights)
@@ -260,7 +259,7 @@ class ShadowBufferPool:
                 f"path (§5.5)"
             )
         if self.obs.enabled:
-            self.obs.spans.begin(SPAN_POOL_ACQUIRE, core)
+            self.obs.span_begin(SPAN_POOL_ACQUIRE, core)
         core.charge(self.cost.pool_acquire_cycles, CAT_COPY_MGMT)
         flist = self._list_for(core.cid, class_index, rights)
         meta = None
@@ -273,9 +272,8 @@ class ShadowBufferPool:
         meta.os_buf = os_buf
         self.stats.note_acquire()
         if self.obs.enabled:
-            self.obs.metrics.series("pool.in_flight").sample(
-                core.now, self.stats.in_flight)
-            self.obs.spans.end(core)
+            self.obs.pool_occupancy(core, self.stats.in_flight)
+            self.obs.span_end(core)
         return meta
 
     def find_shadow(self, core: Core, iova: int) -> ShadowBufferMeta:
@@ -313,29 +311,26 @@ class ShadowBufferPool:
                 f"double release of shadow buffer IOVA {meta.iova:#x}")
         remote = core.cid != meta.owner_core
         if self.obs.enabled:
-            self.obs.spans.begin(SPAN_POOL_RELEASE, core)
+            self.obs.span_begin(SPAN_POOL_RELEASE, core)
         core.charge(self.cost.pool_release_cycles, CAT_COPY_MGMT)
         if remote:
             core.charge(self.cost.pool_remote_release_cycles, CAT_COPY_MGMT)
         meta.os_buf = None
         self.stats.note_release(remote)
         if self.obs.enabled:
-            self.obs.metrics.series("pool.in_flight").sample(
-                core.now, self.stats.in_flight)
+            self.obs.pool_occupancy(core, self.stats.in_flight)
         if (not self.sticky and remote and not meta.fallback
                 and meta.size >= PAGE_SIZE):
             # Sub-page buffers are never migrated: their page mapping is
             # shared with siblings of the same list.
             self._migrate_to_core(core, meta)
-            if self.obs.enabled:
-                self.obs.spans.end(core)
-            return
-        flist = self._lists[meta.list_key]
-        flist.tail_lock.acquire(core)
-        flist.push_tail(meta)
-        flist.tail_lock.release(core)
+        else:
+            flist = self._lists[meta.list_key]
+            flist.tail_lock.acquire(core)
+            flist.push_tail(meta)
+            flist.tail_lock.release(core)
         if self.obs.enabled:
-            self.obs.spans.end(core)
+            self.obs.span_end(core)
 
     # ------------------------------------------------------------------
     # Growth (slow path, §5.3 "Shadow buffer allocation").
@@ -382,12 +377,8 @@ class ShadowBufferPool:
             raise
         self.stats.note_grow(alloc_bytes, nbuffers)
         if self.obs.enabled:
-            self.obs.tracer.emit(EV_POOL_GROW, core.now, core.cid,
-                                 size_class=size, nbytes=alloc_bytes,
-                                 nbuffers=nbuffers, rights=rights.name)
-            self.obs.metrics.counter("pool.grows").inc()
-            self.obs.metrics.series("pool.bytes_allocated").sample(
-                core.now, self.stats.bytes_allocated)
+            self.obs.pool_grown(core, size, alloc_bytes, nbuffers, rights,
+                                self.stats.bytes_allocated)
         # One buffer is returned; the rest go to the private cache so we
         # need not synchronize with concurrent releases (§5.3).
         result = metas[0]
@@ -510,10 +501,7 @@ class ShadowBufferPool:
         self._fallback[iova] = meta
         self.stats.fallback_allocations += 1
         if self.obs.enabled:
-            self.obs.tracer.emit(EV_POOL_FALLBACK, core.now, core.cid,
-                                 size_class=size, iova=iova,
-                                 rights=rights.name)
-            self.obs.metrics.counter("pool.fallback_allocations").inc()
+            self.obs.pool_fallback(core, size, iova, rights)
         return meta
 
     # ------------------------------------------------------------------
@@ -649,11 +637,8 @@ class ShadowBufferPool:
                 self.stats.note_shrink(released, 1)
                 freed += released
                 if self.obs.enabled:
-                    self.obs.tracer.emit(EV_POOL_SHRINK, core.now, core.cid,
-                                         size=meta.size,
-                                         fallback=meta.fallback)
-                    self.obs.metrics.series("pool.bytes_allocated").sample(
-                        core.now, self.stats.bytes_allocated)
+                    self.obs.pool_shrunk(core, meta.size, meta.fallback,
+                                         self.stats.bytes_allocated)
         return freed
 
     # ------------------------------------------------------------------

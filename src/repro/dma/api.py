@@ -34,10 +34,7 @@ from repro.iommu.page_table import Perm
 from repro.iova.base import IovaAllocator
 from repro.kalloc.buddy import BuddyAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
-from repro.obs.context import NULL_OBS
-from repro.obs.requests import MARK_COPIED, MARK_MAPPED, MARK_UNMAPPED
-from repro.obs.spans import SPAN_COPY, SPAN_DMA_MAP, SPAN_DMA_UNMAP
-from repro.obs.trace import EV_DMA_COPY, EV_DMA_MAP, EV_DMA_UNMAP
+from repro.obs import NULL_OBS, SPAN_COPY, SPAN_DMA_MAP, SPAN_DMA_UNMAP
 from repro.sim.units import PAGE_SHIFT, page_order
 
 
@@ -99,8 +96,7 @@ class SchemeProperties:
     multi_core_perf: bool
 
 
-@dataclass
-class _LiveMapping:
+class _LiveMapping(NamedTuple):
     buf: KBuffer
     handle: DmaHandle
     cookie: object = None
@@ -161,35 +157,25 @@ class DmaApi(abc.ABC):
         """Authorize a DMA to/from ``buf``; returns the bus address handle."""
         if buf.size <= 0:
             raise DmaApiError("dma_map of empty buffer")
-        if self.obs.enabled:
-            self.obs.spans.begin(SPAN_DMA_MAP, core)
+        obs = self.obs
+        if obs.enabled:
+            obs.span_begin(SPAN_DMA_MAP, core)
         try:
             handle, cookie = self._map(core, buf, direction)
+            if handle.iova in self._live:
+                raise DmaApiError(
+                    f"scheme bug: IOVA {handle.iova:#x} handed out twice"
+                )
         except ReproError:
             # Keep the span stack balanced when a map fails (schemes
             # unwind their own IOVA/page/pool state before re-raising).
-            if self.obs.enabled:
-                self.obs.spans.end(core)
+            if obs.enabled:
+                obs.span_end(core)
             raise
-        if self.obs.enabled:
-            self.obs.spans.end(core)
-        if handle.iova in self._live:
-            raise DmaApiError(
-                f"scheme bug: IOVA {handle.iova:#x} handed out twice"
-            )
-        self._live[handle.iova] = _LiveMapping(buf=buf, handle=handle,
-                                               cookie=cookie)
+        self._live[handle.iova] = _LiveMapping(buf, handle, cookie)
         self.stats.note_map(buf.size)
-        if self.obs.enabled:
-            self.obs.tracer.emit(EV_DMA_MAP, core.now, core.cid,
-                                 scheme=self.name, iova=handle.iova,
-                                 size=buf.size,
-                                 direction=direction.value)
-            self.obs.metrics.counter(f"dma.maps:{self.name}").inc()
-            self.obs.exposure.note_dma_map(core.now, self.name,
-                                           self.domain_id, handle.iova,
-                                           buf.size)
-            self.obs.requests.mark(core, MARK_MAPPED)
+        if obs.enabled:
+            obs.dma_mapped(core, self.name, self.domain_id, handle)
         return handle
 
     def dma_unmap(self, core: Core, handle: DmaHandle) -> None:
@@ -203,21 +189,13 @@ class DmaApi(abc.ABC):
                 f"dma_unmap arguments disagree with dma_map for "
                 f"IOVA {handle.iova:#x}"
             )
-        if self.obs.enabled:
-            self.obs.spans.begin(SPAN_DMA_UNMAP, core)
+        obs = self.obs
+        if obs.enabled:
+            obs.span_begin(SPAN_DMA_UNMAP, core)
         self._unmap(core, live.buf, handle, live.cookie)
-        if self.obs.enabled:
-            self.obs.spans.end(core)
         self.stats.unmaps += 1
-        if self.obs.enabled:
-            self.obs.tracer.emit(EV_DMA_UNMAP, core.now, core.cid,
-                                 scheme=self.name, iova=handle.iova,
-                                 size=handle.size)
-            self.obs.metrics.counter(f"dma.unmaps:{self.name}").inc()
-            self.obs.exposure.note_dma_unmap(core.now, self.name,
-                                             self.domain_id, handle.iova,
-                                             handle.size)
-            self.obs.requests.mark(core, MARK_UNMAPPED)
+        if obs.enabled:
+            obs.dma_unmapped(core, self.name, self.domain_id, handle)
 
     def dma_map_sg(self, core: Core, bufs: Sequence[KBuffer],
                    direction: DmaDirection) -> List[DmaHandle]:
@@ -298,8 +276,7 @@ class DmaApi(abc.ABC):
         if handle.iova in self._live:
             raise DmaApiError(
                 f"scheme bug: IOVA {handle.iova:#x} handed out twice")
-        self._live[handle.iova] = _LiveMapping(buf=buf, handle=handle,
-                                               cookie=cookie)
+        self._live[handle.iova] = _LiveMapping(buf, handle, cookie)
 
     @abc.abstractmethod
     def port(self) -> DmaPort:
@@ -325,7 +302,7 @@ class DmaApi(abc.ABC):
         if nbytes <= 0:
             return
         if self.obs.enabled:
-            self.obs.spans.begin(SPAN_COPY, core)
+            self.obs.span_begin(SPAN_COPY, core)
         cycles = self.cost.memcpy_cycles(nbytes)
         if remote:
             cycles = round(cycles * self.cost.numa_remote_copy_factor)
@@ -335,12 +312,7 @@ class DmaApi(abc.ABC):
             core.charge(pollution, CAT_OTHER)
         self.machine.memory.copy(dst_pa, src_pa, nbytes)
         if self.obs.enabled:
-            self.obs.tracer.emit(EV_DMA_COPY, core.now, core.cid,
-                                 nbytes=nbytes, remote=remote,
-                                 cycles=cycles)
-            self.obs.metrics.histogram("dma.copy_bytes").observe(nbytes)
-            self.obs.requests.mark(core, MARK_COPIED)
-            self.obs.spans.end(core)
+            self.obs.dma_copied(core, nbytes, remote, cycles)
 
     # ------------------------------------------------------------------
     # Deferred-work hooks (no-ops for strict schemes).

@@ -162,9 +162,8 @@ class SelfInvalidatingDmaApi(IommuDmaApi):
 
     def _revoke(self, armed: _ArmedMapping) -> None:
         """Hardware-side revocation: drop the PTEs + IOTLB entries."""
-        obs = self.machine.obs
-        now = self.machine.wall_clock() if obs.enabled else 0
         first = armed.iova_base >> PAGE_SHIFT
+        unmapped = []
         for i in range(armed.npages):
             page = first + i
             if self._armed_by_page.get(page) is armed:
@@ -172,18 +171,19 @@ class SelfInvalidatingDmaApi(IommuDmaApi):
                 self._page_rc.pop(page, None)
                 if self.domain.page_table.lookup(page) is not None:
                     self.domain.page_table.unmap_page(page)
-                    if obs.enabled:
-                        # Bypasses Iommu.unmap_range, so the exposure
-                        # accountant hears about it here; the hardware
-                        # drops PTE and IOTLB entry in one action.
-                        obs.exposure.note_unmap_range(
-                            now, self.domain.domain_id,
-                            page << PAGE_SHIFT, PAGE_SIZE, {page})
+                    unmapped.append(page)
         self.iommu.iotlb.invalidate_pages(self.domain.domain_id, first,
                                           armed.npages)
+        obs = self.machine.obs
         if obs.enabled:
-            obs.exposure.note_invalidate_pages(now, self.domain.domain_id,
-                                               first, armed.npages)
+            # Bypasses Iommu.unmap_range, so the range unmaps are
+            # reported here; the hardware drops PTE and IOTLB entry in
+            # one action.
+            now = self.machine.wall_clock()
+            for page in unmapped:
+                obs.range_unmapped(now, self.domain.domain_id,
+                                   page << PAGE_SHIFT, PAGE_SIZE, {page})
+            obs.invalidated(now, self.domain.domain_id, first, armed.npages)
         self.self_invalidations += 1
         # Identity IOVAs need no recycling bookkeeping.
 

@@ -40,7 +40,6 @@ from repro.iova.allocators import IdentityIovaAllocator
 from repro.iova.base import IovaAllocator
 from repro.kalloc.buddy import BuddyAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
-from repro.obs.trace import EV_INV_DEFER
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_order
 
 
@@ -408,9 +407,8 @@ class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
                 domain_id=self.domain.domain_id, iova_page=cleared[0],
                 npages=npages, queued_at=core.now))
             if self.obs.enabled:
-                self.obs.tracer.emit(EV_INV_DEFER, core.now, core.cid,
-                                     scheme=self.name, pages=npages,
-                                     slot=slot, queued=len(pending))
+                self.obs.inv_deferred(core, self.name, npages, slot,
+                                      len(pending))
         # IOVA deallocation is deferred too (§2.2.1): the range must not
         # be reused while stale IOTLB entries can still reach it.
         self._pending_iova_frees[slot].append((cookie.iova_base,
@@ -441,10 +439,7 @@ class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
         if len(self.window_samples) < self._max_window_samples:
             self.window_samples.extend(windows)
         if self.obs.enabled and windows:
-            window_hist = self.obs.metrics.histogram(
-                "invalidation.window_cycles")
-            for window in windows:
-                window_hist.observe(window)
+            self.obs.deferred_windows(windows)
         for iova, npages in frees:
             self.iova_allocator.free(iova, npages, core)
 

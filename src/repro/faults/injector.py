@@ -26,12 +26,9 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from .plan import FaultPlan, SiteRule, site_seed
+from repro.obs.context import NULL_OBS
 
-try:  # trace constants only; keep this module import-cycle-free.
-    from ..obs.trace import EV_FAULT_INJECT
-except ImportError:  # pragma: no cover - obs is a sibling package
-    EV_FAULT_INJECT = "fault.inject"
+from .plan import FaultPlan, SiteRule, site_seed
 
 
 class NullFaultInjector:
@@ -64,17 +61,18 @@ NULL_FAULTS = NullFaultInjector()
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` at runtime, deterministically.
 
-    ``obs`` is an optional :class:`~repro.obs.context.Observability`;
-    when tracing is enabled every fire emits an ``fault.inject`` event
-    stamped with the site, consult index, and trigger kind so two runs
-    of the same plan can be diffed event-for-event.
+    Every fire is reported, with its site, consult index and fire count,
+    to the :class:`~repro.obs.context.Observability` of the machine the
+    injector is attached to (:attr:`obs`, which the machine sets), so
+    two captured runs of the same plan can be diffed event-for-event.
     """
 
     enabled = True
 
-    def __init__(self, plan: FaultPlan, obs=None):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.obs = obs
+        #: The attached machine's observability context.
+        self.obs = NULL_OBS
         #: ``False`` during system build and quiesce: consults pass
         #: through without counting, so recovery-free phases (coherent
         #: ring allocation, teardown) cannot trip injected faults.
@@ -113,12 +111,8 @@ class FaultInjector:
             fired = False
         if fired:
             self._fires[site] += 1
-            if self.obs is not None and self.obs.enabled:
-                t = core.now if core is not None else 0
-                cid = core.cid if core is not None else -1
-                self.obs.tracer.emit(EV_FAULT_INJECT, t, cid, site=site,
-                                     consult=index, fire=self._fires[site])
-                self.obs.metrics.counter(f"faults.injected.{site}").inc()
+            if self.obs.enabled:
+                self.obs.fault_injected(core, site, index, self._fires[site])
         return fired
 
     # ------------------------------------------------------------------

@@ -239,7 +239,7 @@ def run_chaos(scheme: str, plan: FaultPlan, *, cores: int = 1,
     """
     started = time.perf_counter()
     obs = Observability.capture() if capture else None
-    injector = FaultInjector(plan, obs=obs)
+    injector = FaultInjector(plan)
     system = System.build(SystemConfig(
         scheme=scheme, cores=cores, obs=obs, faults=injector,
         scheme_kwargs=_scheme_kwargs(scheme)))

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.hw.cpu import CAT_SPINLOCK, ChargeBatch, Core
-from repro.obs.context import NULL_OBS, Observability
-from repro.obs.spans import SPAN_LOCK_WAIT
-from repro.obs.trace import EV_LOCK_ACQUIRE, EV_LOCK_CONTEND, EV_LOCK_RELEASE
+from repro.obs import NULL_OBS, SPAN_LOCK_WAIT, Observability
 from repro.sim.costmodel import CostModel
 
 
@@ -26,8 +24,7 @@ class LockStats:
 
     These lifetime aggregates stay for cheap assertions; runs that want
     distributions (wait/hold profiles per lock) enable the observability
-    layer, which records ``lock.wait_cycles:<name>`` and
-    ``lock.hold_cycles:<name>`` histograms in the metrics registry.
+    layer, which records wait and hold histograms per lock.
     """
 
     acquisitions: int = 0
@@ -75,7 +72,7 @@ class SpinLock:
         if self._holder is core:
             raise SimulationError(f"lock {self.name}: recursive acquire")
         if self.obs.enabled:
-            self.obs.spans.begin(SPAN_LOCK_WAIT, core)
+            self.obs.span_begin(SPAN_LOCK_WAIT, core)
         waited = core.spin_until(self.free_at, CAT_SPINLOCK)
         self.stats.acquisitions += 1
         if waited:
@@ -87,21 +84,8 @@ class SpinLock:
             # Uncontended fast path: the atomic RMW pair.
             core.charge(self.cost.lock_uncontended_cycles, CAT_SPINLOCK)
         if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter(f"lock.acquisitions:{self.name}").inc()
-            self.obs.locks.note_acquire(self.name, core.cid,
-                                        self._last_holder_cid, waited,
-                                        core.now)
-            if waited:
-                metrics.histogram(
-                    f"lock.wait_cycles:{self.name}").observe(waited)
-                self.obs.tracer.emit(EV_LOCK_CONTEND, core.now, core.cid,
-                                     lock=self.name, wait_cycles=waited)
-                self.obs.requests.note_lock_wait(core, self.name, waited)
-            else:
-                self.obs.tracer.emit(EV_LOCK_ACQUIRE, core.now, core.cid,
-                                     lock=self.name)
-            self.obs.spans.end(core)
+            self.obs.lock_acquired(core, self.name, self._last_holder_cid,
+                                   waited)
         self._holder = core
         self._acquired_at = core.now
 
@@ -113,11 +97,7 @@ class SpinLock:
         held = core.now - self._acquired_at
         self.stats.total_hold_cycles += held
         if self.obs.enabled:
-            self.obs.metrics.histogram(
-                f"lock.hold_cycles:{self.name}").observe(held)
-            self.obs.tracer.emit(EV_LOCK_RELEASE, core.now, core.cid,
-                                 lock=self.name, hold_cycles=held)
-            self.obs.locks.note_release(self.name, core.cid, held)
+            self.obs.lock_released(core, self.name, held)
         self.free_at = core.now
         self._last_holder_cid = core.cid
         self._holder = None
@@ -214,7 +194,7 @@ class NullLock:
         return False
 
 
-@dataclass
+@dataclass(eq=False)
 class SharedResource:
     """A hardware unit with a serial service queue (e.g. the IOMMU's
     invalidation engine).
@@ -223,7 +203,8 @@ class SharedResource:
     earlier than the caller's clock and no earlier than the previous
     occupancy's end; it returns the completion timestamp.  Callers decide
     whether to busy-wait on that timestamp (strict mode does; deferred
-    mode does not).
+    mode does not).  Each resource is one unit, compared and hashed by
+    identity.
     """
 
     name: str

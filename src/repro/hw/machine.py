@@ -47,8 +47,11 @@ class Machine:
         #: shares.  Disabled (NULL_OBS) by default — see repro.obs.
         self.obs = obs if obs is not None else NULL_OBS
         #: Fault injector shared the same way (NULL_FAULTS by default) —
-        #: see repro.faults.
+        #: see repro.faults.  It reports its fires to this machine's
+        #: context.
         self.faults = faults if faults is not None else NULL_FAULTS
+        if faults is not None:
+            faults.obs = self.obs
 
     @classmethod
     def build(cls, cores: int = 16, numa_nodes: int = 2,

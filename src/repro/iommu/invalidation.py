@@ -52,16 +52,7 @@ from repro.faults.plan import SITE_INV_STALL
 from repro.hw.cpu import CAT_INVALIDATE, Core
 from repro.hw.locks import NullLock, SharedResource, SpinLock
 from repro.iommu.iotlb import Iotlb
-from repro.obs.context import NULL_OBS, Observability
-from repro.obs.requests import MARK_INVALIDATED
-from repro.obs.spans import SPAN_IOTLB_INVALIDATE
-from repro.obs.trace import (
-    EV_FAULT_RECOVER,
-    EV_INV_COMPLETE,
-    EV_INV_FLUSH,
-    EV_INV_SUBMIT,
-    EV_INV_TIMEOUT,
-)
+from repro.obs import NULL_OBS, SPAN_IOTLB_INVALIDATE, Observability
 from repro.sim.costmodel import CostModel
 from repro.sim.units import us_to_cycles
 
@@ -147,10 +138,6 @@ class InvalidationQueue:
             else SharedResource("iommu-invalidation-hw")
         self.pipelined = pipelined
         self._recent: Deque[Tuple[int, int]] = deque()  # (time, core id)
-        # Completion timestamps of descriptors still in flight at the
-        # latest submission — obs-only bookkeeping behind the queue-depth
-        # time series (host memory; never read by the simulation).
-        self._inflight_done: Deque[int] = deque()
         self.sync_invalidations = 0
         self.batch_flushes = 0
         # Stall-recovery accounting (see _recover_stall).
@@ -227,13 +214,7 @@ class InvalidationQueue:
         self.lock.acquire(core)
         self._submit_and_wait(core, scope="page", domain_id=domain_id,
                               npages=total, ndesc=len(runs), ranged=True)
-        for start, npages in runs:
-            self.iotlb.invalidate_pages(domain_id, start, npages)
-            if self.obs.enabled:
-                # ``core.now`` is the completion instant — the true
-                # revocation time the exposure windows close at.
-                self.obs.exposure.note_invalidate_pages(
-                    core.now, domain_id, start, npages)
+        self._revoke_runs(core, domain_id, runs)
         self.lock.release(core)
         self.sync_invalidations += 1
 
@@ -243,7 +224,7 @@ class InvalidationQueue:
         self._submit_and_wait(core, scope="domain", domain_id=domain_id)
         self.iotlb.invalidate_domain(domain_id)
         if self.obs.enabled:
-            self.obs.exposure.note_invalidate_domain(core.now, domain_id)
+            self.obs.invalidated(core.now, domain_id)
         self.lock.release(core)
         self.sync_invalidations += 1
 
@@ -285,13 +266,13 @@ class InvalidationQueue:
         """Post ``ndesc`` descriptors + a wait descriptor and busy-wait.
 
         Shared by every submission path; the observed latency (hardware
-        queueing + service) feeds the ``invalidation.latency_cycles``
-        histogram that reproduces Fig. 8a as a distribution.  Ranged
+        queueing + service) is reported with the submission, which is
+        how Fig. 8a is reproduced as a distribution.  Ranged
         submissions (``ranged=True``) pay the descriptor/page cost curve
         from the cost model on top of the base latency.
         """
         if self.obs.enabled:
-            self.obs.spans.begin(SPAN_IOTLB_INVALIDATE, core)
+            self.obs.span_begin(SPAN_IOTLB_INVALIDATE, core)
         core.charge(self.cost.invq_submit_cycles
                     + self.cost.invq_ranged_desc_cycles * (ndesc - 1),
                     CAT_INVALIDATE)
@@ -305,33 +286,9 @@ class InvalidationQueue:
         else:
             done = self._occupy_and_wait(core, latency, ndesc)
         if self.obs.enabled:
-            observed = done - submitted_at
-            metrics = self.obs.metrics
-            metrics.histogram("invalidation.latency_cycles").observe(observed)
-            # One count per descriptor actually posted, under the scope
-            # it was posted with — ranged batches are ndesc page-scope
-            # submissions, not one global one.
-            metrics.counter(f"invalidation.submissions:{scope}").inc(ndesc)
-            metrics.series("invalidation.concurrency").sample(
-                submitted_at, concurrency)
-            # Queue depth seen by this submission: descriptors whose
-            # completion lies beyond the submit instant.  The hardware's
-            # FIFO discipline makes completion times monotone per
-            # occupancy order, so evicting from the head suffices.
-            inflight = self._inflight_done
-            while inflight and inflight[0] <= submitted_at:
-                inflight.popleft()
-            inflight.append(done)
-            metrics.series("invalidation.queue_depth").sample(
-                submitted_at, len(inflight))
-            self.obs.tracer.emit(EV_INV_SUBMIT, submitted_at, core.cid,
-                                 scope=scope, domain=domain_id,
-                                 pages=npages, concurrency=concurrency,
-                                 descriptors=ndesc)
-            self.obs.tracer.emit(EV_INV_COMPLETE, done, core.cid,
-                                 scope=scope, latency_cycles=observed)
-            self.obs.requests.mark(core, MARK_INVALIDATED)
-            self.obs.spans.end(core)
+            self.obs.inv_submitted(core, self.hardware, scope, domain_id,
+                                   npages, ndesc, concurrency, submitted_at,
+                                   done)
 
     def _recover_stall(self, core: Core, scope: str, extra: int,
                        ndesc: int = 1) -> int:
@@ -343,12 +300,11 @@ class InvalidationQueue:
         keep their zero-window guarantee even through a reset.  Returns
         the completion instant.
 
-        Every re-submit is a real submission: it lands in the Fig. 8a
-        concurrency window (``_note_submission``), its latency is
-        recomputed from the concurrency *at the retry instant*, and the
-        concurrency / queue-depth series sample the resubmit like the
-        first attempt did — so stall storms are visible, and costed, at
-        the moment they retry.
+        Every re-submit is a real submission (:meth:`_resubmit`): it
+        lands in the Fig. 8a concurrency window, its latency is
+        recomputed from the concurrency *at the retry instant*, and it is
+        reported like the first attempt was — so stall storms are
+        visible, and costed, at the moment they retry.
         """
         retries = 0
         while True:
@@ -357,75 +313,60 @@ class InvalidationQueue:
             core.charge(self.cost.invq_wait_poll_cycles, CAT_INVALIDATE)
             self.timeouts += 1
             if self.obs.enabled:
-                self.obs.tracer.emit(EV_INV_TIMEOUT, core.now, core.cid,
-                                     scope=scope, retry=retries)
-                self.obs.metrics.counter("invalidation.timeouts").inc()
+                self.obs.inv_timeout(core, scope, retries)
             if retries >= _STALL_MAX_RETRIES:
                 break
             core.advance_to(core.now + (_STALL_BACKOFF_CYCLES << retries))
             retries += 1
-            core.charge(self.cost.invq_submit_cycles, CAT_INVALIDATE)
-            concurrency = self._note_submission(core)
-            self._sample_resubmit(core, concurrency)
+            concurrency = self._resubmit(core, self.cost.invq_submit_cycles)
             if not (self.faults.enabled
                     and self.faults.fires(SITE_INV_STALL, core)):
                 latency = self._latency_for(concurrency, extra)
                 done = self._occupy_and_wait(core, latency, ndesc)
                 self.recovered_stalls += 1
                 if self.obs.enabled:
-                    self.obs.tracer.emit(EV_FAULT_RECOVER, core.now,
-                                         core.cid, site=SITE_INV_STALL,
-                                         action="retry", retries=retries)
-                    self.obs.metrics.counter(
-                        "invalidation.stall_retries").inc()
+                    self.obs.fault_recovered(core, SITE_INV_STALL, "retry",
+                                             retries=retries)
                 return done
         # Retries exhausted: model a queue reset.  The reset path always
         # completes, and flushing every entry is a superset of whatever
         # the stuck descriptor was meant to revoke.  The reset's global
         # flush is itself a submission — count it.
         self.queue_resets += 1
-        core.charge(self.cost.invq_submit_cycles * 2, CAT_INVALIDATE)
-        concurrency = self._note_submission(core)
-        self._sample_resubmit(core, concurrency)
+        concurrency = self._resubmit(core, self.cost.invq_submit_cycles * 2)
         done = self._occupy_and_wait(
             core, self._latency_for(concurrency, extra=0))
         self.iotlb.invalidate_all()
         self.recovered_stalls += 1
         if self.obs.enabled:
-            self.obs.exposure.note_invalidate_all(core.now)
-            self.obs.tracer.emit(EV_FAULT_RECOVER, core.now, core.cid,
-                                 site=SITE_INV_STALL, action="queue-reset")
-            self.obs.metrics.counter("invalidation.queue_resets").inc()
+            self.obs.invalidated(core.now)
+            self.obs.fault_recovered(core, SITE_INV_STALL, "queue-reset")
         return done
 
-    def _sample_resubmit(self, core: Core, concurrency: int) -> None:
-        """Sample the concurrency / queue-depth series at a re-submit.
-
-        The retried descriptor itself is still in flight (its completion
-        is appended by the outer ``_submit_and_wait`` once known), hence
-        the ``+ 1``.
-        """
-        if not self.obs.enabled:
-            return
-        metrics = self.obs.metrics
-        metrics.series("invalidation.concurrency").sample(
-            core.now, concurrency)
-        inflight = self._inflight_done
-        while inflight and inflight[0] <= core.now:
-            inflight.popleft()
-        metrics.series("invalidation.queue_depth").sample(
-            core.now, len(inflight) + 1)
+    def _resubmit(self, core: Core, cycles: int) -> int:
+        """Re-post a stalled submission for ``cycles``; returns the
+        concurrency it sees."""
+        core.charge(cycles, CAT_INVALIDATE)
+        concurrency = self._note_submission(core)
+        if self.obs.enabled:
+            self.obs.inv_resubmitted(core, self.hardware, concurrency)
+        return concurrency
 
     def _invalidate_locked(self, core: Core, domain_id: int,
                            iova_page: int, npages: int) -> None:
         self._submit_and_wait(core, scope="page", domain_id=domain_id,
                               npages=npages)
-        self.iotlb.invalidate_pages(domain_id, iova_page, npages)
-        if self.obs.enabled:
-            # ``core.now`` is the completion instant — the true
-            # revocation time the exposure windows close at.
-            self.obs.exposure.note_invalidate_pages(core.now, domain_id,
-                                                    iova_page, npages)
+        self._revoke_runs(core, domain_id, ((iova_page, npages),))
+
+    def _revoke_runs(self, core: Core, domain_id: int,
+                     runs: Iterable[Tuple[int, int]]) -> None:
+        """Drop ``(first page, npages)`` runs of ``domain_id`` from the
+        IOTLB once their wait completed: ``core.now`` is the true
+        revocation time the exposure windows close at."""
+        for start, npages in runs:
+            self.iotlb.invalidate_pages(domain_id, start, npages)
+            if self.obs.enabled:
+                self.obs.invalidated(core.now, domain_id, start, npages)
 
     # ------------------------------------------------------------------
     # Deferred protection: flush a batch with one global invalidation.
@@ -466,25 +407,18 @@ class InvalidationQueue:
                                       domain_id=domain_id,
                                       npages=sum(n for _, n in runs),
                                       ndesc=len(runs), ranged=True)
-                for start, npages in runs:
-                    self.iotlb.invalidate_pages(domain_id, start, npages)
-                    if self.obs.enabled:
-                        self.obs.exposure.note_invalidate_pages(
-                            core.now, domain_id, start, npages)
+                self._revoke_runs(core, domain_id, runs)
         else:
             descriptors = 1
             self._submit_and_wait(core, scope="global")
             self.iotlb.invalidate_all()
             if self.obs.enabled:
-                self.obs.exposure.note_invalidate_all(core.now)
+                self.obs.invalidated(core.now)
         self.lock.release(core)
         self.batch_flushes += 1
         if self.obs.enabled:
-            self.obs.tracer.emit(EV_INV_FLUSH, core.now, core.cid,
-                                 batch=len(pending), pages=total_pages,
-                                 ranged=ranged, descriptors=descriptors)
-            self.obs.metrics.histogram(
-                "invalidation.batch_size").observe(len(pending))
+            self.obs.inv_flushed(core, len(pending), total_pages, ranged,
+                                 descriptors)
 
 
 class _AggregatedLockStats:
@@ -544,9 +478,9 @@ class PerCoreInvalidationQueue:
     private — the paper's ``qi-lock`` funnel disappears — while the
     engine itself stays a single :class:`SharedResource`, so hardware
     saturation (and the queueing delay it causes) is still modeled.
-    The shards share one concurrency window and one in-flight deque, so
-    Fig. 8a-style observability (``invalidation.concurrency`` /
-    ``queue_depth`` series) reads across the whole subsystem.
+    The shards share one concurrency window and one engine, so Fig.
+    8a-style concurrency and queue depth read across the whole
+    subsystem.
 
     Exposes the same counters and ``lock.stats`` shape as
     :class:`InvalidationQueue` (aggregated over shards), so workload
@@ -562,7 +496,6 @@ class PerCoreInvalidationQueue:
         self.obs = obs if obs is not None else NULL_OBS
         self.hardware = SharedResource("iommu-invalidation-hw")
         shared_recent: Deque[Tuple[int, int]] = deque()
-        shared_inflight: Deque[int] = deque()
         self.shards: List[InvalidationQueue] = []
         for i in range(nqueues):
             shard = InvalidationQueue(
@@ -571,7 +504,6 @@ class PerCoreInvalidationQueue:
                 obs=obs, faults=faults,
                 hardware=self.hardware, pipelined=True)
             shard._recent = shared_recent
-            shard._inflight_done = shared_inflight
             self.shards.append(shard)
         self.lock = _AggregatedLockView([s.lock for s in self.shards])
 

@@ -30,8 +30,7 @@ from repro.iommu.invalidation import (
 )
 from repro.iommu.iotlb import Iotlb
 from repro.iommu.page_table import IoPageTable, Perm, PteEntry
-from repro.obs.exposure import KIND_OS
-from repro.obs.trace import EV_IOMMU_FAULT
+from repro.obs import KIND_OS
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 
 _PAGE_MASK = PAGE_SIZE - 1
@@ -196,9 +195,8 @@ class Iommu:
                 t, step = core.now, self.cost.pt_map_cycles
             else:
                 t, step = self.machine.wall_clock(), 0
-            self.obs.exposure.note_map_range(t, domain.domain_id,
-                                            domain.device_id, iova, size,
-                                            kind, page_cycles=step)
+            self.obs.range_mapped(t, domain.domain_id, domain.device_id,
+                                  iova, size, kind, page_cycles=step)
 
     def unmap_range(self, domain: Domain, iova: int, size: int,
                     core: Core | None = None) -> int:
@@ -222,9 +220,8 @@ class Iommu:
             cached = {first_page + i for i in range(npages)
                       if self.iotlb.peek(domain.domain_id,
                                          first_page + i) is not None}
-            self.obs.exposure.note_unmap_range(t, domain.domain_id, iova,
-                                               size, cached,
-                                               page_cycles=step)
+            self.obs.range_unmapped(t, domain.domain_id, iova, size, cached,
+                                    page_cycles=step)
         return npages
 
     def unmap_strict(self, domain: Domain, iova: int, size: int,
@@ -258,8 +255,7 @@ class Iommu:
             self._fault(domain, iova, is_write,
                         f"permission ({entry.perm.name})")
         if self.obs.enabled:
-            self.obs.exposure.note_access(self.machine.wall_clock(),
-                                          domain.domain_id, iova, is_write)
+            self.obs.device_access(domain.domain_id, iova)
         return entry
 
     def _fault(self, domain: Domain, iova: int, is_write: bool,
@@ -270,14 +266,8 @@ class Iommu:
                              t=t, domain_id=domain.domain_id)
         self.faults.append(record)
         if self.obs.enabled:
-            self.obs.tracer.emit(EV_IOMMU_FAULT, t, -1,
-                                 device=domain.device_id,
-                                 domain=domain.domain_id, iova=iova,
-                                 write=is_write, reason=reason)
-            self.obs.metrics.counter("iommu.faults").inc()
-            self.obs.exposure.note_fault(t, domain.domain_id,
-                                         domain.device_id, iova,
-                                         is_write, reason)
+            self.obs.iommu_fault(t, domain.domain_id, domain.device_id, iova,
+                                 is_write, reason)
         raise IommuFault(domain.device_id, iova, is_write=is_write,
                          reason=reason)
 

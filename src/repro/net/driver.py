@@ -32,10 +32,8 @@ from repro.kalloc.slab import KBuffer, KernelAllocators
 from repro.net.nic import Nic
 from repro.net.packets import parse_frame
 from repro.net.ring import FLAG_EOP, FLAG_READY, Descriptor, DescriptorRing
-from repro.obs.requests import REQ_RX, REQ_TX
-from repro.obs.spans import (SPAN_DEVICE_ACCESS, SPAN_RX_PACKET,
-                             SPAN_TX_CHUNK)
-from repro.obs.trace import EV_FAULT_RECOVER, EV_NET_RX, EV_NET_TX
+from repro.obs import (REQ_RX, REQ_TX, SPAN_DEVICE_ACCESS, SPAN_RX_PACKET,
+                       SPAN_TX_CHUNK)
 from repro.sim.units import PAGE_SIZE, page_order
 
 
@@ -148,7 +146,7 @@ class NicDriver:
                                   for _, handle in mapped])
             slots = self._rx_slots[qid]
             for index, (buf, handle) in enumerate(mapped, first):
-                slots[index] = _RxSlot(buf=buf, handle=handle)
+                slots[index] = _RxSlot(buf, handle)
 
     def teardown_queue(self, core: Core, qid: int) -> None:
         """Unmap and free everything the queue still holds."""
@@ -185,10 +183,9 @@ class NicDriver:
             self.stats.rx_refill_failures += 1
             return False
         ring = self._rx_rings[qid]
-        index = ring.post(Descriptor(addr=handle.iova,
-                                     length=self.rx_buf_size,
-                                     flags=FLAG_READY))
-        self._rx_slots[qid][index] = _RxSlot(buf=buf, handle=handle)
+        index = ring.post(Descriptor(handle.iova, self.rx_buf_size,
+                                     FLAG_READY))
+        self._rx_slots[qid][index] = _RxSlot(buf, handle)
         core.charge(self.cost.rx_refill_cycles, CAT_OTHER)
         return True
 
@@ -210,11 +207,8 @@ class NicDriver:
         if recovered:
             self.stats.rx_refill_recoveries += recovered
             if self.obs.enabled:
-                self.obs.tracer.emit(EV_FAULT_RECOVER, core.now, core.cid,
-                                     site="rx.refill", action="repost",
-                                     recovered=recovered)
-                self.obs.metrics.counter(
-                    "faults.recovered.rx_refill").inc(recovered)
+                self.obs.fault_recovered(core, "rx.refill", "repost",
+                                         recovered=recovered)
 
     def receive_one(self, core: Core, qid: int, frame: bytes) -> Optional[int]:
         """Deliver ``frame`` from the wire and run full RX processing.
@@ -226,15 +220,15 @@ class NicDriver:
         observability on; :meth:`_receive_one_fast` is bound otherwise.
         """
         obs = self.obs
-        obs.requests.begin(core, REQ_RX, qid=qid, nbytes=len(frame))
+        obs.request_begin(core, REQ_RX, qid=qid, nbytes=len(frame))
         self.nic.dma_core = core
-        obs.spans.begin(SPAN_RX_PACKET, core)
-        obs.spans.begin(SPAN_DEVICE_ACCESS, core)
+        obs.span_begin(SPAN_RX_PACKET, core)
+        obs.span_begin(SPAN_DEVICE_ACCESS, core)
         accepted = self.nic.receive_frame(qid, frame)
-        obs.spans.end(core)        # device_access
+        obs.span_end(core)         # device_access
         if not accepted:
-            obs.spans.end(core)    # rx_packet (dropped frame)
-            obs.requests.end(core)
+            obs.span_end(core)     # rx_packet (dropped frame)
+            obs.request_end(core)
             return None
         reaped = self._rx_rings[qid].reap()
         if reaped is None:
@@ -249,13 +243,11 @@ class NicDriver:
                                                       desc.length))
         self.stats.rx_packets += 1
         self.stats.rx_bytes += desc.length
-        obs.tracer.emit(EV_NET_RX, core.now, core.cid, qid=qid,
-                        nbytes=desc.length, payload=parsed.payload_len)
-        obs.metrics.counter("net.rx_packets").inc()
+        obs.packet_received(core, qid, desc.length, parsed.payload_len)
         self.allocators.buddies[slot.buf.node].free_pages(slot.buf.pa, core)
         self._refill_rx(core, qid)
-        obs.spans.end(core)        # rx_packet
-        obs.requests.end(core)
+        obs.span_end(core)         # rx_packet
+        obs.request_end(core)
         return parsed.payload_len
 
     def _receive_one_fast(self, core: Core, qid: int,
@@ -303,10 +295,7 @@ class NicDriver:
             return False
         self.stats.tx_ring_recoveries += 1
         if self.obs.enabled:
-            self.obs.tracer.emit(EV_FAULT_RECOVER, core.now, core.cid,
-                                 site=SITE_RING_OVERFLOW,
-                                 action="reap-retry")
-            self.obs.metrics.counter("faults.recovered.ring").inc()
+            self.obs.fault_recovered(core, SITE_RING_OVERFLOW, "reap-retry")
         return True
 
     def _drop_chunk(self, core: Core, buf: KBuffer,
@@ -334,17 +323,15 @@ class NicDriver:
             self._drop_chunk(core, buf, free_buffer)
             return False
         ring = self._tx_rings[qid]
-        index = ring.post(Descriptor(addr=handle.iova, length=buf.size,
-                                     flags=FLAG_READY | FLAG_EOP))
+        index = ring.post(Descriptor(handle.iova, buf.size,
+                                     FLAG_READY | FLAG_EOP))
         self._tx_slots[qid][index] = _TxSlot(buf=buf, handle=handle,
                                              free_buffer=free_buffer)
         core.charge(self.cost.tx_desc_cycles, CAT_OTHER)
         self.stats.tx_chunks += 1
         self.stats.tx_bytes += buf.size
         if self.obs.enabled:
-            self.obs.tracer.emit(EV_NET_TX, core.now, core.cid, qid=qid,
-                                 nbytes=buf.size, sg=False)
-            self.obs.metrics.counter("net.tx_chunks").inc()
+            self.obs.chunk_sent(core, qid, buf.size)
         return True
 
     def send_chunk_sg(self, core: Core, qid: int, buf: KBuffer,
@@ -380,8 +367,7 @@ class NicDriver:
         last = len(handles) - 1
         for i, (element, handle) in enumerate(zip(elements, handles)):
             flags = FLAG_READY | (FLAG_EOP if i == last else 0)
-            index = ring.post(Descriptor(addr=handle.iova,
-                                         length=element.size, flags=flags))
+            index = ring.post(Descriptor(handle.iova, element.size, flags))
             self._tx_slots[qid][index] = _TxSlot(
                 buf=element, handle=handle, free_buffer=False,
                 parent=buf if (free_buffer and i == last) else None)
@@ -392,10 +378,7 @@ class NicDriver:
         self.stats.tx_chunks += 1
         self.stats.tx_bytes += buf.size
         if self.obs.enabled:
-            self.obs.tracer.emit(EV_NET_TX, core.now, core.cid, qid=qid,
-                                 nbytes=buf.size, sg=True,
-                                 elements=len(handles))
-            self.obs.metrics.counter("net.tx_chunks").inc()
+            self.obs.chunk_sent(core, qid, buf.size, len(handles))
         return len(handles)
 
     def reap_tx(self, core: Core, qid: int) -> int:
@@ -427,9 +410,9 @@ class NicDriver:
         otherwise.
         """
         obs = self.obs
-        obs.requests.begin(core, REQ_TX, qid=qid, nbytes=chunk_bytes)
+        obs.request_begin(core, REQ_TX, qid=qid, nbytes=chunk_bytes)
         self.nic.dma_core = core
-        obs.spans.begin(SPAN_TX_CHUNK, core)
+        obs.span_begin(SPAN_TX_CHUNK, core)
         node = core.numa_node
         buf = self.allocators.slabs[node].kmalloc(chunk_bytes, core)
         if payload is not None:
@@ -439,15 +422,15 @@ class NicDriver:
             # Chunk dropped (ring full / map failure): nothing armed, so
             # skip the device and just drain any pending completions.
             self.reap_tx(core, qid)
-            obs.spans.end(core)    # tx_chunk
-            obs.requests.end(core)
+            obs.span_end(core)     # tx_chunk
+            obs.request_end(core)
             return 0
-        obs.spans.begin(SPAN_DEVICE_ACCESS, core)
+        obs.span_begin(SPAN_DEVICE_ACCESS, core)
         segments = self.nic.transmit_pending(qid)
-        obs.spans.end(core)        # device_access
+        obs.span_end(core)         # device_access
         self.reap_tx(core, qid)
-        obs.spans.end(core)        # tx_chunk
-        obs.requests.end(core)
+        obs.span_end(core)         # tx_chunk
+        obs.request_end(core)
         return segments
 
     def _transmit_one_fast(self, core: Core, qid: int, chunk_bytes: int,

@@ -22,7 +22,6 @@ from repro.faults.plan import SITE_NIC_RX_DROP
 from repro.iommu.iommu import DmaPort
 from repro.net.ring import FLAG_DONE, FLAG_EOP, Descriptor, DescriptorRing
 from repro.obs.context import NULL_OBS
-from repro.obs.requests import MARK_DEVICE_TRANSLATED
 from repro.sim.units import ETH_MTU, TSO_MAX_BYTES
 
 
@@ -127,10 +126,9 @@ class Nic:
             self.stats.rx_drops_faulted += 1
             return False
         if self.obs.enabled and self.dma_core is not None:
-            self.obs.requests.mark(self.dma_core, MARK_DEVICE_TRANSLATED)
+            self.obs.device_translated(self.dma_core)
         ring.device_write_back(self.port, state.rx_next, Descriptor(
-            addr=desc.addr, length=len(frame),
-            flags=FLAG_DONE | FLAG_EOP))
+            desc.addr, len(frame), FLAG_DONE | FLAG_EOP))
         state.rx_next += 1
         self.stats.rx_frames += 1
         self.stats.rx_bytes += len(frame)
@@ -176,12 +174,10 @@ class Nic:
                     # of this scatter-gather packet.
                     gather = None
             if self.obs.enabled and self.dma_core is not None:
-                self.obs.requests.mark(self.dma_core,
-                                       MARK_DEVICE_TRANSLATED)
+                self.obs.device_translated(self.dma_core)
             gathered_bytes += desc.length
             ring.device_write_back(self.port, state.tx_next, Descriptor(
-                addr=desc.addr, length=desc.length,
-                flags=desc.flags | FLAG_DONE))
+                desc.addr, desc.length, desc.flags | FLAG_DONE))
             state.tx_next += 1
             if not desc.flags & FLAG_EOP:
                 continue  # more scatter-gather elements follow

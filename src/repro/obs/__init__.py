@@ -1,155 +1,29 @@
 """repro.obs — tracing, metrics, and phase timelines for the simulation.
 
-See docs/observability.md for the event schema and usage.
+The package namespace is what the simulated system may name: the
+:class:`Observability` context it reports events to, the names of the
+spans it opens around its operations, request kinds, and the default
+exposure tag of page-table ranges.  The recorders, and the metric names,
+trace-event kinds and lifecycle marks they record under, live in the
+submodules, for the code that reads a run's records.  See
+docs/observability.md for the event schema and usage.
 """
 
-from repro.obs.context import NULL_OBS, Observability, PhaseRecord
-from repro.obs.locks import (
-    LockContentionRecorder,
-    LockContentionStats,
-    load_snapshot,
-    top_edges,
-)
-from repro.obs.spans import (
-    ALL_SPAN_NAMES,
-    SPAN_COPY,
-    SPAN_DEVICE_ACCESS,
-    SPAN_DMA_MAP,
-    SPAN_DMA_UNMAP,
-    SPAN_IOTLB_INVALIDATE,
-    SPAN_LOCK_WAIT,
-    SPAN_POOL_ACQUIRE,
-    SPAN_POOL_RELEASE,
-    SPAN_RX_PACKET,
-    SPAN_STEP,
-    SPAN_TX_CHUNK,
-    SpanNode,
-    SpanRecorder,
-    find_node,
-    merge_span_trees,
-)
-from repro.obs.metrics import (
-    CycleHistogram,
-    MetricCounter,
-    MetricsRegistry,
-    TimeSeries,
-)
-from repro.obs.perfetto import perfetto_trace, write_perfetto
-from repro.obs.requests import (
-    ALL_MARKS,
-    ALL_REQUEST_KINDS,
-    MARK_COPIED,
-    MARK_DEVICE_TRANSLATED,
-    MARK_INVALIDATED,
-    MARK_MAPPED,
-    MARK_UNMAPPED,
-    PROTECTION_STAGES,
-    REQ_MEMCACHED,
-    REQ_RR,
-    REQ_RX,
-    REQ_STORAGE,
-    REQ_TX,
-    STAGE_UNATTRIBUTED,
-    RequestRecord,
-    RequestRecorder,
-    parse_percentile,
-    tail_report,
-)
-from repro.obs.trace import (
-    ALL_EVENT_KINDS,
-    EV_DMA_COPY,
-    EV_DMA_MAP,
-    EV_DMA_UNMAP,
-    EV_INV_COMPLETE,
-    EV_INV_DEFER,
-    EV_INV_FLUSH,
-    EV_INV_SUBMIT,
-    EV_LOCK_ACQUIRE,
-    EV_LOCK_CONTEND,
-    EV_LOCK_RELEASE,
-    EV_NET_RX,
-    EV_NET_TX,
-    EV_PHASE,
-    EV_POOL_FALLBACK,
-    EV_POOL_GROW,
-    EV_POOL_SHRINK,
-    EV_REQ_BEGIN,
-    EV_REQ_END,
-    EV_SCHED_STEP,
-    NullTracer,
-    RingTracer,
-    TraceEvent,
-)
+from repro.obs.context import NULL_OBS, Observability
+from repro.obs.exposure import KIND_OS
+from repro.obs.requests import (REQ_MEMCACHED, REQ_RR, REQ_RX, REQ_STORAGE,
+                                REQ_TX)
+from repro.obs.spans import (SPAN_COPY, SPAN_DEVICE_ACCESS, SPAN_DMA_MAP,
+                             SPAN_DMA_UNMAP, SPAN_IOTLB_INVALIDATE,
+                             SPAN_LOCK_WAIT, SPAN_POOL_ACQUIRE,
+                             SPAN_POOL_RELEASE, SPAN_RX_PACKET, SPAN_STEP,
+                             SPAN_TX_CHUNK)
 
 __all__ = [
-    "NULL_OBS",
-    "Observability",
-    "PhaseRecord",
-    "LockContentionRecorder",
-    "LockContentionStats",
-    "load_snapshot",
-    "top_edges",
-    "SpanNode",
-    "SpanRecorder",
-    "find_node",
-    "merge_span_trees",
-    "ALL_SPAN_NAMES",
-    "SPAN_STEP",
-    "SPAN_RX_PACKET",
-    "SPAN_TX_CHUNK",
-    "SPAN_DEVICE_ACCESS",
-    "SPAN_DMA_MAP",
-    "SPAN_DMA_UNMAP",
-    "SPAN_POOL_ACQUIRE",
-    "SPAN_POOL_RELEASE",
-    "SPAN_COPY",
-    "SPAN_IOTLB_INVALIDATE",
+    "NULL_OBS", "Observability", "KIND_OS",
+    "REQ_RX", "REQ_TX", "REQ_RR", "REQ_MEMCACHED", "REQ_STORAGE",
+    "SPAN_STEP", "SPAN_RX_PACKET", "SPAN_TX_CHUNK", "SPAN_DEVICE_ACCESS",
+    "SPAN_DMA_MAP", "SPAN_DMA_UNMAP", "SPAN_POOL_ACQUIRE",
+    "SPAN_POOL_RELEASE", "SPAN_COPY", "SPAN_IOTLB_INVALIDATE",
     "SPAN_LOCK_WAIT",
-    "MetricsRegistry",
-    "MetricCounter",
-    "CycleHistogram",
-    "TimeSeries",
-    "NullTracer",
-    "RingTracer",
-    "TraceEvent",
-    "ALL_EVENT_KINDS",
-    "EV_LOCK_ACQUIRE",
-    "EV_LOCK_CONTEND",
-    "EV_LOCK_RELEASE",
-    "EV_INV_SUBMIT",
-    "EV_INV_COMPLETE",
-    "EV_INV_DEFER",
-    "EV_INV_FLUSH",
-    "EV_POOL_GROW",
-    "EV_POOL_SHRINK",
-    "EV_POOL_FALLBACK",
-    "EV_DMA_MAP",
-    "EV_DMA_UNMAP",
-    "EV_DMA_COPY",
-    "EV_NET_RX",
-    "EV_NET_TX",
-    "EV_SCHED_STEP",
-    "EV_PHASE",
-    "EV_REQ_BEGIN",
-    "EV_REQ_END",
-    "RequestRecorder",
-    "RequestRecord",
-    "perfetto_trace",
-    "write_perfetto",
-    "tail_report",
-    "parse_percentile",
-    "ALL_REQUEST_KINDS",
-    "ALL_MARKS",
-    "PROTECTION_STAGES",
-    "STAGE_UNATTRIBUTED",
-    "REQ_RX",
-    "REQ_TX",
-    "REQ_RR",
-    "REQ_MEMCACHED",
-    "REQ_STORAGE",
-    "MARK_MAPPED",
-    "MARK_COPIED",
-    "MARK_DEVICE_TRANSLATED",
-    "MARK_UNMAPPED",
-    "MARK_INVALIDATED",
 ]

@@ -33,8 +33,9 @@ into numbers:
   paths open on each core at fault time.
 
 Like the rest of :mod:`repro.obs`, the accountant is a pure observer:
-every note site is guarded by ``obs.enabled`` and recording reads
-clocks without ever charging cycles, so exposure-accounted runs are
+the :class:`~repro.obs.context.Observability` context calls its notes
+from events reported under ``obs.enabled``, and recording reads clocks
+without ever charging cycles, so exposure-accounted runs are
 cycle-identical to bare runs (``tests/obs/test_zero_overhead.py``).
 
 Measurement conventions worth knowing when reading the numbers:
@@ -208,21 +209,14 @@ class ExposureAccountant:
     """Derives exposure metrics from IOMMU and DMA-API lifecycle events.
 
     One accountant hangs off each :class:`~repro.obs.context.Observability`
-    (``obs.exposure``).  All ``note_*`` methods are called only from
-    sites already guarded on ``obs.enabled``; none of them charges
-    simulated cycles.
+    (``obs.exposure``), whose events call the ``note_*`` methods; none
+    of them charges simulated cycles.
     """
 
-    def __init__(self, metrics=None, spans=None,
-                 fault_capacity: int = 1024):
+    def __init__(self, metrics=None, fault_capacity: int = 1024):
         #: Optional MetricsRegistry — exposure feeds it the
         #: ``exposure.*`` instruments documented in docs/observability.md.
         self.metrics = metrics
-        #: Optional SpanRecorder consulted for fault-span correlation.
-        self.spans = spans
-        #: Optional RequestRecorder consulted for fault-request
-        #: correlation (wired by the Observability context).
-        self.requests = None
         self._domains: Dict[int, _DomainExposure] = {}
         self.faults: Deque[ExposureFault] = deque(maxlen=fault_capacity)
         self.faults_recorded = 0
@@ -353,8 +347,7 @@ class ExposureAccountant:
     # ------------------------------------------------------------------
     # Device-side accesses and faults.
     # ------------------------------------------------------------------
-    def note_access(self, t: int, domain_id: int, iova: int,
-                    is_write: bool) -> None:
+    def note_access(self, domain_id: int, iova: int) -> None:
         """A successful device translation — flag it if it rode a stale
         IOTLB entry (the deferred window being *used*)."""
         dom = self._domains.get(domain_id)
@@ -366,8 +359,12 @@ class ExposureAccountant:
                 self.metrics.counter("exposure.stale_accesses").inc()
 
     def note_fault(self, t: int, domain_id: int, device_id: int,
-                   iova: int, is_write: bool, reason: str) -> None:
-        """A blocked DMA: record it with lifecycle forensics."""
+                   iova: int, is_write: bool, reason: str,
+                   open_spans: Tuple[Tuple[int, Tuple[str, ...]], ...] = (),
+                   open_requests: Tuple[Tuple[int, int], ...] = ()
+                   ) -> None:
+        """A blocked DMA: record it with lifecycle forensics and the
+        span paths and request ids open per core at fault time."""
         page = iova >> PAGE_SHIFT
         state = "never-mapped"
         last_map_t = last_unmap_t = None
@@ -382,13 +379,6 @@ class ExposureAccountant:
                 state = "stale"
             elif hist is not None:
                 state = "revoked"
-        open_spans: Tuple[Tuple[int, Tuple[str, ...]], ...] = ()
-        if self.spans is not None:
-            open_spans = tuple(sorted(self.spans.open_paths().items()))
-        open_requests: Tuple[Tuple[int, int], ...] = ()
-        if self.requests is not None:
-            open_requests = tuple(sorted(
-                self.requests.active_rids().items()))
         self.faults.append(ExposureFault(
             t=t, domain_id=domain_id, device_id=device_id, iova=iova,
             is_write=is_write, reason=reason, page_state=state,

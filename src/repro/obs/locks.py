@@ -14,8 +14,10 @@ Design constraints (shared with the rest of :mod:`repro.obs`):
 * **Zero simulated overhead.**  Recording reads ``core.now`` and writes
   host memory; it never charges cycles (``tests/obs/test_zero_overhead``
   covers the hooks).
-* **Guarded write sites.**  :class:`~repro.hw.locks.SpinLock` calls
-  ``note_acquire`` / ``note_release`` only under ``obs.enabled``.
+* **Reached through the context.**  :class:`~repro.hw.locks.SpinLock`
+  reports acquisitions and releases to
+  :class:`~repro.obs.context.Observability` under ``obs.enabled``, which
+  calls ``note_acquire`` / ``note_release``.
 * **Bounded memory.**  O(locks × cores) aggregates — independent of run
   length, so a 64-core soak costs the same as a smoke run.
 """
@@ -131,7 +133,7 @@ class LockContentionRecorder:
         """One acquisition; ``waited > 0`` means it was contended, with
         ``holder_cid`` the core whose critical section blocked it
         (``-1`` when unknown, e.g. the lock's very first acquisition)."""
-        stats = self._lock(name)
+        stats = self.locks.get(name) or self._lock(name)
         stats.acquisitions += 1
         stats.acquisitions_by_core[waiter_cid] += 1
         if waited <= 0:
@@ -147,7 +149,7 @@ class LockContentionRecorder:
 
     def note_release(self, name: str, holder_cid: int, held: int) -> None:
         """One release: attribute the hold time to the holding core."""
-        stats = self._lock(name)
+        stats = self.locks.get(name) or self._lock(name)
         stats.total_hold_cycles += held
         stats.hold_by_core[holder_cid] += held
 

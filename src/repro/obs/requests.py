@@ -18,18 +18,23 @@ Design constraints, shared with the rest of the layer:
   only; it never charges cycles, never takes a simulated lock, never
   advances a clock.  Request-traced runs are cycle-identical to bare
   runs (``tests/obs/test_zero_overhead.py`` proves it).
-* **Guarded write sites.**  Every ``begin``/``end``/``mark`` call site
-  guards on ``obs.enabled`` first.
+* **Reached through the context.**  The simulator reports request
+  boundaries, marks and lock waits as events to
+  :class:`~repro.obs.context.Observability` under ``obs.enabled``; the
+  context calls ``begin``/``end``/``mark`` and traces the
+  ``req.begin``/``req.end`` events.
 * **Bounded memory.**  Latency reservoirs and the retained-record sample
   use stride-doubling decimation; the slowest requests are kept exactly
   in a bounded top-K heap, so exemplars for the tail buckets always
   reference real, complete traces.
 
-Stage capture piggybacks on :class:`~repro.obs.spans.SpanRecorder`
-through its listener hook: a span that *begins while a request is active
-on its core* becomes a stage of that request, with self-time (exclusive
-of nested stages) computed online.  Spans already open when the request
-begins (e.g. the scheduler's ``step``) are not attributed to it.
+Stage capture follows the spans: the context hands every span it opens
+and closes to :meth:`RequestRecorder.on_span_begin` /
+:meth:`~RequestRecorder.on_span_end`, and a span that *begins while a
+request is active on its core* becomes a stage of that request, with
+self-time (exclusive of nested stages) computed online.  Spans already
+open when the request begins (e.g. the scheduler's ``step``) are not
+attributed to it.
 
 Nesting folds: when a composite request (a memcached transaction) is
 active and the driver begins its own rx/tx request on the same core, the
@@ -43,8 +48,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-from repro.obs.trace import EV_REQ_BEGIN, EV_REQ_END
 
 # Mirrors repro.sim.units; importing it here would cycle back through
 # repro.sim.engine -> repro.obs.context (same dance as obs.exposure).
@@ -232,16 +235,15 @@ class RequestRecorder:
     """Assigns request ids and folds spans/marks/locks into them.
 
     One recorder hangs off every :class:`~repro.obs.context.Observability`
-    as ``obs.requests``.  It doubles as the
-    :class:`~repro.obs.spans.SpanRecorder` listener: spans that begin
+    as ``obs.requests``, which also hands it every span: spans that begin
     while a request is active on their core become that request's stages.
     """
 
     def __init__(self) -> None:
-        #: Set by Observability so begin/end can emit trace events.
-        self.tracer = None
         self._next_rid = 1
-        self._active: Dict[int, _ActiveRequest] = {}
+        #: Core id -> its in-flight request (the context stamps trace
+        #: events with the ``rid`` found here).
+        self.active: Dict[int, _ActiveRequest] = {}
         self.started = 0
         self.completed = 0
         self._kinds: Dict[str, _KindAggregate] = {}
@@ -261,25 +263,22 @@ class RequestRecorder:
         call *folds into* it: no new id is assigned and the matching
         :meth:`end` simply unwinds the nesting.
         """
-        active = self._active.get(core.cid)
+        active = self.active.get(core.cid)
         if active is not None:
             active.depth += 1
             return active.rid
         rid = self._next_rid
         self._next_rid += 1
-        self._active[core.cid] = _ActiveRequest(
+        self.active[core.cid] = _ActiveRequest(
             rid=rid, kind=kind, core=core.cid, start=core.now,
             meta=dict(meta))
         self.started += 1
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(EV_REQ_BEGIN, core.now, core.cid,
-                             rid=rid, req_kind=kind)
         return rid
 
     def end(self, core) -> Optional[RequestRecord]:
         """Close the request on ``core``; returns the record when the
         outermost nesting level closed (``None`` otherwise)."""
-        active = self._active.get(core.cid)
+        active = self.active.get(core.cid)
         if active is None:
             return None
         if active.depth > 0:
@@ -309,11 +308,7 @@ class RequestRecorder:
             start=active.start, end=end, stages=active.stages,
             segments=tuple(active.segments), marks=tuple(active.marks),
             locks=active.locks, meta=active.meta)
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(EV_REQ_END, end, core.cid,
-                             rid=active.rid, req_kind=active.kind,
-                             latency_cycles=latency)
-        del self._active[core.cid]
+        del self.active[core.cid]
         self.completed += 1
         aggregate = self._kinds.get(active.kind)
         if aggregate is None:
@@ -330,37 +325,37 @@ class RequestRecorder:
 
     def mark(self, core, name: str) -> None:
         """Record a lifecycle mark on the core's active request."""
-        active = self._active.get(core.cid)
+        active = self.active.get(core.cid)
         if active is not None and len(active.marks) < _MAX_MARKS:
             active.marks.append((name, core.now))
 
     def note_lock_wait(self, core, lock_name: str, waited: int) -> None:
         """Attribute a contended lock wait to the active request."""
-        active = self._active.get(core.cid)
+        active = self.active.get(core.cid)
         if active is not None:
             active.locks[lock_name] = \
                 active.locks.get(lock_name, 0) + waited
 
     def current_rid(self, cid: int) -> Optional[int]:
         """The active request id on core ``cid`` (tracer linkage)."""
-        active = self._active.get(cid)
+        active = self.active.get(cid)
         return active.rid if active is not None else None
 
     def active_rids(self) -> Dict[int, int]:
         """Per-core active request ids (fault forensics)."""
-        return {cid: active.rid for cid, active in self._active.items()}
+        return {cid: active.rid for cid, active in self.active.items()}
 
     # ------------------------------------------------------------------
-    # SpanRecorder listener hook (stage capture).
+    # Stage capture (every span the context opens and closes).
     # ------------------------------------------------------------------
     def on_span_begin(self, cid: int, name: str, t: int) -> None:
-        active = self._active.get(cid)
+        active = self.active.get(cid)
         if active is not None:
             active.stage_stack.append([name, t, 0])
 
     def on_span_end(self, cid: int, name: str, opened_at: int,
                     t: int) -> None:
-        active = self._active.get(cid)
+        active = self.active.get(cid)
         if active is None:
             return
         stack = active.stage_stack
@@ -385,7 +380,7 @@ class RequestRecorder:
     # ------------------------------------------------------------------
     @property
     def open_requests(self) -> int:
-        return len(self._active)
+        return len(self.active)
 
     def kinds(self) -> Tuple[str, ...]:
         return tuple(sorted(self._kinds))

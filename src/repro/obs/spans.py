@@ -16,9 +16,12 @@ Design constraints, shared with the rest of :mod:`repro.obs`:
   ``core.now``; it never charges cycles, takes a simulated lock, or
   advances a clock, so span-instrumented runs are cycle-identical to
   bare runs (enforced by ``tests/obs/test_zero_overhead.py``).
-* **Guarded write sites.**  Hot paths guard on ``obs.enabled`` before
-  calling :meth:`SpanRecorder.begin`/:meth:`~SpanRecorder.end`, so the
-  default (disabled) configuration pays one attribute check per site.
+* **Reached through the context.**  The simulator opens and closes
+  spans with :meth:`~repro.obs.context.Observability.span_begin` and
+  :meth:`~repro.obs.context.Observability.span_end` under
+  ``obs.enabled``, so the default (disabled) configuration pays one
+  attribute check per site; the context also hands each span to the
+  request recorder.
 * **Bounded memory.**  Spans aggregate in place into a trie of
   :class:`SpanNode`; memory is O(distinct span paths), independent of
   run length.
@@ -133,7 +136,7 @@ class SpanNode:
 class SpanRecorder:
     """Per-core open-span stacks feeding one shared attribution trie."""
 
-    __slots__ = ("root", "_stacks", "opened", "closed", "listener")
+    __slots__ = ("root", "_stacks", "opened", "closed")
 
     def __init__(self) -> None:
         self.root = SpanNode("run")
@@ -141,10 +144,6 @@ class SpanRecorder:
         self._stacks: Dict[int, List[Tuple[SpanNode, int]]] = {}
         self.opened = 0
         self.closed = 0
-        #: Optional observer with ``on_span_begin(cid, name, t)`` /
-        #: ``on_span_end(cid, name, opened_at, t)`` — how the request
-        #: recorder turns spans into per-request stages.
-        self.listener = None
 
     # ------------------------------------------------------------------
     def begin(self, name: str, core) -> None:
@@ -153,27 +152,27 @@ class SpanRecorder:
         if stack is None:
             stack = self._stacks[core.cid] = []
         parent = stack[-1][0] if stack else self.root
-        stack.append((parent.child(name), core.now))
+        # The child lookup is inlined: this runs for every span.
+        node = parent.children.get(name) or parent.child(name)
+        stack.append((node, core.now))
         self.opened += 1
-        if self.listener is not None:
-            self.listener.on_span_begin(core.cid, name, core.now)
 
-    def end(self, core) -> None:
-        """Close the innermost open span on ``core``.
+    def end(self, core) -> Optional[Tuple[SpanNode, int]]:
+        """Close the innermost open span on ``core``; returns its node
+        and opening clock.
 
         Tolerates an empty stack (an exception may have unwound past the
         matching ``begin``); the span is simply not recorded.
         """
         stack = self._stacks.get(core.cid)
         if not stack:
-            return
-        node, opened_at = stack.pop()
+            return None
+        closed = stack.pop()
+        node, opened_at = closed
         node.count += 1
         node.total_cycles += core.now - opened_at
         self.closed += 1
-        if self.listener is not None:
-            self.listener.on_span_end(core.cid, node.name, opened_at,
-                                      core.now)
+        return closed
 
     # ------------------------------------------------------------------
     @property

@@ -12,8 +12,9 @@ as an untraced one: emitting an event never charges cycles.
 Two implementations share the interface:
 
 * :class:`NullTracer` — the default.  ``enabled`` is ``False`` and every
-  ``emit`` is a no-op; instrumented components guard their emission on
-  ``obs.enabled`` so untraced runs skip even the event construction.
+  ``emit`` is a no-op; components report events to the
+  :class:`~repro.obs.context.Observability` context only under
+  ``obs.enabled``, so untraced runs skip even the event construction.
 * :class:`RingTracer` — an enabled tracer over a ``deque`` ring buffer
   with JSONL export (one event object per line), the format the
   ``--trace`` CLI flag writes.
@@ -23,8 +24,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, List, NamedTuple, Optional
 
 # ----------------------------------------------------------------------
 # Event kinds.  Dotted names group by subsystem; renderers and tests
@@ -68,9 +68,8 @@ ALL_EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One typed trace record.
+class TraceEvent(NamedTuple):
+    """One typed trace record, built per emitted event.
 
     ``t`` is the simulated cycle timestamp, ``core`` the id of the core
     that produced the event (``-1`` when no core is meaningful), ``kind``
@@ -80,7 +79,7 @@ class TraceEvent:
     t: int
     core: int
     kind: str
-    data: Dict[str, object] = field(default_factory=dict)
+    data: Dict[str, object]
 
     def to_dict(self) -> Dict[str, object]:
         row: Dict[str, object] = {"t": self.t, "core": self.core,
@@ -92,7 +91,7 @@ class TraceEvent:
 class NullTracer:
     """Disabled tracer: the default for every benchmark run.
 
-    Instrumented code guards on ``obs.enabled`` before constructing an
+    Instrumented code guards on ``obs.enabled`` before reporting an
     event, so the only per-call cost of the default configuration is one
     attribute check.
     """
@@ -126,19 +125,10 @@ class RingTracer:
         self.capacity = capacity
         self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
         self.emitted = 0
-        #: Optional ``cid -> rid`` resolver (``RequestRecorder.current_rid``)
-        #: wired by the Observability context: when a request is active on
-        #: the emitting core, events are stamped with its ``rid`` so the
-        #: whole trace is request-linkable.
-        self.rid_of = None
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, t: int, core: int, **data: object) -> None:
-        if self.rid_of is not None and "rid" not in data:
-            rid = self.rid_of(core)
-            if rid is not None:
-                data["rid"] = rid
-        self._ring.append(TraceEvent(t=t, core=core, kind=kind, data=data))
+        self._ring.append(TraceEvent(t, core, kind, data))
         self.emitted += 1
 
     # ------------------------------------------------------------------

@@ -21,9 +21,7 @@ from typing import Callable, Iterable, List
 
 from repro.errors import SimulationError
 from repro.hw.cpu import Core
-from repro.obs.context import NULL_OBS, Observability
-from repro.obs.spans import SPAN_STEP
-from repro.obs.trace import EV_SCHED_STEP
+from repro.obs import NULL_OBS, SPAN_STEP, Observability
 
 
 @dataclass
@@ -123,9 +121,8 @@ class Scheduler:
         push = heapq.heappush
         # A traced run records a span and a ``sched.step`` event per unit,
         # even within a burst, so batched traces match step-by-step ones.
-        traced = self.obs.enabled
-        spans = self.obs.spans
-        emit = self.obs.tracer.emit
+        obs = self.obs
+        traced = obs.enabled
         executed = 0
         while heap:
             if max_units is not None and executed >= max_units:
@@ -140,13 +137,11 @@ class Scheduler:
             while True:
                 if traced:
                     started_at = core.now
-                    spans.begin(SPAN_STEP, core)
+                    obs.span_begin(SPAN_STEP, core)
                 more = run_one()
                 if traced:
-                    spans.end(core)
-                    emit(EV_SCHED_STEP, started_at, core.cid, task=task.name,
-                         ran_cycles=core.now - started_at,
-                         units=task.units_done)
+                    obs.sched_step(core, started_at, task.name,
+                                   task.units_done)
                 executed += 1
                 budget -= 1
                 if not more or budget == 0:

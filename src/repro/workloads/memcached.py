@@ -21,8 +21,7 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.hw.cpu import CAT_COPY_USER, CAT_OTHER, Core
-from repro.obs.context import Observability
-from repro.obs.requests import REQ_MEMCACHED
+from repro.obs import REQ_MEMCACHED, Observability
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import UNIT_DONE
 from repro.sim.units import CPU_FREQ_HZ
@@ -150,8 +149,8 @@ def run_memcached(cfg: MemcachedConfig) -> RunResult:
             if obs.enabled:
                 # One memcached request per transaction; the driver's
                 # rx/tx requests fold into it as stages.
-                obs.requests.begin(c, REQ_MEMCACHED,
-                                   op="get" if is_get else "set")
+                obs.request_begin(c, REQ_MEMCACHED,
+                                  op="get" if is_get else "set")
             if system.driver.receive_one(c, qid, req) is None:
                 raise ConfigurationError("memcached request dropped")
             yield
@@ -169,7 +168,7 @@ def run_memcached(cfg: MemcachedConfig) -> RunResult:
             c.charge(cost.copy_to_user_cycles(resp_bytes), CAT_COPY_USER)
             system.driver.transmit_one(c, qid, resp_bytes)
             if obs.enabled:
-                obs.requests.end(c)
+                obs.request_end(c)
             state.units += 1
             tally.add(resp_bytes + len(req))
             yield UNIT_DONE

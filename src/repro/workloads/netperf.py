@@ -26,8 +26,7 @@ from typing import Dict, List, Optional
 from repro.errors import ConfigurationError
 from repro.hw.cpu import CAT_COPY_USER, CAT_OTHER, Core
 from repro.hw.locks import SharedResource
-from repro.obs.context import Observability
-from repro.obs.requests import REQ_RR
+from repro.obs import REQ_RR, Observability
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import UNIT_DONE, CoreTask, Scheduler
 from repro.sim.units import (
@@ -322,7 +321,7 @@ def run_tcp_rr(cfg: RRConfig) -> RunResult:
         if obs_ctx.enabled:
             # One rr request spans the server-side turnaround; the
             # driver's rx/tx requests fold into it as stages.
-            obs_ctx.requests.begin(core, REQ_RR, message_size=size)
+            obs_ctx.request_begin(core, REQ_RR, message_size=size)
         for payload in aggr_payloads:
             if system.driver.receive_one(core, 0, frames[payload]) is None:
                 raise ConfigurationError("RR frame dropped")
@@ -340,7 +339,7 @@ def run_tcp_rr(cfg: RRConfig) -> RunResult:
         if obs_ctx.enabled:
             # Ends when the response hits the wire; the client-side
             # turnaround below is not the server's latency.
-            obs_ctx.requests.end(core)
+            obs_ctx.request_end(core)
         # Response propagates to the client, which turns it around.
         rtt_end = (core.now + cost.wire_latency_cycles + wire_cycles
                    + client_cpu + cost.wakeup_cycles)

@@ -27,8 +27,7 @@ from repro.hw.cpu import CAT_OTHER, Core
 from repro.hw.machine import Machine
 from repro.iommu.iommu import Iommu
 from repro.kalloc.slab import KBuffer, KernelAllocators
-from repro.obs.context import Observability
-from repro.obs.requests import REQ_STORAGE
+from repro.obs import REQ_STORAGE, Observability
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import UNIT_DONE
 from repro.sim.units import CPU_FREQ_HZ, page_order, us_to_cycles
@@ -118,9 +117,9 @@ def run_storage(cfg: StorageConfig) -> RunResult:
             pacer.wait(core, interval)
             is_read = rng.random() < cfg.read_fraction
             if obs.enabled:
-                obs.requests.begin(core, REQ_STORAGE,
-                                   op="read" if is_read else "write",
-                                   block_size=cfg.block_size)
+                obs.request_begin(core, REQ_STORAGE,
+                                  op="read" if is_read else "write",
+                                  block_size=cfg.block_size)
             core.charge(_BLOCK_LAYER_CYCLES, CAT_OTHER)
             if is_read:
                 handle = api.dma_map(core, buf, DmaDirection.FROM_DEVICE)
@@ -134,7 +133,7 @@ def run_storage(cfg: StorageConfig) -> RunResult:
                 yield
                 api.dma_unmap(core, handle)
             if obs.enabled:
-                obs.requests.end(core)
+                obs.request_end(core)
             tally.add(cfg.block_size)
             yield UNIT_DONE
 

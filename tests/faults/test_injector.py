@@ -7,6 +7,10 @@ from repro.faults.plan import (
     FaultPlan,
     SiteRule,
 )
+from repro.net.packets import build_frame
+from repro.obs.context import Observability
+from repro.obs.trace import EV_FAULT_INJECT, EV_INV_TIMEOUT
+from repro.system import System, SystemConfig
 
 
 def _injector(**rules):
@@ -90,3 +94,25 @@ def test_summary_shape():
     inj.fires(SITE_POOL_GROW)
     assert inj.summary() == {
         SITE_POOL_GROW: {"consults": 1, "fires": 1}}
+
+
+def test_fires_are_traced_through_the_machines_context():
+    """An injector built without any context still reports every fire
+    to the captured machine it is attached to — beside the timeouts the
+    fires cause."""
+    obs = Observability.capture()
+    injector = FaultInjector(FaultPlan.parse("inv.stall:rate=0.2", seed=1))
+    system = System.build(SystemConfig(scheme="identity-strict", obs=obs,
+                                       faults=injector))
+    system.setup_queues()
+    core, frame = system.machine.core(0), build_frame(1448)
+    injector.start()
+    for _ in range(40):
+        system.driver.receive_one(core, 0, frame)
+    injector.stop()
+    fires = injector.fire_count(SITE_INV_STALL)
+    kinds = obs.tracer.counts_by_kind()
+    assert fires > 0
+    assert kinds[EV_FAULT_INJECT] == kinds[EV_INV_TIMEOUT] == fires
+    assert obs.metrics.counters[f"faults.injected.{SITE_INV_STALL}"].value \
+        == fires

@@ -109,9 +109,9 @@ def test_stale_access_counted():
                          cached_pages={0x1})
     acc.note_dma_unmap(t=100, scheme="s", domain_id=1,
                        iova=0x1000, size=PAGE_SIZE)
-    acc.note_access(t=200, domain_id=1, iova=0x1040, is_write=False)
+    acc.note_access(domain_id=1, iova=0x1040)
     # Access through an unknown domain counts nothing.
-    acc.note_access(t=200, domain_id=2, iova=0x1040, is_write=False)
+    acc.note_access(domain_id=2, iova=0x1040)
     assert acc.summary()["stale_accesses"] == 1
 
 

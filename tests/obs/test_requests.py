@@ -19,7 +19,7 @@ from repro.obs.requests import (
     parse_percentile,
     tail_report,
 )
-from repro.obs.trace import EV_REQ_BEGIN, EV_REQ_END, RingTracer
+from repro.obs.trace import EV_NET_RX, EV_REQ_BEGIN, EV_REQ_END
 from repro.sim.units import CYCLES_PER_US
 from repro.workloads.netperf import StreamConfig, run_tcp_stream_rx
 
@@ -150,19 +150,24 @@ def test_current_rid_and_active_rids_track_per_core():
 
 
 def test_begin_end_emit_trace_events_with_rid():
-    tracer = RingTracer(capacity=16)
-    rec = RequestRecorder()
-    rec.tracer = tracer
+    obs = Observability.capture(trace_capacity=16)
     core = FakeCore()
-    rid = rec.begin(core, REQ_RX)
+    obs.request_begin(core, REQ_RX)
+    rid = obs.requests.current_rid(core.cid)
+    obs.request_begin(core, REQ_RX)      # folds in: no second begin
+    obs.packet_received(core, qid=0, nbytes=64, payload=10)
+    obs.request_end(core)
     core.now = 40
-    rec.end(core)
-    kinds = [ev.kind for ev in tracer.events()]
-    assert kinds == [EV_REQ_BEGIN, EV_REQ_END]
-    begin, end = tracer.events()
-    assert begin.data["rid"] == end.data["rid"] == rid
+    obs.request_end(core)
+    kinds = [ev.kind for ev in obs.tracer.events()]
+    assert kinds == [EV_REQ_BEGIN, EV_NET_RX, EV_REQ_END]
+    begin, rx, end = obs.tracer.events()
+    assert begin.data["rid"] == rx.data["rid"] == end.data["rid"] == rid
     assert begin.data["req_kind"] == REQ_RX
     assert end.data["latency_cycles"] == 40
+    # Events outside any request carry no rid.
+    obs.packet_received(core, qid=0, nbytes=64, payload=10)
+    assert "rid" not in obs.tracer.events()[-1].data
 
 
 def test_retention_is_bounded_but_keeps_the_slowest():

@@ -1,12 +1,19 @@
-"""Every module-level import under ``src/repro`` is used by its module.
+"""Every module-level import under ``src/repro`` is used by its module,
+and the simulated system reports to ``Observability`` alone.
 
 An import nothing reads is dead code, and it misstates what the module
 depends on.  ``__init__.py`` files are skipped: their imports are
 re-exports.  A name counts as used when the module reads it, names it
 in a string annotation, or lists it in ``__all__``.
+
+The simulated system's modules report events to
+:class:`~repro.obs.context.Observability` and never reach one of its
+recorders or import a trace-event kind or lifecycle mark: which
+recorder records what is decided in ``repro.obs`` alone.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -72,3 +79,56 @@ def test_the_check_sees_an_unused_import():
                          ids=lambda p: str(p.relative_to(SRC.parent)))
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ----------------------------------------------------------------------
+# The observation boundary: the simulated system reports events to
+# ``Observability`` and never names one of its recorders.
+# ----------------------------------------------------------------------
+SIMULATED = sorted(
+    [path for package in ("hw", "iommu", "iova", "kalloc", "dma", "core",
+                          "net", "sim")
+     for path in (SRC / package).rglob("*.py")]
+    + [SRC / "faults" / "injector.py"]
+    + [SRC / "workloads" / f"{name}.py"
+       for name in ("netperf", "storage", "memcached")])
+
+_RECORDER_ACCESS = re.compile(
+    r"obs(_ctx)?\.(tracer|metrics|exposure|requests|locks|spans)\b")
+
+
+def recorder_references(source: str):
+    """Recorder accesses and imported ``EV_*``/``MARK_*`` schema names."""
+    found = []
+    for match in _RECORDER_ACCESS.finditer(source):
+        line = source.count("\n", 0, match.start()) + 1
+        found.append(f"{match.group(0)} (line {line})")
+    found += [f"import {name} (line {line})"
+              for name, line in _imported(ast.parse(source))
+              if name.startswith(("EV_", "MARK_"))]
+    return found
+
+
+def test_the_boundary_check_sees_recorders_and_schemas():
+    source = ("from repro.obs.trace import EV_DMA_MAP\n"
+              "from repro.obs.spans import SPAN_COPY\n"
+              "def f(self, obs_ctx):\n"
+              "    self.obs.metrics.counter('x').inc()\n"
+              "    obs_ctx.requests.end(None)\n"
+              "    self.obs.dma_copied(None, 1, False, 2)\n")
+    assert recorder_references(source) == [
+        "obs.spans (line 2)", "obs.metrics (line 4)",
+        "obs_ctx.requests (line 5)", "import EV_DMA_MAP (line 1)"]
+
+
+def test_the_boundary_covers_every_simulated_package():
+    assert len(SIMULATED) > 30
+    assert {path.parent.name for path in SIMULATED} >= {
+        "hw", "iommu", "iova", "kalloc", "dma", "core", "net", "sim",
+        "faults", "workloads"}
+
+
+@pytest.mark.parametrize("path", SIMULATED,
+                         ids=lambda p: str(p.relative_to(SRC.parent)))
+def test_simulated_system_names_no_recorder(path):
+    assert recorder_references(path.read_text()) == []

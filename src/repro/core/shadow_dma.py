@@ -233,7 +233,6 @@ class ShadowDmaApi(IommuDmaApi):
         charges = ChargeBatch(core)
         pairs = UncontendedPairs(charges)
         room = pool.fresh_room(core, class_index, rights)
-        done = 0
         try:
             for _ in range(count):
                 if not room:
@@ -258,10 +257,8 @@ class ShadowDmaApi(IommuDmaApi):
                 self._live_fresh(buf, handle, meta)
                 mapped.append((buf, handle))
                 charges.add(post_cycles)
-                done += 1
         finally:
             pairs.settle()
-            self.stats.note_maps(done, size)
 
     # ------------------------------------------------------------------
     # Hybrid huge buffers (§5.5).

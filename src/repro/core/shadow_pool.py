@@ -165,6 +165,8 @@ class PoolStats:
     releases: int = 0
     remote_releases: int = 0
     grows: int = 0
+    #: Grows refused by an injected fault or the pool's byte cap.
+    grow_failures: int = 0
     fallback_allocations: int = 0
     shrinks: int = 0
 
@@ -352,10 +354,12 @@ class ShadowBufferPool:
         node = self.machine.node_of_core(core_id)
         alloc_bytes = max(size, PAGE_SIZE)
         if self.faults.enabled and self.faults.fires(SITE_POOL_GROW, core):
+            self.stats.grow_failures += 1
             raise PoolExhaustedError(
                 "injected shadow-pool grow failure (fault plan)")
         if (self.max_pool_bytes is not None
                 and self.stats.bytes_allocated + alloc_bytes > self.max_pool_bytes):
+            self.stats.grow_failures += 1
             raise PoolExhaustedError(
                 f"pool memory limit {self.max_pool_bytes} B reached"
             )

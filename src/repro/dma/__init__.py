@@ -3,7 +3,6 @@
 from repro.dma.api import (
     CoherentBuffer,
     DmaApi,
-    DmaApiStats,
     DmaDirection,
     DmaHandle,
     SchemeProperties,
@@ -23,7 +22,6 @@ __all__ = [
     "DmaDirection",
     "DmaHandle",
     "CoherentBuffer",
-    "DmaApiStats",
     "SchemeProperties",
     "NoIommuDmaApi",
     "StrictZeroCopyDmaApi",

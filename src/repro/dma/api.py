@@ -102,26 +102,6 @@ class _LiveMapping(NamedTuple):
     cookie: object = None
 
 
-@dataclass
-class DmaApiStats:
-    """Operation counters every implementation maintains."""
-
-    maps: int = 0
-    unmaps: int = 0
-    sg_maps: int = 0
-    coherent_allocs: int = 0
-    bytes_mapped: int = 0
-
-    def note_map(self, size: int) -> None:
-        self.maps += 1
-        self.bytes_mapped += size
-
-    def note_maps(self, count: int, size: int) -> None:
-        """:meth:`note_map` for ``count`` maps of ``size`` bytes."""
-        self.maps += count
-        self.bytes_mapped += count * size
-
-
 class DmaApi(abc.ABC):
     """Base class for all protection schemes.
 
@@ -144,7 +124,6 @@ class DmaApi(abc.ABC):
         self.machine = machine
         self.cost = machine.cost
         self._live: Dict[int, _LiveMapping] = {}
-        self.stats = DmaApiStats()
         #: Observability context; the registry rebinds this to the
         #: machine's after construction (NULL_OBS → zero overhead).
         self.obs = NULL_OBS
@@ -173,7 +152,6 @@ class DmaApi(abc.ABC):
                 obs.span_end(core)
             raise
         self._live[handle.iova] = _LiveMapping(buf, handle, cookie)
-        self.stats.note_map(buf.size)
         if obs.enabled:
             obs.dma_mapped(core, self.name, self.domain_id, handle)
         return handle
@@ -193,7 +171,6 @@ class DmaApi(abc.ABC):
         if obs.enabled:
             obs.span_begin(SPAN_DMA_UNMAP, core)
         self._unmap(core, live.buf, handle, live.cookie)
-        self.stats.unmaps += 1
         if obs.enabled:
             obs.dma_unmapped(core, self.name, self.domain_id, handle)
 
@@ -212,7 +189,6 @@ class DmaApi(abc.ABC):
             for handle in reversed(handles):
                 self.dma_unmap(core, handle)
             raise
-        self.stats.sg_maps += 1
         return handles
 
     def dma_unmap_sg(self, core: Core, handles: Sequence[DmaHandle]) -> None:
@@ -271,8 +247,8 @@ class DmaApi(abc.ABC):
     def _live_fresh(self, buf: KBuffer, handle: DmaHandle,
                     cookie: object) -> None:
         """Record a mapping made off the ``dma_map`` path, with its
-        double-issue check (callers count ``stats`` themselves).
-        ``dma_map`` has the same lines inline: it runs per packet."""
+        double-issue check.  ``dma_map`` has the same lines inline: it
+        runs per packet."""
         if handle.iova in self._live:
             raise DmaApiError(
                 f"scheme bug: IOVA {handle.iova:#x} handed out twice")
@@ -396,7 +372,6 @@ class IommuDmaApi(DmaApi):
         """Page-quantity allocation, permanently mapped RW (§2.2, §5.2)."""
         block = self._map_block(core, size, node, Perm.RW)
         self._coherent[block.iova] = block
-        self.stats.coherent_allocs += 1
         return CoherentBuffer(kbuf=KBuffer(pa=block.pa, size=size, node=node),
                               iova=block.iova, size=size)
 

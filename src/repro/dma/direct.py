@@ -63,7 +63,6 @@ class NoIommuDmaApi(DmaApi):
         charges = ChargeBatch(core,
                               per_item=((_CALL_CYCLES + post_cycles,
                                          CAT_OTHER),))
-        done = 0
         try:
             for _ in range(count):
                 pa = buddy.alloc_pages_held(order, charges)
@@ -72,17 +71,14 @@ class NoIommuDmaApi(DmaApi):
                 handle = DmaHandle(pa, size, direction)
                 self._live_fresh(buf, handle, None)
                 mapped.append((buf, handle))
-                done += 1
         finally:
             charges.apply()
-            self.stats.note_maps(done, size)
 
     def dma_alloc_coherent(self, core: Core, size: int,
                            node: int = 0) -> CoherentBuffer:
         """Page-quantity allocation at its physical address (§2.2)."""
         pa = self.allocators.buddies[node].alloc_pages(page_order(size), core)
         self._coherent[pa] = node
-        self.stats.coherent_allocs += 1
         return CoherentBuffer(kbuf=KBuffer(pa=pa, size=size, node=node),
                               iova=pa, size=size)
 

@@ -176,7 +176,6 @@ class ZeroCopyDmaApi(IommuDmaApi):
         charges = ChargeBatch(core, per_item=(
             (cost.iova_identity_cycles + post_cycles, CAT_OTHER),
             (table_cycles, CAT_PT_MGMT)))
-        done = 0
         try:
             for _ in range(count):
                 pa = buddy.alloc_pages_held(order, charges)
@@ -201,10 +200,8 @@ class ZeroCopyDmaApi(IommuDmaApi):
                 self._live_fresh(buf, handle, _MapCookie(
                     iova_base=pa, npages=npages, pa_base=pa))
                 mapped.append((buf, handle))
-                done += 1
         finally:
             charges.apply()
-            self.stats.note_maps(done, size)
 
     def _install(self, core: Core, start: int, stop: int, delta: int,
                  perm: Perm) -> None:

@@ -174,8 +174,7 @@ def _collect_recovery(system: System) -> Dict[str, int]:
         counters["bounce_maps"] = api.bounce_maps
     pool = getattr(api, "pool", None)
     if pool is not None:
-        counters["pool_grow_failures"] = getattr(pool.stats,
-                                                 "grow_failures", 0)
+        counters["pool_grow_failures"] = pool.stats.grow_failures
     return counters
 
 

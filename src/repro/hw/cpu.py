@@ -81,17 +81,6 @@ class Core:
         self.busy_cycles = 0
         self.breakdown.clear()
 
-    def snapshot(self) -> "CoreSnapshot":
-        """Freeze the current accounting state (for phase-delta reports)."""
-        return CoreSnapshot(now=self.now, busy_cycles=self.busy_cycles,
-                            breakdown=Counter(self.breakdown))
-
-    def utilization(self, window_cycles: int) -> float:
-        """Fraction of ``window_cycles`` this core spent busy (clamped to 1)."""
-        if window_cycles <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / window_cycles)
-
 
 class ChargeBatch:
     """Charges for one core, held back and applied as one sum per
@@ -142,23 +131,6 @@ class ChargeBatch:
             self.core.charge(cycles, category)
         self._held.clear()
         self._total = 0
-
-
-@dataclass
-class CoreSnapshot:
-    """A point-in-time copy of one core's accounting state."""
-
-    now: int
-    busy_cycles: int
-    breakdown: Counter
-
-    def delta(self, later: "CoreSnapshot") -> "CoreSnapshot":
-        """Accounting accrued between this snapshot and ``later``."""
-        diff = Counter(later.breakdown)
-        diff.subtract(self.breakdown)
-        return CoreSnapshot(now=later.now - self.now,
-                            busy_cycles=later.busy_cycles - self.busy_cycles,
-                            breakdown=+diff)
 
 
 def merge_breakdowns(cores: Iterable[Core]) -> Counter:

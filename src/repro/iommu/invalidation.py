@@ -181,6 +181,11 @@ class InvalidationQueue:
         """
         return self._window_concurrency(core.now)
 
+    @property
+    def lock_wait_cycles(self) -> int:
+        """Cycles submitters spent spinning on the queue lock."""
+        return self.lock.stats.total_wait_cycles
+
     # ------------------------------------------------------------------
     # Strict protection: invalidate and wait, under the queue lock.
     # ------------------------------------------------------------------
@@ -421,54 +426,6 @@ class InvalidationQueue:
                                  descriptors)
 
 
-class _AggregatedLockStats:
-    """Read-only :class:`~repro.hw.locks.LockStats` view summed over the
-    shard locks — keeps ``invq.lock.stats.*`` consumers (workload extras,
-    scale observatory) working unchanged against the sharded queue."""
-
-    def __init__(self, locks):
-        self._locks = locks
-
-    @property
-    def acquisitions(self) -> int:
-        return sum(lock.stats.acquisitions for lock in self._locks)
-
-    @property
-    def contended_acquisitions(self) -> int:
-        return sum(lock.stats.contended_acquisitions
-                   for lock in self._locks)
-
-    @property
-    def total_wait_cycles(self) -> int:
-        return sum(lock.stats.total_wait_cycles for lock in self._locks)
-
-    @property
-    def total_hold_cycles(self) -> int:
-        return sum(lock.stats.total_hold_cycles for lock in self._locks)
-
-    @property
-    def mean_wait_cycles(self) -> float:
-        acquisitions = self.acquisitions
-        if not acquisitions:
-            return 0.0
-        return self.total_wait_cycles / acquisitions
-
-
-class _AggregatedLockView:
-    """Facade ``.lock`` attribute of the sharded queue: a stats-only view
-    over every shard lock (the shards hold their own locks; nothing
-    acquires this object)."""
-
-    def __init__(self, locks, name: str = "qi-shard[*]"):
-        self.name = name
-        self._locks = locks
-        self.stats = _AggregatedLockStats(locks)
-
-    @property
-    def held(self) -> bool:
-        return any(lock.held for lock in self._locks)
-
-
 class PerCoreInvalidationQueue:
     """Sharded invalidation front end: one pipelined
     :class:`InvalidationQueue` per core over one shared hardware engine.
@@ -482,9 +439,9 @@ class PerCoreInvalidationQueue:
     8a-style concurrency and queue depth read across the whole
     subsystem.
 
-    Exposes the same counters and ``lock.stats`` shape as
-    :class:`InvalidationQueue` (aggregated over shards), so workload
-    extras, the chaos soak, and the scale observatory apply unchanged.
+    Exposes the same counters as :class:`InvalidationQueue`, summed
+    over shards, so workload extras and the chaos soak read either
+    queue alike.
     """
 
     def __init__(self, iotlb: Iotlb, cost: CostModel, nqueues: int,
@@ -505,15 +462,10 @@ class PerCoreInvalidationQueue:
                 hardware=self.hardware, pipelined=True)
             shard._recent = shared_recent
             self.shards.append(shard)
-        self.lock = _AggregatedLockView([s.lock for s in self.shards])
 
     @property
     def nqueues(self) -> int:
         return len(self.shards)
-
-    @property
-    def pipelined(self) -> bool:
-        return True
 
     def _shard(self, core: Core) -> InvalidationQueue:
         return self.shards[core.cid % len(self.shards)]
@@ -548,6 +500,10 @@ class PerCoreInvalidationQueue:
     @property
     def batch_flushes(self) -> int:
         return sum(s.batch_flushes for s in self.shards)
+
+    @property
+    def lock_wait_cycles(self) -> int:
+        return sum(s.lock_wait_cycles for s in self.shards)
 
     @property
     def timeouts(self) -> int:

@@ -34,7 +34,7 @@ from repro.net.packets import parse_frame
 from repro.net.ring import FLAG_EOP, FLAG_READY, Descriptor, DescriptorRing
 from repro.obs import (REQ_RX, REQ_TX, SPAN_DEVICE_ACCESS, SPAN_RX_PACKET,
                        SPAN_TX_CHUNK)
-from repro.sim.units import PAGE_SIZE, page_order
+from repro.sim.units import page_order
 
 
 @dataclass
@@ -48,9 +48,6 @@ class _TxSlot:
     buf: KBuffer
     handle: DmaHandle
     free_buffer: bool
-    #: For scatter-gather sends: the whole-chunk allocation to free once
-    #: this (final) element completes.
-    parent: Optional[KBuffer] = None
 
 
 @dataclass
@@ -277,21 +274,20 @@ class NicDriver:
     # ------------------------------------------------------------------
     # TX path.
     # ------------------------------------------------------------------
-    def _tx_ring_slots_ready(self, core: Core, qid: int,
-                             needed: int = 1) -> bool:
-        """Ensure ``needed`` free TX slots, reaping completions to make
-        room.  A fault plan can force the overflow path even when the
-        ring has space (the recovery — reap and retry — is identical).
-        Returns ``False`` when reaping did not help: the caller drops.
+    def _tx_slot_ready(self, core: Core, qid: int) -> bool:
+        """Ensure a free TX slot, reaping completions to make room.  A
+        fault plan can force the overflow path even when the ring has
+        space (the recovery — reap and retry — is identical).  Returns
+        ``False`` when reaping did not help: the caller drops.
         """
         ring = self._tx_rings[qid]
-        short = ring.entries - ring.outstanding < needed
-        injected = (not short and self.faults.enabled
+        full = ring.outstanding >= ring.entries
+        injected = (not full and self.faults.enabled
                     and self.faults.fires(SITE_RING_OVERFLOW, core))
-        if not (short or injected):
+        if not (full or injected):
             return True
         self.reap_tx(core, qid)
-        if ring.entries - ring.outstanding < needed:
+        if ring.outstanding >= ring.entries:
             return False
         self.stats.tx_ring_recoveries += 1
         if self.obs.enabled:
@@ -313,7 +309,7 @@ class NicDriver:
         ``NETDEV_TX_BUSY``/drop path, nothing leaks and the caller may
         retry with a fresh buffer.
         """
-        if not self._tx_ring_slots_ready(core, qid):
+        if not self._tx_slot_ready(core, qid):
             self._drop_chunk(core, buf, free_buffer)
             return False
         try:
@@ -334,53 +330,6 @@ class NicDriver:
             self.obs.chunk_sent(core, qid, buf.size)
         return True
 
-    def send_chunk_sg(self, core: Core, qid: int, buf: KBuffer,
-                      free_buffer: bool = True) -> int:
-        """Map and post one chunk as page-sized scatter-gather elements.
-
-        Models an skb whose payload lives in page frags: each element is
-        ``dma_map_sg``-ed separately (§2.2 footnote — SG works
-        analogously), so zero-copy schemes pay per-page costs and the
-        copy scheme performs per-element copies.  Returns the element
-        count.
-        """
-        elements: list[KBuffer] = []
-        offset = 0
-        while offset < buf.size:
-            chunk = min(PAGE_SIZE - ((buf.pa + offset) & (PAGE_SIZE - 1)),
-                        buf.size - offset)
-            elements.append(KBuffer(buf.pa + offset, chunk, buf.node))
-            offset += chunk
-        if not self._tx_ring_slots_ready(core, qid, needed=len(elements)):
-            self._drop_chunk(core, buf, free_buffer)
-            return 0
-        try:
-            handles = self.dma_api.dma_map_sg(core, elements,
-                                              DmaDirection.TO_DEVICE)
-        except ReproError:
-            # dma_map_sg is all-or-nothing: the mapped prefix was already
-            # unwound inside the API, so only the chunk itself remains.
-            self.stats.tx_map_failures += 1
-            self._drop_chunk(core, buf, free_buffer)
-            return 0
-        ring = self._tx_rings[qid]
-        last = len(handles) - 1
-        for i, (element, handle) in enumerate(zip(elements, handles)):
-            flags = FLAG_READY | (FLAG_EOP if i == last else 0)
-            index = ring.post(Descriptor(handle.iova, element.size, flags))
-            self._tx_slots[qid][index] = _TxSlot(
-                buf=element, handle=handle, free_buffer=False,
-                parent=buf if (free_buffer and i == last) else None)
-        # Descriptor-build cost accumulated over the burst: nothing in the
-        # posting loop reads the clock, so one charge is cycle-identical
-        # to per-element charges.
-        core.charge(self.cost.tx_desc_burst_cycles(len(handles)), CAT_OTHER)
-        self.stats.tx_chunks += 1
-        self.stats.tx_bytes += buf.size
-        if self.obs.enabled:
-            self.obs.chunk_sent(core, qid, buf.size, len(handles))
-        return len(handles)
-
     def reap_tx(self, core: Core, qid: int) -> int:
         """Process TX completions: unmap and free transmitted chunks."""
         ring = self._tx_rings[qid]
@@ -395,9 +344,6 @@ class NicDriver:
             core.charge(self.cost.tx_complete_cycles, CAT_OTHER)
             if slot.free_buffer:
                 self.allocators.slabs[slot.buf.node].kfree(slot.buf, core)
-            if slot.parent is not None:
-                self.allocators.slabs[slot.parent.node].kfree(slot.parent,
-                                                              core)
             reaped += 1
         return reaped
 

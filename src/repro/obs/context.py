@@ -241,11 +241,9 @@ class Observability:
                       waited: int) -> None:
         """``core`` took lock ``name`` after ``waited`` spinning cycles
         behind core ``holder_cid``; closes the ``lock_wait`` span."""
-        metrics = self.metrics
-        metrics.counter(f"lock.acquisitions:{name}").inc()
         self.locks.note_acquire(name, core.cid, holder_cid, waited, core.now)
         if waited:
-            metrics.histogram(f"lock.wait_cycles:{name}").observe(waited)
+            self.metrics.histogram(f"lock.wait_cycles:{name}").observe(waited)
             self._emit(EV_LOCK_CONTEND, core.now, core.cid, lock=name,
                        wait_cycles=waited)
             self.requests.note_lock_wait(core, name, waited)
@@ -364,16 +362,9 @@ class Observability:
                    payload=payload)
         self.metrics.counter("net.rx_packets").inc()
 
-    def chunk_sent(self, core, qid: int, nbytes: int,
-                   elements: Optional[int] = None) -> None:
-        """A chunk was posted, as ``elements`` scatter-gather elements
-        when given."""
-        if elements is None:
-            self._emit(EV_NET_TX, core.now, core.cid, qid=qid,
-                       nbytes=nbytes, sg=False)
-        else:
-            self._emit(EV_NET_TX, core.now, core.cid, qid=qid,
-                       nbytes=nbytes, sg=True, elements=elements)
+    def chunk_sent(self, core, qid: int, nbytes: int) -> None:
+        """A chunk was posted as one descriptor."""
+        self._emit(EV_NET_TX, core.now, core.cid, qid=qid, nbytes=nbytes)
         self.metrics.counter("net.tx_chunks").inc()
 
     def sched_step(self, core, started_at: int, task: str,

@@ -25,7 +25,7 @@ Design constraints, shared with the rest of the layer:
   ``req.begin``/``req.end`` events.
 * **Bounded memory.**  Latency reservoirs and the retained-record sample
   use stride-doubling decimation; the slowest requests are kept exactly
-  in a bounded top-K heap, so exemplars for the tail buckets always
+  in a bounded top-K heap, so the tail report's exemplars always
   reference real, complete traces.
 
 Stage capture follows the spans: the context hands every span it opens
@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 # Mirrors repro.sim.units; importing it here would cycle back through
 # repro.sim.engine -> repro.obs.context (same dance as obs.exposure).
@@ -107,8 +106,7 @@ _MAX_SEGMENTS = 256
 _MAX_MARKS = 64
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """One completed request: latency, stage profile, causal timeline."""
 
     rid: int
@@ -213,7 +211,7 @@ class _KindAggregate:
                 self.stage_cycles.get(stage, 0) + cycles
         for lock, cycles in record.locks.items():
             self.lock_cycles[lock] = self.lock_cycles.get(lock, 0) + cycles
-        # Exact top-K slowest (exemplars for the tail buckets).
+        # Exact top-K slowest (the tail report's exemplars).
         self._heap_seq += 1
         entry = (latency, self._heap_seq, record)
         if len(self.slowest) < _SLOWEST_CAP:
@@ -304,10 +302,9 @@ class RequestRecorder:
             active.stages[STAGE_UNATTRIBUTED] = \
                 active.stages.get(STAGE_UNATTRIBUTED, 0) + unattributed
         record = RequestRecord(
-            rid=active.rid, kind=active.kind, core=active.core,
-            start=active.start, end=end, stages=active.stages,
-            segments=tuple(active.segments), marks=tuple(active.marks),
-            locks=active.locks, meta=active.meta)
+            active.rid, active.kind, active.core, active.start, end,
+            active.stages, tuple(active.segments), tuple(active.marks),
+            active.locks, active.meta)
         del self.active[core.cid]
         self.completed += 1
         aggregate = self._kinds.get(active.kind)
@@ -462,31 +459,6 @@ class RequestRecorder:
             "kinds": kinds,
             "overall": overall,
         }
-
-    def exemplars(self, kind: Optional[str] = None,
-                  percentiles: Tuple[float, ...] = (50.0, 90.0, 99.0,
-                                                    99.9)
-                  ) -> Dict[str, Optional[Dict[str, object]]]:
-        """Worst concrete request trace at or below each percentile.
-
-        Each p50/p90/p99/p999 bucket keeps a reference to the slowest
-        retained record whose latency does not exceed the bucket's
-        threshold — OpenTelemetry-style exemplars: the histogram row
-        points at a real trace you can open.
-        """
-        lats = self.latencies(kind)
-        records = self.retained(kind)
-        out: Dict[str, Optional[Dict[str, object]]] = {}
-        for p in percentiles:
-            label = f"p{p:g}".replace(".", "")
-            threshold = _quantile(lats, p)
-            best: Optional[RequestRecord] = None
-            for record in records:
-                if record.latency <= threshold and (
-                        best is None or record.latency > best.latency):
-                    best = record
-            out[label] = best.to_dict() if best is not None else None
-        return out
 
 
 # ----------------------------------------------------------------------

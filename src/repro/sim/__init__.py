@@ -1,7 +1,7 @@
 """Discrete-event simulation core: units, cost model, scheduler."""
 
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.sim.engine import CoreTask, Scheduler, run_per_core
+from repro.sim.engine import CoreTask, Scheduler
 from repro.sim.units import (
     CPU_FREQ_HZ,
     CYCLES_PER_US,
@@ -20,7 +20,6 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "CoreTask",
     "Scheduler",
-    "run_per_core",
     "CPU_FREQ_HZ",
     "CYCLES_PER_US",
     "PAGE_SIZE",

@@ -199,7 +199,7 @@ class CostModel:
     #: append in tcp_sendmsg.  Dominates large-message TX; calibrated so
     #: no-IOMMU single-core TSO TX lands near the paper's ≈36 Gb/s.
     tcp_tx_per_page_cycles: int = 1000
-    #: Driver work to build one TX descriptor (per scatter-gather element).
+    #: Driver work to build one TX descriptor.
     tx_desc_cycles: int = 80
     #: TX completion processing per transmitted chunk.
     tx_complete_cycles: int = 800
@@ -271,11 +271,6 @@ class CostModel:
     # across operations that read no clock in between (no locks, shared
     # hardware, or observability notes).
     # ------------------------------------------------------------------
-    def tx_desc_burst_cycles(self, count: int) -> int:
-        """Driver work to build ``count`` back-to-back TX descriptors
-        (one scatter-gather posting loop)."""
-        return self.tx_desc_cycles * max(0, count)
-
     def pt_map_range_cycles(self, npages: int) -> int:
         """Page-table update cost for mapping an ``npages`` range."""
         return self.pt_map_cycles * max(0, npages)

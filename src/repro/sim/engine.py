@@ -151,18 +151,3 @@ class Scheduler:
             if more:
                 push(heap, (core.now, next(counter), task))
         return executed
-
-
-def run_per_core(cores: Iterable[Core],
-                 make_step: Callable[[Core], Callable[[Core], bool]],
-                 obs: Observability | None = None) -> Scheduler:
-    """Convenience: build one task per core via ``make_step`` and run it.
-
-    ``make_step(core)`` must return the task's ``step`` callable.  Returns
-    the scheduler (already run) so callers can inspect task counters.
-    """
-    tasks = [CoreTask(core=c, step=make_step(c), name=f"core{c.cid}")
-             for c in cores]
-    sched = Scheduler(tasks, obs=obs)
-    sched.run()
-    return sched

@@ -68,26 +68,7 @@ def throughput_gbps(total_bytes: int, elapsed_cycles: float) -> float:
     return total_bytes * 8.0 / seconds / 1e9
 
 
-def pages_spanned(addr: int, size: int) -> int:
-    """Number of 4 KB pages touched by the byte range ``[addr, addr+size)``."""
-    if size <= 0:
-        return 0
-    first = addr >> PAGE_SHIFT
-    last = (addr + size - 1) >> PAGE_SHIFT
-    return last - first + 1
-
-
 def page_order(nbytes: int) -> int:
     """Buddy order of the smallest power-of-two run of pages that holds
     ``nbytes`` (0 for anything up to one page)."""
     return max(0, ((nbytes + PAGE_SIZE - 1) >> PAGE_SHIFT) - 1).bit_length()
-
-
-def page_align_down(addr: int) -> int:
-    """Round ``addr`` down to a page boundary."""
-    return addr & ~(PAGE_SIZE - 1)
-
-
-def page_align_up(addr: int) -> int:
-    """Round ``addr`` up to a page boundary."""
-    return (addr + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)

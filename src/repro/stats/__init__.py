@@ -13,8 +13,8 @@ from repro.stats.analytical import (
     predict_rx,
     strict_saturation_gbps,
 )
-from repro.stats.export import result_to_row, to_csv, to_json, write_csv, write_json
-from repro.stats.results import RunResult, Series
+from repro.stats.export import result_to_row
+from repro.stats.results import RunResult
 from repro.stats.timeline import (
     render_histogram,
     render_metrics_summary,
@@ -25,7 +25,6 @@ from repro.stats.timeline import (
 
 __all__ = [
     "RunResult",
-    "Series",
     "render_throughput_table",
     "render_breakdown_table",
     "render_latency_table",
@@ -35,10 +34,6 @@ __all__ = [
     "predict_all_rx",
     "copy_invalidate_breakeven_bytes",
     "strict_saturation_gbps",
-    "to_csv",
-    "to_json",
-    "write_csv",
-    "write_json",
     "result_to_row",
     "render_histogram",
     "render_metrics_summary",

@@ -1,33 +1,21 @@
-"""Export run results to CSV / JSON for external analysis.
+"""Flatten run results into plain rows for external analysis.
 
 The benchmark harness prints paper-style text tables; this module gives
-downstream users machine-readable forms of the same data — one row per
+downstream users a machine-readable form of the same data — one row per
 :class:`~repro.stats.results.RunResult`, with the breakdown flattened
-into per-category columns.
+into per-category columns.  Bench records, and the record a workload
+command writes with ``--json``, carry these rows.
 """
 
 from __future__ import annotations
-
-import csv
-import io
-import json
-from typing import Iterable, List, Sequence
 
 from repro.hw.cpu import ALL_CATEGORIES
 from repro.obs.scaling import serialized_shares
 from repro.stats.results import RunResult
 
-#: Fixed column order for CSV output.
-BASE_COLUMNS = (
-    "scheme", "workload", "units", "payload_bytes", "wall_cycles",
-    "busy_cycles", "cores", "throughput_gbps", "cpu_utilization",
-    "us_per_unit", "latency_us", "transactions_per_sec",
-    "lock_wait_share", "scaling_serial_fraction",
-)
-
 
 def result_to_row(result: RunResult) -> dict:
-    """Flatten one result into a plain dict (JSON/CSV friendly)."""
+    """Flatten one result into a plain, JSON-friendly dict."""
     row: dict = {
         "scheme": result.scheme,
         "workload": result.workload,
@@ -99,40 +87,3 @@ def result_to_row(result: RunResult) -> dict:
             row["iotlb_prefetch_hit_rate"] = round(
                 iotlb.get("prefetch_hits", 0) / prefetches, 6)
     return row
-
-
-def _columns(rows: Sequence[dict]) -> List[str]:
-    columns = list(BASE_COLUMNS)
-    seen = set(columns)
-    for row in rows:
-        for key in row:
-            if key not in seen:
-                columns.append(key)
-                seen.add(key)
-    return columns
-
-
-def to_csv(results: Iterable[RunResult]) -> str:
-    """Render results as a CSV document (header + one row each)."""
-    rows = [result_to_row(r) for r in results]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_columns(rows),
-                            restval="", extrasaction="ignore")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def to_json(results: Iterable[RunResult], indent: int = 2) -> str:
-    """Render results as a JSON array of flattened rows."""
-    return json.dumps([result_to_row(r) for r in results], indent=indent)
-
-
-def write_csv(results: Iterable[RunResult], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(to_csv(results))
-
-
-def write_json(results: Iterable[RunResult], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_json(results))

@@ -10,7 +10,7 @@ benchmark harness serializes these into the tables EXPERIMENTS.md quotes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.hw.cpu import ALL_CATEGORIES
 from repro.sim.units import CYCLES_PER_US, throughput_gbps
@@ -62,23 +62,3 @@ class RunResult:
             cat: self.breakdown_cycles.get(cat, 0) / CYCLES_PER_US / self.units
             for cat in ALL_CATEGORIES
         }
-
-    def relative_to(self, baseline: "RunResult") -> Dict[str, float]:
-        """Relative throughput and CPU versus ``baseline`` (the paper's
-        'relative' panels, normalized to no-iommu)."""
-        rel_tput = (self.throughput_gbps / baseline.throughput_gbps
-                    if baseline.throughput_gbps else 0.0)
-        rel_cpu = (self.cpu_utilization / baseline.cpu_utilization
-                   if baseline.cpu_utilization else 0.0)
-        return {"throughput": rel_tput, "cpu": rel_cpu}
-
-
-@dataclass
-class Series:
-    """One figure line: results keyed by the swept parameter."""
-
-    scheme: str
-    points: List[RunResult] = field(default_factory=list)
-
-    def by_param(self, key: str) -> Dict[object, RunResult]:
-        return {r.params.get(key): r for r in self.points}

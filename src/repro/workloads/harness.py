@@ -139,17 +139,8 @@ def collect(system: System, scheme: str, workload: str,
     pool = getattr(system.dma_api, "pool", None)
     if pool is not None:
         result.extras["pool"] = vars(pool.stats).copy()
-    invq = system.iommu.invalidation_queue if system.iommu else None
-    if invq is not None:
-        result.extras["inv_lock_wait_cycles"] = invq.lock.stats.total_wait_cycles
-        result.extras["sync_invalidations"] = invq.sync_invalidations
-        result.extras["batch_flushes"] = invq.batch_flushes
-        # Hardware-side queueing decomposition the scalability
-        # observatory reads (arrivals + service vs queue delay).
-        hw = invq.hardware
-        result.extras["inv_hw_completions"] = hw.completions
-        result.extras["inv_hw_service_cycles"] = hw.total_service_cycles
-        result.extras["inv_hw_queue_delay_cycles"] = hw.queue_delay_cycles
+    if system.iommu is not None:
+        record_invalidation(result, system.iommu)
     samples = getattr(system.dma_api, "window_samples", None)
     if samples:
         result.extras["window_mean_us"] = cycles_to_us(
@@ -157,6 +148,21 @@ def collect(system: System, scheme: str, workload: str,
         result.extras["window_max_us"] = cycles_to_us(max(samples))
     attach_capture(result, system.machine, system.iommu)
     return result
+
+
+def record_invalidation(result: RunResult, iommu: Iommu) -> None:
+    """Record the invalidation queue's counters in ``result.extras``,
+    with the hardware-side queueing decomposition the scalability
+    observatory reads (arrivals and service against queue delay)."""
+    invq = iommu.invalidation_queue
+    hw = invq.hardware
+    result.extras.update(
+        inv_lock_wait_cycles=invq.lock_wait_cycles,
+        sync_invalidations=invq.sync_invalidations,
+        batch_flushes=invq.batch_flushes,
+        inv_hw_completions=hw.completions,
+        inv_hw_service_cycles=hw.total_service_cycles,
+        inv_hw_queue_delay_cycles=hw.queue_delay_cycles)
 
 
 def attach_capture(result: RunResult, machine: Machine,

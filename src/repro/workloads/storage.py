@@ -39,6 +39,7 @@ from repro.workloads.harness import (
     attach_capture,
     measure,
     measured_result,
+    record_invalidation,
     run_generators,
 )
 
@@ -157,13 +158,6 @@ def run_storage(cfg: StorageConfig) -> RunResult:
         result.extras["hybrid_maps"] = api.hybrid_maps
     if iommu is not None:
         result.extras["iotlb"] = vars(iommu.iotlb.stats).copy()
-        invq = iommu.invalidation_queue
-        result.extras["sync_invalidations"] = invq.sync_invalidations
-        result.extras["inv_lock_wait_cycles"] = \
-            invq.lock.stats.total_wait_cycles
-        hw = invq.hardware
-        result.extras["inv_hw_completions"] = hw.completions
-        result.extras["inv_hw_service_cycles"] = hw.total_service_cycles
-        result.extras["inv_hw_queue_delay_cycles"] = hw.queue_delay_cycles
+        record_invalidation(result, iommu)
     attach_capture(result, machine, iommu)
     return result

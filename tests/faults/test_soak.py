@@ -72,6 +72,18 @@ def test_inv_stall_recovery_counters():
             + result.recovery["inv_queue_resets"]) > 0
 
 
+@pytest.mark.parametrize("spec, cores", [("pool.grow:at=1", 1),
+                                         ("pool.grow:rate=0.5", 2)])
+def test_pool_grow_failures_are_counted(spec, cores):
+    """Every refused shadow-pool grow shows in the recovery counters."""
+    result = run_chaos("copy", FaultPlan.parse(spec, seed=1), cores=cores,
+                       units=120)
+    assert result.ok, result.violations
+    fires = result.fault_summary[SITE_POOL_GROW]["fires"]
+    assert fires >= 1
+    assert result.recovery["pool_grow_failures"] == fires
+
+
 def test_throughput_degrades_gracefully():
     """Faulted run still delivers most traffic — no deadlock, no cliff."""
     base = run_chaos("copy", FaultPlan(seed=1), cores=1, units=60)

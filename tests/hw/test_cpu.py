@@ -67,15 +67,6 @@ def test_reset_accounting_keeps_clock():
     assert not core.breakdown
 
 
-def test_utilization():
-    core = Core(cid=0, numa_node=0)
-    core.charge(250)
-    core.advance_to(1000)
-    assert core.utilization(1000) == pytest.approx(0.25)
-    assert core.utilization(0) == 0.0
-    assert core.utilization(100) == 1.0  # clamped
-
-
 def test_merge_breakdowns():
     a = Core(cid=0, numa_node=0)
     b = Core(cid=1, numa_node=0)

@@ -35,6 +35,7 @@ def test_shadow_pool_recovers_after_shrink():
     with pytest.raises(PoolExhaustedError):
         api.dma_map(core, ka.kmalloc(PAGE_SIZE, node=0),
                     DmaDirection.TO_DEVICE)
+    assert api.pool.stats.grow_failures == 1
     for h in handles:
         api.dma_unmap(core, h)
     # Memory pressure: release the free shadows back to the system.

@@ -11,7 +11,7 @@ after ``teardown_queues`` (so a ring the pass set up tears down to the
 state of a ring the loop set up): core clocks, busy cycles and
 breakdowns, every lock's timestamps and counters, the buddy, IOVA,
 page-table, IOTLB and shadow-pool state, ring and buffer memory, driver
-slots and deficits, and the DMA API's live mappings and stats.
+slots and deficits, and the DMA API's live mappings.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ simulated cycles, so:
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.obs.trace import (
     EV_LOCK_ACQUIRE,
     NullTracer,
 )
-from repro.stats.export import to_json
+from repro.stats.export import result_to_row
 from repro.system import System
 from repro.workloads.memcached import MemcachedConfig, run_memcached
 from repro.workloads.netperf import RRConfig, StreamConfig, run_tcp_rr, \
@@ -110,7 +111,7 @@ def test_null_tracer_run_is_byte_identical():
     bare = run_tcp_rr(RRConfig(**_RR))
     nulled = run_tcp_rr(RRConfig(**_RR,
                                  obs=Observability(tracer=NullTracer())))
-    assert to_json([bare]) == to_json([nulled])
+    assert json.dumps(result_to_row(bare)) == json.dumps(result_to_row(nulled))
     assert bare.extras == nulled.extras
 
 
@@ -246,7 +247,7 @@ def test_span_instrumented_run_is_byte_identical():
     bare = run_tcp_rr(RRConfig(**_RR))
     null_obs = Observability(tracer=NullTracer())
     nulled = run_tcp_rr(RRConfig(**_RR, obs=null_obs))
-    assert to_json([bare]) == to_json([nulled])
+    assert json.dumps(result_to_row(bare)) == json.dumps(result_to_row(nulled))
     assert null_obs.spans.opened == 0
     assert null_obs.spans.closed == 0
     assert not null_obs.spans.tree().children

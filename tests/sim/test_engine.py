@@ -11,7 +11,6 @@ from repro.sim.engine import (
     CoreTask,
     GeneratorTask,
     Scheduler,
-    run_per_core,
 )
 
 
@@ -109,34 +108,32 @@ def test_generator_interleaves_between_yields():
     assert rounds == [[(0, i), (1, i)] for i in range(4)]
 
 
-def test_run_per_core_helper():
+def test_one_task_per_core_runs_each_to_completion():
     cores = _cores(3)
     done = {c.cid: 0 for c in cores}
 
-    def make_step(core):
-        def step(c):
-            done[c.cid] += 1
-            c.charge(1)
-            return done[c.cid] < 2
-        return step
+    def step(c):
+        done[c.cid] += 1
+        c.charge(1)
+        return done[c.cid] < 2
 
-    sched = run_per_core(cores, make_step)
+    sched = Scheduler([CoreTask(core=c, step=step) for c in cores])
+    sched.run()
     assert all(task.units_done == 2 for task in sched.tasks)
 
 
-def test_run_per_core_forwards_observability():
-    """Regression: ``run_per_core`` used to build its Scheduler without
-    the caller's context, silently dropping spans and sched-step events."""
+def test_scheduler_reports_steps_to_its_context():
+    """A scheduler built with a context opens a span and traces a
+    sched-step event per step."""
     cores = _cores(2)
     obs = Observability.capture(trace_capacity=64)
 
-    def make_step(core):
-        def step(c):
-            c.charge(10)
-            return False
-        return step
+    def step(c):
+        c.charge(10)
+        return False
 
-    sched = run_per_core(cores, make_step, obs=obs)
+    sched = Scheduler([CoreTask(core=c, step=step) for c in cores], obs=obs)
+    sched.run()
     assert sched.obs is obs
     steps = obs.tracer.events(EV_SCHED_STEP)
     assert len(steps) == 2

@@ -36,41 +36,6 @@ def test_mss_derived_from_mtu():
     assert units.TCP_MSS == units.ETH_MTU - 40
 
 
-def test_pages_spanned_basic():
-    assert units.pages_spanned(0, 1) == 1
-    assert units.pages_spanned(0, 4096) == 1
-    assert units.pages_spanned(0, 4097) == 2
-    assert units.pages_spanned(4095, 2) == 2
-    assert units.pages_spanned(100, 0) == 0
-
-
-def test_page_alignment():
-    assert units.page_align_down(4097) == 4096
-    assert units.page_align_up(4097) == 8192
-    assert units.page_align_up(4096) == 4096
-    assert units.page_align_down(0) == 0
-
-
-@given(addr=st.integers(min_value=0, max_value=2 ** 40),
-       size=st.integers(min_value=1, max_value=2 ** 20))
-def test_pages_spanned_covers_range(addr, size):
-    n = units.pages_spanned(addr, size)
-    first = addr >> units.PAGE_SHIFT
-    last = (addr + size - 1) >> units.PAGE_SHIFT
-    assert n == last - first + 1
-    assert 1 <= n <= size // units.PAGE_SIZE + 2
-
-
-@given(addr=st.integers(min_value=0, max_value=2 ** 48))
-def test_align_up_down_bracket(addr):
-    down = units.page_align_down(addr)
-    up = units.page_align_up(addr)
-    assert down <= addr <= up
-    assert down % units.PAGE_SIZE == 0
-    assert up % units.PAGE_SIZE == 0
-    assert up - down in (0, units.PAGE_SIZE)
-
-
 @given(nbytes=st.integers(min_value=0, max_value=2 ** 32))
 def test_page_order_is_the_smallest_block_that_holds(nbytes):
     pages = 1 << units.page_order(nbytes)

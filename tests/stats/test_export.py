@@ -1,10 +1,8 @@
-"""CSV/JSON export tests."""
+"""Result-row export tests."""
 
-import csv
-import io
 import json
 
-from repro.stats.export import result_to_row, to_csv, to_json, write_csv, write_json
+from repro.stats.export import result_to_row
 from repro.stats.results import RunResult
 from repro.sim.units import seconds_to_cycles
 
@@ -28,39 +26,11 @@ def test_row_shape():
     assert row["latency_us"] is None
 
 
-def test_csv_roundtrip():
-    text = to_csv([sample("copy"), sample("no-iommu", 64)])
-    rows = list(csv.DictReader(io.StringIO(text)))
-    assert len(rows) == 2
-    assert rows[0]["scheme"] == "copy"
-    assert rows[1]["param_message_size"] == "64"
-    assert float(rows[0]["throughput_gbps"]) == 8.0
-
-
 def test_json_roundtrip():
-    parsed = json.loads(to_json([sample()]))
-    assert parsed[0]["workload"] == "tcp_stream_rx"
-    assert parsed[0]["cpu_utilization"] == 0.5
-
-
-def test_heterogeneous_params_union_columns():
-    a = sample()
-    b = RunResult(scheme="copy", workload="memcached",
-                  params={"value_size": 1024})
-    b.transactions_per_sec = 1.0e6
-    rows = list(csv.DictReader(io.StringIO(to_csv([a, b]))))
-    assert "param_message_size" in rows[0]
-    assert "param_value_size" in rows[0]
-    assert rows[1]["param_message_size"] == ""
-
-
-def test_file_writers(tmp_path):
-    csv_path = tmp_path / "out.csv"
-    json_path = tmp_path / "out.json"
-    write_csv([sample()], str(csv_path))
-    write_json([sample()], str(json_path))
-    assert csv_path.read_text().startswith("scheme,")
-    assert json.loads(json_path.read_text())
+    parsed = json.loads(json.dumps(result_to_row(sample())))
+    assert parsed["workload"] == "tcp_stream_rx"
+    assert parsed["cpu_utilization"] == 0.5
+    assert parsed["throughput_gbps"] == 8.0
 
 
 def test_live_result_exports():

@@ -10,7 +10,7 @@ from repro.stats.reporting import (
     render_property_matrix,
     render_throughput_table,
 )
-from repro.stats.results import RunResult, Series
+from repro.stats.results import RunResult
 from repro.sim.units import seconds_to_cycles
 
 
@@ -51,20 +51,6 @@ def test_empty_result_is_safe():
     assert r.cpu_utilization == 0.0
     assert r.us_per_unit == 0.0
     assert all(v == 0.0 for v in r.breakdown_us_per_unit().values())
-
-
-def test_relative_to():
-    base = make_result(scheme="no-iommu", gbps=20.0, busy_frac=0.5)
-    r = make_result(scheme="copy", gbps=15.0, busy_frac=0.6)
-    rel = r.relative_to(base)
-    assert rel["throughput"] == pytest.approx(0.75, rel=0.01)
-    assert rel["cpu"] == pytest.approx(1.2, rel=0.01)
-
-
-def test_series_by_param():
-    s = Series(scheme="copy",
-               points=[make_result(size=64), make_result(size=1024)])
-    assert set(s.by_param("message_size")) == {64, 1024}
 
 
 def test_render_throughput_table():

@@ -58,11 +58,15 @@ class SwiotlbDmaApi(NoIommuDmaApi):
         self.pool_slots = pool_slots
         self._free_runs: List[tuple[int, int]] = [(0, pool_slots)]
         self._lock = SpinLock("swiotlb", machine.cost, obs=machine.obs)
+        #: Slot allocations refused, injected (the ``pool.grow`` fault
+        #: site) or for want of free slots.
+        self.bounce_slot_failures = 0
 
     # ------------------------------------------------------------------
     def _alloc_slots(self, core: Core, nslots: int) -> int:
         faults = self.machine.faults
         if faults.enabled and faults.fires(SITE_POOL_GROW, core):
+            self.bounce_slot_failures += 1
             raise PoolExhaustedError(
                 "injected SWIOTLB pool exhaustion (fault plan)")
         self._lock.acquire(core)
@@ -83,6 +87,7 @@ class SwiotlbDmaApi(NoIommuDmaApi):
                 self._lock.release(core)
                 return start
         self._lock.release(core)
+        self.bounce_slot_failures += 1
         raise PoolExhaustedError("SWIOTLB pool exhausted")
 
     def _free_slots(self, core: Core, start: int, nslots: int) -> None:

@@ -172,6 +172,8 @@ def _collect_recovery(system: System) -> Dict[str, int]:
     api = system.dma_api
     if hasattr(api, "bounce_maps"):
         counters["bounce_maps"] = api.bounce_maps
+    if hasattr(api, "bounce_slot_failures"):
+        counters["bounce_slot_failures"] = api.bounce_slot_failures
     pool = getattr(api, "pool", None)
     if pool is not None:
         counters["pool_grow_failures"] = pool.stats.grow_failures

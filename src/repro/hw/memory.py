@@ -4,7 +4,7 @@ All DMA in the simulation moves *actual bytes* through this model: device
 writes land in page frames here, the shadow-pool copies read and write
 these frames, and the attack framework inspects them.  Frames are
 materialized lazily (a ``dict`` keyed by page-frame number), so a machine
-can expose many gigabytes of address space while only the touched pages
+can expose many gigabytes of address space while only the written pages
 cost host memory.
 
 Each NUMA node owns a disjoint physical address range (64 GiB apart), so
@@ -26,10 +26,15 @@ _NODE_OFFSET_MASK = NODE_REGION_BYTES - 1
 _PAGE_MASK = PAGE_SIZE - 1
 
 
+#: What a read sees of a frame never written.
+_ZERO_FRAME = bytes(PAGE_SIZE)
+
+
 class _Frames(dict):
-    """Page frames by pfn, materialized (zeroed) on first touch — reads
-    included, so :attr:`PhysicalMemory.resident_pages` counts every
-    frame ever accessed."""
+    """Page frames by pfn, materialized (zeroed) on first write.  A read
+    of an absent frame sees :data:`_ZERO_FRAME` and creates nothing, so
+    :attr:`PhysicalMemory.resident_pages` counts every frame ever
+    written."""
 
     def __missing__(self, pfn: int) -> bytearray:
         frame = self[pfn] = bytearray(PAGE_SIZE)
@@ -119,7 +124,7 @@ class PhysicalMemory:
         pfn = pa >> PAGE_SHIFT
         start = pa & _PAGE_MASK
         if start + size <= PAGE_SIZE:
-            return bytes(frames[pfn][start:start + size])
+            return bytes(frames.get(pfn, _ZERO_FRAME)[start:start + size])
         # Multi-page: join whole frames and frame views, so each byte is
         # copied once, into the result.
         parts: List[object] = []
@@ -128,7 +133,7 @@ class PhysicalMemory:
             chunk = PAGE_SIZE - start
             if chunk > remaining:
                 chunk = remaining
-            frame = frames[pfn]
+            frame = frames.get(pfn, _ZERO_FRAME)
             parts.append(frame if chunk == PAGE_SIZE
                          else memoryview(frame)[start:start + chunk])
             remaining -= chunk
@@ -155,7 +160,7 @@ class PhysicalMemory:
     # ------------------------------------------------------------------
     @property
     def resident_pages(self) -> int:
-        """Number of frames actually materialized (touched) so far."""
+        """Number of frames materialized (written) so far."""
         return len(self._frames)
 
     def _check_node(self, node: int) -> None:

@@ -140,8 +140,9 @@ class Nic:
     def transmit_pending(self, qid: int) -> int:
         """Consume armed TX descriptors; returns wire segments emitted.
 
-        With TSO a descriptor may describe up to 64 KB; the NIC reads the
-        payload by DMA and segments it into MTU frames internally.
+        Each descriptor is one packet (``FLAG_EOP``).  With TSO it may
+        describe up to 64 KB; the NIC reads the payload by DMA and
+        segments it into MTU frames internally.
         """
         state = self._queue(qid)
         ring = state.tx_ring
@@ -149,46 +150,32 @@ class Nic:
             raise SimulationError(f"queue {qid} has no TX ring")
         segments = 0
         limit = TSO_MAX_BYTES if self.tso else self.mtu
-        # Scatter-gather elements of one packet; None = poisoned by a
-        # blocked payload fetch (the packet errors out at EOP).
-        gather: Optional[List[bytes]] = []
-        gathered_bytes = 0
         while state.tx_next < ring.tail:
             desc = ring.device_read(self.port, state.tx_next)
             if not desc.ready:
                 break
-            if gathered_bytes + desc.length > limit:
+            if desc.length > limit:
                 raise SimulationError(
-                    f"TX packet of {gathered_bytes + desc.length} B "
-                    f"exceeds NIC limit"
-                )
-            if gather is not None:
-                try:
-                    gather.append(self.port.dma_read(desc.addr,
-                                                     desc.length))
-                except IommuFault:
-                    # Blocked payload fetch: the NIC reports the
-                    # descriptor done (so the driver reaps and recovers
-                    # the ring slot) but emits nothing on the wire — a
-                    # TX error, not a hang.  ``None`` poisons the rest
-                    # of this scatter-gather packet.
-                    gather = None
+                    f"TX packet of {desc.length} B exceeds NIC limit")
+            if not desc.flags & FLAG_EOP:
+                raise SimulationError(
+                    f"TX descriptor {state.tx_next} has no EOP flag: each "
+                    "packet is one descriptor")
+            try:
+                payload = self.port.dma_read(desc.addr, desc.length)
+            except IommuFault:
+                # Blocked payload fetch: the NIC reports the descriptor
+                # done (so the driver reaps and recovers the ring slot)
+                # but emits nothing on the wire — a TX error, not a hang.
+                payload = None
             if self.obs.enabled and self.dma_core is not None:
                 self.obs.device_translated(self.dma_core)
-            gathered_bytes += desc.length
             ring.device_write_back(self.port, state.tx_next, Descriptor(
                 desc.addr, desc.length, desc.flags | FLAG_DONE))
             state.tx_next += 1
-            if not desc.flags & FLAG_EOP:
-                continue  # more scatter-gather elements follow
-            if gather is None:
+            if payload is None:
                 self.stats.tx_faulted_packets += 1
-                gather = []
-                gathered_bytes = 0
                 continue
-            payload = b"".join(gather) if len(gather) > 1 else gather[0]
-            gather = []
-            gathered_bytes = 0
             if self.keep_frames:
                 state.tx_log.append(payload)
             nsegs = max(1, -(-len(payload) // self.mtu))
@@ -196,8 +183,6 @@ class Nic:
             self.stats.tx_frames += 1
             self.stats.tx_bytes += len(payload)
             self.stats.tx_wire_segments += nsegs
-        if gather:
-            raise SimulationError("TX ring ended mid scatter-gather packet")
         return segments
 
     def tx_log(self, qid: int) -> List[bytes]:

@@ -15,13 +15,19 @@ an event method only under ``if obs.enabled``, so the tier-1 benchmark
 numbers are untouched unless a run opts in with
 ``Observability.capture()`` (the CLI's ``--trace`` flag does exactly
 that).  Phase methods check ``enabled`` themselves.
+
+Inside :meth:`Observability.exposure_only` — RX-ring setup and teardown
+(:class:`~repro.system.System`) — a captured context reports each event
+to the exposure accountant only, so every other recorder sees the
+traffic the measured phases run.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs.exposure import ExposureAccountant
 from repro.obs.locks import LockContentionRecorder
@@ -75,6 +81,12 @@ class Observability:
     :meth:`span_begin` opened.
     """
 
+    # Slots, not an instance dict: :meth:`exposure_only` swaps the
+    # class, and after a swap CPython looks an instance dict's
+    # attributes up the slow way, in every later event.
+    __slots__ = ("tracer", "metrics", "spans", "exposure", "requests",
+                 "locks", "enabled", "phases", "_inflight")
+
     def __init__(self, tracer=None):
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = MetricsRegistry()
@@ -108,6 +120,26 @@ class Observability:
     def capture(cls, trace_capacity: int = 1 << 16) -> "Observability":
         """An enabled context with a ring tracer of ``trace_capacity``."""
         return cls(tracer=RingTracer(capacity=trace_capacity))
+
+    @contextmanager
+    def exposure_only(self) -> Iterator[None]:
+        """Within the block, each event reaches the exposure accountant
+        only: spans, requests, locks, the context's own metrics and the
+        trace record nothing.  Exposure keeps every event, because stale
+        windows, granularity excess and the mapped surface integrate
+        each mapping's whole lifecycle.  A disabled context, such as
+        the shared :data:`NULL_OBS`, is left as it is."""
+        if not self.enabled:
+            yield
+            return
+        # Events dispatch through the class, so swapping it for the
+        # block costs the events outside the block nothing.
+        cls = self.__class__
+        self.__class__ = _ExposureOnly
+        try:
+            yield
+        finally:
+            self.__class__ = cls
 
     def _emit(self, kind: str, t: int, cid: int, **data: object) -> None:
         """Trace an event, stamped with the ``rid`` of the request
@@ -416,6 +448,43 @@ class Observability:
         if breakdown:
             phase.breakdown = dict(breakdown)
         self.tracer.emit(EV_PHASE, t, -1, name=phase.name, edge="end")
+
+
+class _ExposureOnly(Observability):
+    """A context inside :meth:`Observability.exposure_only`.  The events
+    the accountant keeps (``range_mapped``, ``range_unmapped``,
+    ``invalidated``, ``device_access``) record as ever, the DMA
+    lifecycle and IOMMU faults keep only their exposure notes, and every
+    other event records nothing."""
+
+    __slots__ = ()
+
+    def _records_nothing(self, *args: object, **kwargs: object) -> None:
+        """No exposure note keeps this event's fact."""
+
+    span_begin = span_end = request_begin = request_end = _records_nothing
+    dma_copied = dma_bounced = device_translated = _records_nothing
+    lock_acquired = lock_released = _records_nothing
+    inv_submitted = inv_resubmitted = inv_timeout = _records_nothing
+    inv_flushed = inv_deferred = deferred_windows = _records_nothing
+    pool_occupancy = pool_grown = pool_shrunk = _records_nothing
+    pool_fallback = packet_received = chunk_sent = _records_nothing
+    sched_step = fault_injected = fault_recovered = _records_nothing
+    phase_begin = phase_end = _records_nothing
+
+    def dma_mapped(self, core, scheme: str, domain_id, handle) -> None:
+        self.exposure.note_dma_map(core.now, scheme, domain_id, handle.iova,
+                                   handle.size)
+
+    def dma_unmapped(self, core, scheme: str, domain_id, handle) -> None:
+        self.exposure.note_dma_unmap(core.now, scheme, domain_id,
+                                     handle.iova, handle.size)
+
+    def iommu_fault(self, t: int, domain_id: int, device_id: int, iova: int,
+                    is_write: bool, reason: str) -> None:
+        # No span or request is open: none opens inside the block.
+        self.exposure.note_fault(t, domain_id, device_id, iova, is_write,
+                                 reason)
 
 
 #: Shared disabled context.  Nothing may record through it (every event

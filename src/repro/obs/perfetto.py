@@ -86,7 +86,7 @@ def _lock_waiter_counters(obs) -> List[Dict[str, object]]:
             events.append({
                 "ph": "C", "pid": 0, "tid": 0,
                 "name": f"lock.waiters:{name}",
-                "ts": _ts(t), "args": {"waiters": running},
+                "ts": _ts(t), "args": {"value": running},
             })
     return events
 

@@ -94,20 +94,26 @@ class System:
 
     # ------------------------------------------------------------------
     def setup_queues(self) -> None:
-        """Bring up one queue per core, each on its own core (and node)."""
+        """Bring up one queue per core, each on its own core (and node).
+
+        Like :meth:`teardown_queues`, this reports to exposure only
+        (:meth:`~repro.obs.context.Observability.exposure_only`): the
+        other recorders attribute the traffic a row measures."""
         if self._queues_ready:
             return
-        for qid in range(self.config.resolved_queues()):
-            core = self.machine.core(qid % self.machine.num_cores)
-            self.driver.setup_queue(core, qid)
+        with self.machine.obs.exposure_only():
+            for qid in range(self.config.resolved_queues()):
+                core = self.machine.core(qid % self.machine.num_cores)
+                self.driver.setup_queue(core, qid)
         self._queues_ready = True
 
     def teardown_queues(self) -> None:
         if not self._queues_ready:
             return
-        for qid in range(self.config.resolved_queues()):
-            core = self.machine.core(qid % self.machine.num_cores)
-            self.driver.teardown_queue(core, qid)
+        with self.machine.obs.exposure_only():
+            for qid in range(self.config.resolved_queues()):
+                core = self.machine.core(qid % self.machine.num_cores)
+                self.driver.teardown_queue(core, qid)
         self._queues_ready = False
 
     @property

@@ -84,6 +84,18 @@ def test_pool_grow_failures_are_counted(spec, cores):
     assert result.recovery["pool_grow_failures"] == fires
 
 
+def test_swiotlb_bounce_slot_failures_are_counted():
+    """swiotlb has no shadow pool: each bounce-slot allocation the
+    ``pool.grow`` site refuses shows in its own recovery counter."""
+    result = run_chaos("swiotlb", FaultPlan.parse("pool.grow:at=1", seed=1),
+                       cores=1, units=120)
+    assert result.ok, result.violations
+    fires = result.fault_summary[SITE_POOL_GROW]["fires"]
+    assert fires == 1
+    assert result.recovery["bounce_slot_failures"] == fires
+    assert "pool_grow_failures" not in result.recovery
+
+
 def test_throughput_degrades_gracefully():
     """Faulted run still delivers most traffic — no deadlock, no cliff."""
     base = run_chaos("copy", FaultPlan(seed=1), cores=1, units=60)

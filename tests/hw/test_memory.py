@@ -89,6 +89,15 @@ def test_resident_pages_lazy(mem):
     assert mem.resident_pages == 3
 
 
+def test_reading_untouched_pages_materializes_nothing(mem):
+    mem.write(PAGE_SIZE, b"y")
+    assert mem.read(0x5000, 16) == bytes(16)
+    # Multi-page: an untouched page, a written one, an untouched one.
+    data = mem.read(PAGE_SIZE - 8, PAGE_SIZE + 16)
+    assert data == bytes(8) + b"y" + bytes(PAGE_SIZE + 7)
+    assert mem.resident_pages == 1
+
+
 def test_zero_size_ops(mem):
     mem.write(0, b"")
     assert mem.read(0, 0) == b""

@@ -89,6 +89,48 @@ def test_tx_oversized_descriptor_rejected(stack):
     nic._queues[0].tx_next = ring.tail
 
 
+def test_tx_descriptor_without_eop_rejected(stack):
+    """Each TX descriptor is one packet: the NIC refuses one without EOP
+    instead of gathering it with the descriptors after it."""
+    from repro.net.ring import Descriptor, FLAG_EOP, FLAG_READY
+
+    machine, api, nic, driver, core = stack
+    ring = driver._tx_rings[0]
+    first = ring.post(Descriptor(0x1000, 100, FLAG_READY))
+    ring.post(Descriptor(0x1000, 100, FLAG_READY | FLAG_EOP))
+    with pytest.raises(SimulationError, match="EOP"):
+        nic.transmit_pending(0)
+    assert nic.stats.tx_frames == 0
+    # Remove both descriptors so teardown stays clean.
+    for idx in (first, first + 1):
+        ring.write_descriptor(idx, Descriptor(addr=0x1000, length=0,
+                                              flags=0))
+    ring.tail -= 2
+    nic._queues[0].tx_next = ring.tail
+
+
+def test_tx_blocked_payload_fetch_completes_unsent(machine, allocators,
+                                                   make_api):
+    """A payload fetch the IOMMU blocks sends nothing, but the NIC hands
+    the descriptor back done, so the driver can reap its slot."""
+    from repro.net.ring import Descriptor, FLAG_DONE, FLAG_EOP, FLAG_READY
+
+    api = make_api("identity-strict")
+    nic = Nic(device_id=9, port=api.port(), num_queues=1)
+    driver = NicDriver(machine, allocators, api, nic,
+                       rx_ring_size=4, tx_ring_size=4)
+    core = machine.core(0)
+    driver.setup_queue(core, 0)
+    ring = driver._tx_rings[0]
+    idx = ring.post(Descriptor(0x7000_0000, 100, FLAG_READY | FLAG_EOP))
+    assert nic.transmit_pending(0) == 0
+    assert nic.stats.tx_faulted_packets == 1
+    assert nic.stats.tx_frames == 0
+    assert ring.reap() == (idx, Descriptor(
+        0x7000_0000, 100, FLAG_READY | FLAG_EOP | FLAG_DONE))
+    driver.teardown_queue(core, 0)
+
+
 def test_nic_requires_rings():
     nic = Nic(device_id=1, port=None, num_queues=1)
     with pytest.raises(SimulationError):

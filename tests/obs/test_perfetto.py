@@ -107,12 +107,12 @@ def test_lock_waiter_counter_tracks():
                 if ev["ph"] == "C" and ev["name"].startswith("lock.waiters:")]
     assert {ev["name"] for ev in counters} \
         == {"lock.waiters:qi", "lock.waiters:iova"}
-    qi = [(ev["ts"], ev["args"]["waiters"]) for ev in counters
+    qi = [(ev["ts"], ev["args"]["value"]) for ev in counters
           if ev["name"] == "lock.waiters:qi"]
     # Cycle endpoints 50, 80, 100, 120 -> waiter counts 1, 2, 1, 0.
     assert [w for _, w in qi] == [1, 2, 1, 0]
     assert qi == sorted(qi)
-    iova = [ev["args"]["waiters"] for ev in counters
+    iova = [ev["args"]["value"] for ev in counters
             if ev["name"] == "lock.waiters:iova"]
     assert iova == [1, 0]
 
@@ -125,7 +125,7 @@ def test_lock_waiter_counters_from_contended_run():
     run_tcp_stream_rx(StreamConfig(
         scheme="identity-strict", direction="rx", message_size=16384,
         cores=2, units_per_core=40, warmup_units=10, obs=obs))
-    counts = [ev["args"]["waiters"]
+    counts = [ev["args"]["value"]
               for ev in perfetto_trace(obs)["traceEvents"]
               if ev["ph"] == "C" and ev["name"] == "lock.waiters:qi-lock"]
     assert counts, "the 2-core strict run must contend the qi lock"

@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
-"""One-shot smoke target: invariants + quick bench + regression gate.
+"""One-shot smoke target: quick bench + regression gate.
 
 Runs, in order, in well under a minute:
 
-1. the resource-accounting invariant checks
-   (:mod:`repro.bench.invariants`), then
-2. the quick figure registry (``python -m repro bench --quick``): its
+1. the quick figure registry (``python -m repro bench --quick``): its
    paper-fidelity ledger, gated against the checked-in
    ``benchmarks/results/baseline.json``.  The gate
    (:mod:`repro.bench.regression`) is exact: the new record must equal
@@ -13,10 +11,10 @@ Runs, in order, in well under a minute:
    (``fingerprint.git_sha`` aside), so a refactor cannot move a
    simulated number unnoticed, and simulator speed must stay above a
    floor of the baseline's.  Then
-3. a simulator-speed check: every figure of the new record must carry a
+2. a simulator-speed check: every figure of the new record must carry a
    nonzero ``sim_cycles_per_wall_second`` throughput entry.
 
-Exit status 0 means all three passed.  A change that intends to move
+Exit status 0 means both passed.  A change that intends to move
 the simulation regenerates the baseline in the same commit::
 
     PYTHONPATH=src python -m repro bench --quick
@@ -31,7 +29,6 @@ import sys
 from typing import List
 
 try:
-    from repro.bench import invariants
     from repro.bench.record import load_record
     from repro.bench.runner import default_results_dir, run_bench
 except ImportError:
@@ -51,11 +48,6 @@ def missing_throughput(record: dict) -> List[str]:
 
 
 def main() -> int:
-    print("== invariants ==")
-    status = invariants.main()
-    if status:
-        return status
-    print()
     print("== quick bench (ledger, gated against baseline.json) ==")
     baseline = BASELINE if os.path.exists(BASELINE) else None
     if baseline is None:

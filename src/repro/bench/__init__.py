@@ -7,8 +7,7 @@ machine-readable record plus a markdown report
 (:mod:`repro.bench.ledger`), and can gate the run against a prior
 baseline record (:mod:`repro.bench.regression`): the record must equal
 the baseline exactly under :func:`repro.bench.record.stable_view`.
-``scale`` writes a record of the same shape.  The resource
-accounting smoke checks live in :mod:`repro.bench.invariants`.
+``scale`` writes a record of the same shape.
 
 Every run behind ``bench``, ``scale`` and ``diff`` is a
 :class:`~repro.bench.points.RunPoint` executed by

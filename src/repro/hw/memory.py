@@ -149,6 +149,21 @@ class PhysicalMemory:
         """
         if size == 0:
             return
+        if (src_pa >> PAGE_SHIFT) not in self._frames:
+            # A never-written source reads as zeros.  Onto a never-written
+            # destination, which reads as zeros too, the copy changes no
+            # byte: check both ranges and materialize no frame.
+            if not self.contains(src_pa, size):
+                raise MemoryAccessError(
+                    f"read of {size} bytes at {src_pa:#x} leaves physical "
+                    "memory")
+            if not self.contains(dst_pa, size):
+                raise MemoryAccessError(
+                    f"write of {size} bytes at {dst_pa:#x} leaves physical "
+                    "memory")
+            if self._unwritten(src_pa, size) \
+                    and self._unwritten(dst_pa, size):
+                return
         self.write(dst_pa, self.read(src_pa, size))
 
     def fill(self, pa: int, size: int, value: int = 0) -> None:
@@ -162,6 +177,11 @@ class PhysicalMemory:
     def resident_pages(self) -> int:
         """Number of frames materialized (written) so far."""
         return len(self._frames)
+
+    def _unwritten(self, pa: int, size: int) -> bool:
+        """Whether no frame of ``[pa, pa+size)`` has been written."""
+        return self._frames.keys().isdisjoint(
+            range(pa >> PAGE_SHIFT, ((pa + size - 1) >> PAGE_SHIFT) + 1))
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:

@@ -22,7 +22,7 @@ from typing import Deque, Dict, Iterator, Protocol, Tuple
 from repro.errors import ConfigurationError, IommuFault, KallocError
 from repro.faults.plan import SITE_PT_MAP
 from repro.hw.cpu import CAT_PT_MGMT, Core
-from repro.hw.locks import NullLock, SpinLock
+from repro.hw.locks import SpinLock
 from repro.hw.machine import Machine
 from repro.iommu.invalidation import (
     InvalidationQueue,
@@ -109,14 +109,12 @@ class Iommu:
     domains."""
 
     def __init__(self, machine: Machine, iotlb_capacity: int = 4096,
-                 concurrent_invalidation_lock: bool = True,
                  fault_capacity: int = 1024):
         self.machine = machine
         self.cost = machine.cost
         self.obs = machine.obs
         self.iotlb = Iotlb(capacity=iotlb_capacity)
-        lock = (SpinLock("qi-lock", machine.cost, obs=machine.obs)
-                if concurrent_invalidation_lock else NullLock("qi-lock"))
+        lock = SpinLock("qi-lock", machine.cost, obs=machine.obs)
         self.invalidation_queue = InvalidationQueue(self.iotlb, machine.cost,
                                                     lock, obs=machine.obs,
                                                     faults=machine.faults)

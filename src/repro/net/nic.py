@@ -53,15 +53,12 @@ class Nic:
     """The device side of the network interface."""
 
     def __init__(self, device_id: int, port: DmaPort, num_queues: int = 1,
-                 mtu: int = ETH_MTU, tso: bool = True,
                  keep_frames: bool = False):
         if num_queues < 1:
             raise SimulationError("NIC needs at least one queue")
         self.device_id = device_id
         self.port = port
         self.num_queues = num_queues
-        self.mtu = mtu
-        self.tso = tso
         self.keep_frames = keep_frames
         self.stats = NicStats()
         #: Observability context (the driver shares its own) and the OS
@@ -149,12 +146,11 @@ class Nic:
         if ring is None:
             raise SimulationError(f"queue {qid} has no TX ring")
         segments = 0
-        limit = TSO_MAX_BYTES if self.tso else self.mtu
         while state.tx_next < ring.tail:
             desc = ring.device_read(self.port, state.tx_next)
             if not desc.ready:
                 break
-            if desc.length > limit:
+            if desc.length > TSO_MAX_BYTES:
                 raise SimulationError(
                     f"TX packet of {desc.length} B exceeds NIC limit")
             if not desc.flags & FLAG_EOP:
@@ -178,7 +174,7 @@ class Nic:
                 continue
             if self.keep_frames:
                 state.tx_log.append(payload)
-            nsegs = max(1, -(-len(payload) // self.mtu))
+            nsegs = max(1, -(-len(payload) // ETH_MTU))
             segments += nsegs
             self.stats.tx_frames += 1
             self.stats.tx_bytes += len(payload)

@@ -148,8 +148,9 @@ def test_shrink_balances_grow_accounting():
 
 def test_retired_fallback_iova_returns_to_allocator():
     """Retiring a fallback buffer must free its external IOVA range —
-    the allocator's outstanding count returns to zero and the exact
-    range is re-allocatable."""
+    the allocator's outstanding count returns to zero, the pool's byte
+    and buffer accounting balance, and the exact range is
+    re-allocatable."""
     machine, _, pool = make_pool(max_buffers_per_class=0)
     core = machine.core(0)
     metas = [pool.acquire_shadow(core, buf(), 4096, Perm.READ)
@@ -161,6 +162,8 @@ def test_retired_fallback_iova_returns_to_allocator():
         pool.release_shadow(core, meta)
     pool.shrink(core)
     assert pool.fallback_iova.outstanding_ranges() == 0
+    assert pool.stats.bytes_allocated == 0
+    assert pool.stats.buffers_allocated == 0
     # The magazine allocator recycles freed ranges: the next allocation
     # reuses one of the retired bases.
     assert pool.fallback_iova.alloc(1, core, 0x300000) in bases

@@ -163,6 +163,60 @@ def test_overlapping_copy_by_one_byte_across_pages(forward):
     assert mem.read(0, len(model)) == bytes(model)
 
 
+def test_copy_between_untouched_ranges_materializes_nothing(mem):
+    """Zeros copied onto zeros change no byte, so no frame appears (the
+    copy scheme's hint copy-back of a never-written shadow, or a TX copy
+    of a never-written buffer); a copy out of a written frame lands."""
+    mem.write(0, b"z")
+    src, dst = 4 * PAGE_SIZE + 100, 20 * PAGE_SIZE + 7
+    size = 3 * PAGE_SIZE
+    mem.copy(dst, src, 14)
+    mem.copy(dst, src, size)
+    assert mem.resident_pages == 1
+    assert mem.read(src, size) == bytes(size)
+    assert mem.read(dst, size) == bytes(size)
+    mem.copy(dst, 0, 2)
+    assert mem.read(dst, 3) == b"z\x00\x00"
+    assert mem.resident_pages == 2
+
+
+def test_copy_from_untouched_source_still_lands(mem):
+    # Zeros over a written destination clear it.
+    mem.write(8 * PAGE_SIZE, b"\xff" * 16)
+    mem.copy(8 * PAGE_SIZE, 2 * PAGE_SIZE, 16)
+    assert mem.read(8 * PAGE_SIZE, 16) == bytes(16)
+    # An untouched first source frame, then a written one.
+    mem.write(3 * PAGE_SIZE, b"q")
+    mem.copy(12 * PAGE_SIZE, 3 * PAGE_SIZE - 4, 8)
+    assert mem.read(12 * PAGE_SIZE, 8) == bytes(4) + b"q" + bytes(3)
+
+
+def test_copy_from_untouched_memory_checks_both_ranges():
+    node_bytes = 1 << 20
+    mem = PhysicalMemory(num_nodes=1, node_bytes=node_bytes)
+    with pytest.raises(MemoryAccessError, match="read of 100 bytes"):
+        mem.copy(0, node_bytes - 10, 100)
+    with pytest.raises(MemoryAccessError, match="write of 100 bytes"):
+        mem.copy(node_bytes - 10, 0, 100)
+    assert mem.resident_pages == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(written=st.sets(st.integers(0, 11), max_size=4),
+       src=st.integers(0, 6 * PAGE_SIZE), dst=st.integers(0, 6 * PAGE_SIZE),
+       size=st.integers(1, 5 * PAGE_SIZE))
+def test_sparse_copy_matches_a_flat_model(written, src, dst, size):
+    span = 12 * PAGE_SIZE
+    mem = PhysicalMemory(num_nodes=1)
+    model = bytearray(span)
+    for pfn in written:
+        mem.write(pfn * PAGE_SIZE + 5, b"\x5a")
+        model[pfn * PAGE_SIZE + 5] = 0x5A
+    model[dst:dst + size] = model[src:src + size]
+    mem.copy(dst, src, size)
+    assert mem.read(0, span) == bytes(model)
+
+
 @pytest.mark.parametrize("node", [0, 1])
 def test_multi_page_write_across_node_end_writes_nothing(node):
     node_bytes = 1 << 20

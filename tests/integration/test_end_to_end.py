@@ -57,13 +57,19 @@ def test_copy_pool_invariants_after_traffic():
     for qid in range(4):
         core = system.machine.core(qid)
         for _ in range(200):
-            system.driver.receive_one(core, qid, frame)
+            assert system.driver.receive_one(core, qid, frame) is not None
     pool = system.dma_api.pool
     assert pool.check_page_rights_invariant()
     # In-flight shadows == posted RX buffers (plus nothing leaked).
     assert pool.stats.in_flight == 4 * (system.config.rx_ring_size - 1)
     system.teardown_queues()
     assert pool.stats.in_flight == 0
+    assert pool.stats.acquires == pool.stats.releases
+    # Draining the pool returns every byte, buffer and fallback IOVA.
+    pool.shrink(system.machine.core(0))
+    assert pool.stats.bytes_allocated == 0
+    assert pool.stats.buffers_allocated == 0
+    assert pool.fallback_iova.outstanding_ranges() == 0
 
 
 def test_shadow_pool_memory_stays_bounded():

@@ -220,23 +220,30 @@ class ShadowDmaApi(IommuDmaApi):
         free shadow on the list, a full metadata array, the byte cap —
         goes through :meth:`_map_fresh_one`, and so does every buffer of
         a device-read direction, a hybrid size or a sub-page class.
+        Under a capture, each shadow's dedicated range and its map are
+        reported to exposure stamped where the loop stamps both: after
+        the page-table charge, before ``post_cycles``.
         """
         pool = self.pool
         class_index = pool.codec.class_for_size(size)
-        if not self._unobserved or class_index is None \
+        if not self._one_pass_allowed or class_index is None \
                 or direction.device_reads:
             return super().dma_map_fresh(core, buddy, size, count,
                                          direction, post_cycles, mapped)
         rights = direction.perm
         order = page_order(size)
         node = core.numa_node
+        shadow_size = pool.size_classes[class_index]
         charges = ChargeBatch(core)
         pairs = UncontendedPairs(charges)
         room = pool.fresh_room(core, class_index, rights)
+        notes = [] if self.obs.enabled else None
         try:
             for _ in range(count):
                 if not room:
                     pairs.settle()
+                    if notes:
+                        self._report_fresh("dedicated", size, notes)
                     buf = KBuffer(buddy.alloc_pages(order, core), size,
                                   node)
                     mapped.append(self._map_fresh_one(
@@ -256,9 +263,15 @@ class ShadowDmaApi(IommuDmaApi):
                 handle = DmaHandle(meta.iova, size, direction)
                 self._live_fresh(buf, handle, meta)
                 mapped.append((buf, handle))
+                if notes is not None:
+                    t = charges.now
+                    notes.append((meta.iova, t,
+                                  ((meta.iova, shadow_size, t),)))
                 charges.add(post_cycles)
         finally:
             pairs.settle()
+            if notes:
+                self._report_fresh("dedicated", size, notes)
 
     # ------------------------------------------------------------------
     # Hybrid huge buffers (§5.5).

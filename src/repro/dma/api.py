@@ -213,9 +213,14 @@ class DmaApi(abc.ABC):
         overrides it with one pass that charges the same cycles in the
         same order and leaves the same state; a buffer needing more
         than that pass does takes :meth:`_map_fresh_one` at its place.
-        The one pass opens no span and consults no fault site, so it
-        runs only when nothing observes the run (:attr:`_unobserved`);
-        captured and fault-injected runs keep this loop.
+        The one pass opens no span, makes no lock event and consults no
+        fault site, so it runs only while nothing but the exposure
+        accountant records and no fault plan is armed
+        (:attr:`_one_pass_allowed`): uncaptured runs, and captured ring
+        setup, which runs inside ``Observability.exposure_only``.  There
+        it reports its maps in one ``ring_mapped`` event, each buffer
+        stamped with the clock the loop would have shown.  Fault-injected
+        runs, and a captured context outside that scope, keep this loop.
         """
         order = page_order(size)
         for _ in range(count):
@@ -238,11 +243,12 @@ class DmaApi(abc.ABC):
         return buf, handle
 
     @property
-    def _unobserved(self) -> bool:
-        """No recorder and no fault plan armed (both fixed when the
-        system is built): the one-pass overrides of
-        :meth:`dma_map_fresh` run only then."""
-        return not (self.obs.enabled or self.machine.faults.enabled)
+    def _one_pass_allowed(self) -> bool:
+        """No fault plan armed (fixed when the system is built) and no
+        recorder but the exposure accountant recording: the one-pass
+        overrides of :meth:`dma_map_fresh` run only then."""
+        return not (self.obs.records_beyond_exposure
+                    or self.machine.faults.enabled)
 
     def _live_fresh(self, buf: KBuffer, handle: DmaHandle,
                     cookie: object) -> None:
@@ -337,6 +343,18 @@ class IommuDmaApi(DmaApi):
 
     def port(self) -> DmaPort:
         return self._port
+
+    def _report_fresh(self, kind: str, size: int, notes: list) -> None:
+        """Report the maps a one-pass :meth:`dma_map_fresh` made since
+        its last report, ``(iova, t, ranges)`` per buffer in ``notes``
+        (see ``Observability.ring_mapped``), in one event, and empty
+        ``notes``.  Called before a buffer goes to
+        :meth:`_map_fresh_one`, which reports its own map, and when the
+        pass ends, so the accountant sees the maps in their order."""
+        self.obs.ring_mapped(self.name, self.domain_id,
+                             self.domain.device_id, kind, size,
+                             self.cost.pt_map_cycles, notes)
+        notes.clear()
 
     def _map_block(self, core: Core, size: int, node: int,
                    perm: Perm) -> MappedBlock:

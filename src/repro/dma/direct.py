@@ -54,8 +54,9 @@ class NoIommuDmaApi(DmaApi):
                       mapped: List[Tuple[KBuffer, DmaHandle]]) -> None:
         """One pass: nothing here reads a clock, so every buffer's page
         allocation, map call and ``post_cycles`` (all ``other``) are
-        charged as one sum."""
-        if not self._unobserved:
+        charged as one sum.  With no domain, there is nothing to report
+        to exposure."""
+        if not self._one_pass_allowed:
             return super().dma_map_fresh(core, buddy, size, count,
                                          direction, post_cycles, mapped)
         order = page_order(size)

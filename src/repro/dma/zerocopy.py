@@ -40,6 +40,7 @@ from repro.iova.allocators import IdentityIovaAllocator
 from repro.iova.base import IovaAllocator
 from repro.kalloc.buddy import BuddyAllocator
 from repro.kalloc.slab import KBuffer, KernelAllocators
+from repro.obs import KIND_OS
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_order
 
 
@@ -150,10 +151,14 @@ class ZeroCopyDmaApi(IommuDmaApi):
         pass holds every charge (page allocation, identity IOVA,
         page-table update, the caller's ``post_cycles``) and applies
         one sum per category.  Any other buffer goes through
-        :meth:`_map_fresh_one`.
+        :meth:`_map_fresh_one`.  Under a capture, each buffer's ranges
+        and map are reported to exposure stamped as :meth:`_map` stamps
+        them: the map once its page-table work is done, its range with
+        it, or under ``prefetch`` each page's range before that page's
+        hint.
         """
-        if not (self._unobserved and isinstance(self.iova_allocator,
-                                                IdentityIovaAllocator)):
+        if not (self._one_pass_allowed and isinstance(self.iova_allocator,
+                                                      IdentityIovaAllocator)):
             return super().dma_map_fresh(core, buddy, size, count,
                                          direction, post_cycles, mapped)
         cost = self.cost
@@ -165,17 +170,20 @@ class ZeroCopyDmaApi(IommuDmaApi):
         iotlb = self.iommu.iotlb
         domain_id = self.domain_id
         table = self.domain.page_table
-        if self.prefetch:
-            table_cycles = npages * (cost.pt_map_range_cycles(1)
-                                     + cost.iotlb_prefetch_cycles)
+        prefetch = self.prefetch
+        hint_cycles = cost.iotlb_prefetch_cycles
+        page_step = cost.pt_map_range_cycles(1) + hint_cycles
+        if prefetch:
+            table_cycles = npages * page_step
         else:
             table_cycles = cost.pt_map_range_cycles(npages)
         # Only a hint insert adds IOTLB entries here, so without prefetch
         # an empty IOTLB stays empty for the whole pass.
-        check_iotlb = self.prefetch or len(iotlb) > 0
+        check_iotlb = prefetch or len(iotlb) > 0
         charges = ChargeBatch(core, per_item=(
             (cost.iova_identity_cycles + post_cycles, CAT_OTHER),
             (table_cycles, CAT_PT_MGMT)))
+        notes = [] if self.obs.enabled else None
         try:
             for _ in range(count):
                 pa = buddy.alloc_pages_held(order, charges)
@@ -185,23 +193,38 @@ class ZeroCopyDmaApi(IommuDmaApi):
                 if not refs.keys().isdisjoint(pages) or (check_iotlb and any(
                         iotlb.contains(domain_id, page) for page in pages)):
                     charges.apply()
+                    if notes:
+                        self._report_fresh(KIND_OS, size, notes)
                     mapped.append(self._map_fresh_one(
                         core, buddy, buf, direction, post_cycles))
                     continue
                 # Identity IOVA: IOVA page = frame, so the PTEs go straight
-                # into the table (nothing here is observed).
+                # into the table (the notes, if any, go in one event).
                 table.map_range(first, first, npages, perm)
                 charges.items += 1
                 for page in pages:
                     refs[page] = _PageRef(refcount=1, perm=perm)
-                    if self.prefetch:
+                    if prefetch:
                         iotlb.prefetch(domain_id, page, PteEntry(page, perm))
                 handle = DmaHandle(pa, size, direction)
                 self._live_fresh(buf, handle, _MapCookie(
                     iova_base=pa, npages=npages, pa_base=pa))
                 mapped.append((buf, handle))
+                if notes is not None:
+                    t = charges.now - post_cycles
+                    if prefetch:
+                        last = first + npages - 1
+                        ranges = tuple(
+                            (page << PAGE_SHIFT, PAGE_SIZE,
+                             t - hint_cycles - (last - page) * page_step)
+                            for page in pages)
+                    else:
+                        ranges = ((pa, npages << PAGE_SHIFT, t),)
+                    notes.append((pa, t, ranges))
         finally:
             charges.apply()
+            if notes:
+                self._report_fresh(KIND_OS, size, notes)
 
     def _install(self, core: Core, start: int, stop: int, delta: int,
                  perm: Perm) -> None:

@@ -110,10 +110,13 @@ class SpinLock:
         For callers that hold back their charges (a
         :class:`~repro.hw.cpu.ChargeBatch`): they charge each pair's
         ``lock_uncontended_cycles`` themselves and pass the clock the
-        last acquisition would have read.  Only an observer-free lock
-        qualifies, and a pair the lock would have made wait is refused.
+        last acquisition would have read.  Only a lock whose events
+        record nothing qualifies — an uncaptured one, or a captured one
+        inside ``Observability.exposure_only``
+        (``records_beyond_exposure`` is false) — and only while no core
+        holds it; a pair the lock would have made wait is refused.
         """
-        if self.obs.enabled or self._holder is not None:
+        if self.obs.records_beyond_exposure or self._holder is not None:
             raise SimulationError(f"lock {self.name}: cannot account "
                                   f"acquisitions off the clock")
         if count <= 0:
@@ -140,7 +143,9 @@ class UncontendedPairs:
     release.  After that only this core touches the lock and its clock
     only moves forward, so every later pair is uncontended: :meth:`pair`
     holds its ``lock_uncontended_cycles`` and :meth:`settle` accounts
-    the pairs with :meth:`SpinLock.note_uncontended`.  Settle before
+    the pairs with :meth:`SpinLock.note_uncontended`, so it serves only
+    while the locks' events record nothing: an uncaptured run, or ring
+    setup inside ``Observability.exposure_only``.  Settle before
     anything else reads the clock or one of the locks.
     """
 

@@ -141,6 +141,16 @@ class Observability:
         finally:
             self.__class__ = cls
 
+    @property
+    def records_beyond_exposure(self) -> bool:
+        """Whether a recorder other than the exposure accountant records
+        events: true for a captured context outside
+        :meth:`exposure_only`, false inside it and for a disabled
+        context.  While it is false, work whose only observer is the
+        accountant may report to it in bulk, and lock pairs may be
+        accounted off the clock (no lock event records)."""
+        return self.enabled
+
     def _emit(self, kind: str, t: int, cid: int, **data: object) -> None:
         """Trace an event, stamped with the ``rid`` of the request
         active on core ``cid``, if any."""
@@ -213,6 +223,19 @@ class Observability:
         self.metrics.histogram("dma.copy_bytes").observe(nbytes)
         self.requests.mark(core, MARK_COPIED)
         self.span_end(core)
+
+    def ring_mapped(self, scheme: str, domain_id: int, device_id: int,
+                    kind: str, size: int, page_cycles: int, maps) -> None:
+        """One pass of ring setup mapped buffers of ``size`` bytes
+        without reporting each: ``maps`` holds each buffer's
+        ``(iova, t, ranges)``, its ``dma_map`` returning ``iova`` at
+        ``t`` after the ``(iova, size, t)`` page-table ranges of
+        ``kind`` memory it installed, their pages ``page_cycles``
+        apart.  The pass runs only while nothing but exposure records
+        (:attr:`records_beyond_exposure`), so this is an exposure
+        event."""
+        self.exposure.note_ring_mapped(scheme, domain_id, device_id, kind,
+                                       size, page_cycles, maps)
 
     def dma_bounced(self, core, iova: int, size: int) -> None:
         self._emit(EV_DMA_BOUNCE, core.now, core.cid, iova=iova, size=size)
@@ -451,13 +474,17 @@ class Observability:
 
 
 class _ExposureOnly(Observability):
-    """A context inside :meth:`Observability.exposure_only`.  The events
-    the accountant keeps (``range_mapped``, ``range_unmapped``,
-    ``invalidated``, ``device_access``) record as ever, the DMA
-    lifecycle and IOMMU faults keep only their exposure notes, and every
-    other event records nothing."""
+    """A context inside :meth:`Observability.exposure_only`, where
+    nothing but exposure records
+    (:attr:`~Observability.records_beyond_exposure` is false).  The
+    events the accountant keeps (``range_mapped``, ``range_unmapped``,
+    ``ring_mapped``, ``invalidated``, ``device_access``) record as ever,
+    the DMA lifecycle and IOMMU faults keep only their exposure notes,
+    and every other event records nothing."""
 
     __slots__ = ()
+
+    records_beyond_exposure = False
 
     def _records_nothing(self, *args: object, **kwargs: object) -> None:
         """No exposure note keeps this event's fact."""

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Sequence, Set, Tuple
 
 # Mirrors repro.sim.units; importing it here would cycle back through
 # repro.sim.__init__ -> engine -> obs.context -> this module.
@@ -249,28 +249,36 @@ class ExposureAccountant:
         stamped ``t - (n-1-i)·page_cycles``, as one call per page would
         have been.  The surface is sampled once, at ``t``."""
         dom = self._domain(domain_id, device_id)
+        self._install(dom, t, iova, size, kind, page_cycles)
+        # Mapping never shrinks the surface, so its peak is at the end.
+        dom.peak_surface_bytes = max(dom.peak_surface_bytes,
+                                     dom.surface_bytes)
+        self._sample_surface(t)
+
+    def _install(self, dom: _DomainExposure, t: int, iova: int, size: int,
+                 kind: str, page_cycles: int) -> None:
+        """The pages of one ``map_range`` call, stamped as
+        :meth:`note_map_range` says."""
         first = iova >> PAGE_SHIFT
         last = (iova + size - 1) >> PAGE_SHIFT
+        pages = dom.pages
+        stale = dom.stale
         for page in range(first, last + 1):
             stamp = t - (last - page) * page_cycles
             # An identity remap of a stale frame re-legitimises the
             # cached translation: the window closes here, not at the
             # (possibly much later) batch flush.
-            sp = dom.stale.pop(page, None)
+            sp = stale.pop(page, None)
             if sp is not None:
                 self._finalize_stale(dom, sp, stamp)
-            state = dom.pages.get(page)
+            state = pages.get(page)
             if state is None:
-                dom.pages[page] = _PageState(kind=kind, refcount=1,
-                                             installed_at=stamp)
+                pages[page] = _PageState(kind=kind, refcount=1,
+                                         installed_at=stamp)
             else:
                 state.refcount += 1
                 state.os_released_at = None
             dom.remember(page, map_t=stamp)
-        # Mapping never shrinks the surface, so its peak is at the end.
-        dom.peak_surface_bytes = max(dom.peak_surface_bytes,
-                                     dom.surface_bytes)
-        self._sample_surface(t)
 
     def note_unmap_range(self, t: int, domain_id: int, iova: int,
                          size: int, cached_pages: Set[int],
@@ -404,6 +412,15 @@ class ExposureAccountant:
             return
         dom = self._domain(domain_id)
         dom.scheme = scheme
+        excess = self._go_live(dom, t, iova, size)
+        if self.metrics is not None:
+            self.metrics.histogram(
+                "exposure.map_excess_bytes").observe(excess)
+
+    def _go_live(self, dom: _DomainExposure, t: int, iova: int,
+                 size: int) -> int:
+        """Record the live mapping one ``dma_map`` returned at ``t`` and
+        return its granularity excess."""
         dom.dma_maps += 1
         first = iova >> PAGE_SHIFT
         last = (iova + size - 1) >> PAGE_SHIFT
@@ -421,9 +438,41 @@ class ExposureAccountant:
         dom.current_excess_bytes += excess
         dom.peak_excess_bytes = max(dom.peak_excess_bytes,
                                     dom.current_excess_bytes)
+        return excess
+
+    def note_ring_mapped(self, scheme: str, domain_id: int, device_id: int,
+                         kind: str, size: int, page_cycles: int,
+                         maps: Sequence[tuple]) -> None:
+        """Buffers of ``size`` bytes mapped by one pass of ring setup,
+        with no note made along the way.  ``maps`` lists each buffer in
+        map order as ``(iova, t, ranges)``: its ``dma_map`` returned
+        ``iova`` at ``t`` after the ``map_range`` calls ``ranges``, each
+        ``(iova, size, t)`` of ``kind`` memory with pages
+        ``page_cycles`` apart.  Every total, sample and bucket comes out
+        as the :meth:`note_map_range` and :meth:`note_dma_map` calls of
+        the per-buffer loop, in the same order, would leave them."""
+        dom = self._domain(domain_id, device_id)
+        dom.scheme = scheme
+        series = hist = None
+        others = 0
         if self.metrics is not None:
-            self.metrics.histogram(
-                "exposure.map_excess_bytes").observe(excess)
+            series = self.metrics.series("exposure.surface_bytes")
+            hist = self.metrics.histogram("exposure.map_excess_bytes")
+            # Only this domain's surface moves until the pass ends.
+            others = sum(d.surface_bytes for d in self._domains.values()
+                         if d is not dom)
+        for iova, t, ranges in maps:
+            for range_iova, range_size, range_t in ranges:
+                self._install(dom, range_t, range_iova, range_size, kind,
+                              page_cycles)
+                if series is not None:
+                    series.sample(range_t, others + dom.surface_bytes)
+            excess = self._go_live(dom, t, iova, size)
+            if hist is not None:
+                hist.observe(excess)
+        # Mapping never shrinks the surface, so its peak is at the end.
+        dom.peak_surface_bytes = max(dom.peak_surface_bytes,
+                                     dom.surface_bytes)
 
     def note_dma_unmap(self, t: int, scheme: str,
                        domain_id: Optional[int], iova: int,

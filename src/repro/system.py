@@ -98,7 +98,10 @@ class System:
 
         Like :meth:`teardown_queues`, this reports to exposure only
         (:meth:`~repro.obs.context.Observability.exposure_only`): the
-        other recorders attribute the traffic a row measures."""
+        other recorders attribute the traffic a row measures.  With
+        nothing else recording, a captured setup takes the same
+        one-pass ``dma_map_fresh`` as an uncaptured one, and each ring's
+        maps reach exposure in one event."""
         if self._queues_ready:
             return
         with self.machine.obs.exposure_only():

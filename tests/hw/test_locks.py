@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.hw.cpu import CAT_SPINLOCK, Core
+from repro.hw.cpu import CAT_SPINLOCK, ChargeBatch, Core
 from repro.hw.locks import NullLock, SharedResource, SpinLock
+from repro.obs.context import NULL_OBS, Observability
 from repro.sim.costmodel import CostModel
 
 
@@ -107,3 +108,78 @@ def test_shared_resource_serializes():
     assert end3 == 510
     assert hw.completions == 3
     assert hw.total_service_cycles == 210
+
+
+# ----------------------------------------------------------------------
+# SpinLock.note_uncontended: pairs accounted off the clock.
+# ----------------------------------------------------------------------
+def _lock_image(lock):
+    return (vars(lock.stats), lock.free_at, lock._acquired_at,
+            lock._last_holder_cid, lock.held)
+
+
+@pytest.mark.parametrize("context", ["uncaptured", "exposure-only"])
+def test_note_uncontended_matches_real_pairs(cost, context):
+    """Pairs noted off the clock leave the lock and the core as the
+    same pairs made through the lock: stats, ``free_at``, the last
+    holder.  Inside ``exposure_only`` no lock event records, so a
+    captured lock qualifies there too, and its recorders stay empty."""
+    obs = NULL_OBS if context == "uncaptured" else Observability.capture()
+    real_core, noted_core = Core(cid=3, numa_node=0), Core(cid=3, numa_node=0)
+    real = SpinLock("l", cost, obs=obs)
+    noted = SpinLock("l", cost, obs=obs)
+    with obs.exposure_only():
+        for core, lock in ((real_core, real), (noted_core, noted)):
+            core.charge(500)
+            lock.acquire(core)   # a first pair, as UncontendedPairs makes
+            core.charge(40)
+            lock.release(core)
+        for _ in range(5):
+            real_core.charge(70)
+            real.acquire(real_core)
+            real.release(real_core)
+        charges = ChargeBatch(noted_core)
+        for _ in range(5):
+            charges.add(70)
+            charges.add(cost.lock_uncontended_cycles, CAT_SPINLOCK)
+            at = charges.now
+        charges.apply()
+        noted.note_uncontended(noted_core, 5, at)
+    assert _lock_image(noted) == _lock_image(real)
+    assert noted.stats.acquisitions == 6
+    assert (noted_core.now, noted_core.busy_cycles,
+            dict(noted_core.breakdown)) == \
+        (real_core.now, real_core.busy_cycles, dict(real_core.breakdown))
+    if obs.enabled:
+        assert not obs.locks.snapshot()
+        assert not obs.spans.tree().children
+        assert len(obs.tracer) == 0
+
+
+def test_note_uncontended_refuses_a_context_that_records_locks(cost):
+    (a,) = _cores(1)
+    lock = SpinLock("l", cost, obs=Observability.capture())
+    with pytest.raises(SimulationError, match="off the clock"):
+        lock.note_uncontended(a, 1, 0)
+    assert lock.stats.acquisitions == 0
+
+
+def test_note_uncontended_refuses_a_held_lock(cost):
+    a, b = _cores(2)
+    lock = SpinLock("l", cost)
+    lock.acquire(a)
+    with pytest.raises(SimulationError, match="off the clock"):
+        lock.note_uncontended(b, 1, a.now)
+    assert lock.stats.acquisitions == 1
+
+
+def test_note_uncontended_refuses_a_pair_that_would_wait(cost):
+    a, b = _cores(2)
+    lock = SpinLock("l", cost)
+    a.charge(1000)
+    lock.acquire(a)
+    lock.release(a)
+    with pytest.raises(SimulationError, match="would wait"):
+        lock.note_uncontended(b, 2, lock.free_at - 1)
+    assert lock.stats.acquisitions == 1
+    assert lock._last_holder_cid == a.cid

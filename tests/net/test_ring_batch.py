@@ -1,9 +1,12 @@
 """Ring setup in one pass leaves the state the per-buffer loop leaves.
 
 The driver fills each RX ring with one ``dma_map_fresh`` call.  Its base
-implementation is the per-buffer loop; with observability and fault
-injection off, no-iommu, identity-IOVA zero-copy and copy run one pass
-instead.  Teardown is one path: ``dma_unmap`` and ``free_pages`` per
+implementation is the per-buffer loop; with no fault plan armed and
+nothing but the exposure accountant recording — an uncaptured run, or a
+captured one inside ``Observability.exposure_only``, where
+``System.setup_queues`` runs — no-iommu, identity-IOVA zero-copy and
+copy run one pass instead, which reports its maps to exposure in one
+event.  Teardown is one path: ``dma_unmap`` and ``free_pages`` per
 buffer, whatever observes the run.  Each case builds two identical
 systems, pins one to the base loop, and compares the whole simulated
 state after ``setup_queues`` and, after the same RX traffic on both,
@@ -11,7 +14,11 @@ after ``teardown_queues`` (so a ring the pass set up tears down to the
 state of a ring the loop set up): core clocks, busy cycles and
 breakdowns, every lock's timestamps and counters, the buddy, IOVA,
 page-table, IOTLB and shadow-pool state, ring and buffer memory, driver
-slots and deficits, and the DMA API's live mappings.
+slots and deficits, and the DMA API's live mappings.  A captured case
+gives both systems a capture, so the image also holds every recorder:
+the exposure domains' pages, live maps and history, the
+``exposure.surface_bytes`` series with its stride, and the
+``exposure.map_excess_bytes`` histogram.
 """
 
 from __future__ import annotations
@@ -24,8 +31,12 @@ import pytest
 
 from repro.dma.api import DmaApi
 from repro.dma.registry import ALL_SCHEMES
+from repro.errors import PoolExhaustedError
+from repro.iommu.page_table import Perm, PteEntry
 from repro.net.packets import build_frame
+from repro.obs.context import Observability
 from repro.sim.costmodel import CostModel
+from repro.sim.units import PAGE_SHIFT
 from repro.system import System, SystemConfig
 
 #: The schemes of perfbench's ``rx-multicore`` workload.
@@ -104,10 +115,14 @@ def state(root) -> list:
 
 
 def _system(scheme: str, cores: int, rx_buf_size: int, rx_ring_size: int,
-            batched: bool) -> System:
+            batched: bool, captured: bool = False,
+            scheme_kwargs: dict | None = None) -> System:
+    extra = dict(obs=Observability.capture()) if captured else {}
     system = System.build(SystemConfig(scheme=scheme, cores=cores,
                                        rx_buf_size=rx_buf_size,
-                                       rx_ring_size=rx_ring_size))
+                                       rx_ring_size=rx_ring_size,
+                                       scheme_kwargs=scheme_kwargs or {},
+                                       **extra))
     if not batched:
         api = system.dma_api
         for name in _ROUTES:
@@ -149,20 +164,44 @@ def _first_difference(a: list, b: list):
     return None if len(a) == len(b) else "image lengths differ"
 
 
+def _assert_exposure_recorded(system: System, buffers: int) -> None:
+    """The captured image compares something: exposure saw ``buffers``
+    ring maps (none without a domain), and nothing else recorded the
+    setup."""
+    obs = system.machine.obs
+    if system.dma_api.domain_id is None:
+        buffers = 0
+    summary = obs.exposure.summary()
+    assert sum(d["dma_maps"] for d in summary["domains"].values()) \
+        == buffers
+    metrics = obs.metrics.snapshot()
+    if buffers:
+        assert metrics["series"]["exposure.surface_bytes"]["samples"]
+        assert metrics["histograms"]["exposure.map_excess_bytes"]["count"] \
+            == buffers
+    assert all(name.startswith("exposure.")
+               for kind in metrics.values() for name in kind)
+    assert len(obs.tracer) == 0 and not obs.spans.tree().children
+
+
 def _compare(scheme: str, cores: int, rx_buf_size: int,
-             rx_ring_size: int = 512, frames_per_queue: int = 3) -> None:
+             rx_ring_size: int = 512, frames_per_queue: int = 3,
+             captured: bool = False) -> None:
     """Set both systems up, then run the same traffic on both and tear
     them down.  The traffic and the teardown run the same code on both
     systems, so equal state after setup implies equal state before
     teardown; the image after it checks that nothing the pass left
-    behind (a lock stamp, a free-list order) shows there."""
+    behind (a lock stamp, a free-list order, an exposure stamp) shows
+    there."""
     batched = _system(scheme, cores, rx_buf_size, rx_ring_size,
-                      batched=True)
+                      batched=True, captured=captured)
     looped = _system(scheme, cores, rx_buf_size, rx_ring_size,
-                     batched=False)
+                     batched=False, captured=captured)
     for system in (batched, looped):
         system.setup_queues()
     _assert_same_state(batched, looped, "after setup_queues")
+    if captured:
+        _assert_exposure_recorded(batched, cores * (rx_ring_size - 1))
     for system in (batched, looped):
         _traffic(system, frames_per_queue)
         system.teardown_queues()
@@ -183,12 +222,91 @@ def test_batched_ring_setup_matches_loop_16_cores(scheme):
     _compare(scheme, cores=16, rx_buf_size=2048, frames_per_queue=2)
 
 
+@pytest.mark.parametrize("rx_buf_size", [2048, 16384])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_captured_ring_setup_matches_loop_2_cores(scheme, rx_buf_size):
+    _compare(scheme, cores=2, rx_buf_size=rx_buf_size, rx_ring_size=256,
+             captured=True)
+
+
+@pytest.mark.parametrize("scheme", RX_MULTICORE)
+def test_captured_ring_setup_matches_loop_16_cores(scheme):
+    _compare(scheme, cores=16, rx_buf_size=2048, frames_per_queue=2,
+             captured=True)
+
+
+@pytest.mark.parametrize("captured", [False, True],
+                         ids=["uncaptured", "captured"])
+def test_pool_cap_mid_ring_matches_loop(captured):
+    """Copy's pool cap runs out on the first ring: the rest of it, and
+    the whole second ring, go to ``_map_fresh_one`` and take the bounce
+    rung.  The pass reports the maps it made before handing the first
+    buffer over, so the surface series and the page history keep the
+    loop's order."""
+    kwargs = dict(max_pool_bytes=100 * 4096, bounce_fallback=True)
+    batched = _system("copy", 2, 2048, 256, batched=True, captured=captured,
+                      scheme_kwargs=kwargs)
+    looped = _system("copy", 2, 2048, 256, batched=False, captured=captured,
+                     scheme_kwargs=kwargs)
+    for system in (batched, looped):
+        system.setup_queues()
+    assert batched.dma_api.bounce_maps == 2 * 255 - 100
+    _assert_same_state(batched, looped, "after setup_queues")
+    for system in (batched, looped):
+        _traffic(system, 2)
+        system.teardown_queues()
+    _assert_same_state(batched, looped, "after teardown_queues")
+
+
+@pytest.mark.parametrize("captured", [False, True],
+                         ids=["uncaptured", "captured"])
+def test_cached_page_mid_ring_matches_loop(captured):
+    """The IOTLB still caches a frame of the ring with other rights, as
+    a deferred unmap can leave it: that buffer goes to
+    ``_map_fresh_one``, whose map invalidates the entry first.  The pass
+    reports the maps it made before it, so the surface series keeps the
+    loop's order around the invalidation's own sample."""
+    probe = _system("identity-deferred", 1, 2048, 256, batched=True)
+    probe.setup_queues()
+    page = list(probe.driver._rx_slots[0].values())[100].buf.pa >> PAGE_SHIFT
+    systems = [_system("identity-deferred", 1, 2048, 256, batched=batched,
+                       captured=captured) for batched in (True, False)]
+    for system in systems:
+        iotlb, domain_id = system.iommu.iotlb, system.dma_api.domain_id
+        iotlb.prefetch(domain_id, page, PteEntry(page, Perm.READ))
+        system.setup_queues()
+        assert iotlb.peek(domain_id, page) is None
+    _assert_same_state(*systems, "after setup_queues")
+    for system in systems:
+        _traffic(system, 2)
+        system.teardown_queues()
+    _assert_same_state(*systems, "after teardown_queues")
+
+
+@pytest.mark.parametrize("captured", [False, True],
+                         ids=["uncaptured", "captured"])
+def test_failed_map_mid_ring_matches_loop(captured):
+    """Without the bounce rung, the first map past the pool cap fails:
+    setup stops with the buffers mapped before it posted and reported,
+    and nothing of the failed one."""
+    systems = [_system("copy", 1, 2048, 256, batched=batched,
+                       captured=captured,
+                       scheme_kwargs=dict(max_pool_bytes=100 * 4096))
+               for batched in (True, False)]
+    for system in systems:
+        with pytest.raises(PoolExhaustedError):
+            system.setup_queues()
+    assert systems[0].dma_api.live_mappings == 100
+    _assert_same_state(*systems, "after the failed map")
+
+
 @pytest.mark.parametrize("observed", ["captured", "faulted", "neither"])
 def test_observed_setup_maps_each_buffer(observed):
-    """A recorder or a fault plan keeps ring setup on the per-buffer
-    loop, so every map opens its span and consults its fault sites; an
-    unobserved copy system maps none of its ring through ``dma_map``.
-    Teardown unmaps every buffer through ``dma_unmap`` in all three."""
+    """A fault plan keeps ring setup on the per-buffer loop, so every
+    map consults its fault sites.  A captured copy system, whose ring
+    setup records to exposure only, maps none of its ring through
+    ``dma_map``, as an unobserved one.  Teardown unmaps every buffer
+    through ``dma_unmap`` in all three."""
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
     from repro.obs.context import Observability
@@ -204,6 +322,18 @@ def test_observed_setup_maps_each_buffer(observed):
     api.dma_map = lambda *args: maps.append(args) or dma_map(*args)
     api.dma_unmap = lambda *args: unmaps.append(args) or dma_unmap(*args)
     system.setup_queues()
-    assert len(maps) == (0 if observed == "neither" else 63)
+    assert len(maps) == (63 if observed == "faulted" else 0)
     system.teardown_queues()
     assert len(unmaps) == 63
+
+
+def test_full_capture_outside_the_ring_scope_keeps_the_loop():
+    """A captured context whose recorders all record — ring setup called
+    outside ``exposure_only`` — keeps the per-buffer loop, so each map
+    opens its own ``dma_map`` span."""
+    obs = Observability.capture()
+    system = System.build(SystemConfig(scheme="copy", cores=1,
+                                       rx_ring_size=64, obs=obs))
+    system.driver.setup_queue(system.machine.core(0), 0)
+    assert obs.spans.tree().children["dma_map"].count == 63
+    assert system.dma_api.live_mappings == 63

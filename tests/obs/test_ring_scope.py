@@ -35,8 +35,8 @@ _RUNS = {
 }
 
 #: Events whose whole fact the exposure accountant keeps.
-_EXPOSURE_EVENTS = {"range_mapped", "range_unmapped", "invalidated",
-                    "device_access"}
+_EXPOSURE_EVENTS = {"range_mapped", "range_unmapped", "ring_mapped",
+                    "invalidated", "device_access"}
 
 
 def _assert_exposure_saw_rings(obs, scheme, cores):

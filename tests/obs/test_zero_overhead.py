@@ -72,11 +72,12 @@ def _run_keeping_system(monkeypatch, config):
 
 
 def _assert_capture_changes_nothing(monkeypatch, **cfg):
-    """An uncaptured run of a scheme with a one-pass ``dma_map_fresh``
-    sets its rings up in one pass; a captured one maps buffer by buffer.
-    Both tear down buffer by buffer.  The rows must agree (observability
-    extras aside), and after teardown both leave no mapping live and
-    equal shadow-pool counters."""
+    """Both runs of a scheme with a one-pass ``dma_map_fresh`` set
+    their rings up in one pass: the captured one inside
+    ``exposure_only``, reporting its maps to exposure in one event per
+    ring.  Both tear down buffer by buffer.  The rows must agree
+    (observability extras aside), and after teardown both leave no
+    mapping live and equal shadow-pool counters."""
     bare, bare_system = _run_keeping_system(monkeypatch,
                                             StreamConfig(**cfg))
     traced, traced_system = _run_keeping_system(

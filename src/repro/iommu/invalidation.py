@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Sequence, Tuple
 
 from repro.faults.injector import NULL_FAULTS
 from repro.faults.plan import SITE_INV_STALL
@@ -137,7 +137,12 @@ class InvalidationQueue:
         self.hardware = hardware if hardware is not None \
             else SharedResource("iommu-invalidation-hw")
         self.pipelined = pipelined
-        self._recent: Deque[Tuple[int, int]] = deque()  # (time, core id)
+        #: Submissions ``(time, core id)`` in append order; eviction
+        #: drops expired ones from the head.
+        self._recent: Deque[Tuple[int, int]] = deque()
+        #: Core id → its latest entry of :attr:`_recent`, kept while
+        #: that entry is still there.
+        self._latest: Dict[int, Tuple[int, int]] = {}
         self.sync_invalidations = 0
         self.batch_flushes = 0
         # Stall-recovery accounting (see _recover_stall).
@@ -154,20 +159,34 @@ class InvalidationQueue:
         Evicts expired entries from the head; both eviction and counting
         use :func:`_in_window` so a submission exactly on the boundary is
         either counted everywhere or nowhere.
+
+        Appends are not time-monotonic under min-clock interleaving, so
+        entries behind the head may be out of the window too.  Each
+        core's clock is monotonic, though, so its latest entry is its
+        newest, and eviction takes a core's entries oldest first: a core
+        submitted within the window iff its latest entry is still queued
+        and within it.  Counting reads one entry per core, not the
+        whole window.
         """
         horizon = now - _CONCURRENCY_WINDOW_CYCLES
         recent = self._recent
-        # Both comparisons below inline :func:`_in_window` (``t >=
-        # horizon``) — this runs per submission over the whole window, so
-        # the predicate call per element is measurable.  The per-query
-        # filter cannot become incremental distinct-counting: appends are
-        # not time-monotonic under min-clock interleaving.
+        latest = self._latest
+        # The comparisons below inline :func:`_in_window` (``t >=
+        # horizon``): this runs per submission.
         while recent and recent[0][0] < horizon:
-            recent.popleft()
-        return len({cid for t, cid in recent if t >= horizon})
+            entry = recent.popleft()
+            if latest[entry[1]] is entry:
+                del latest[entry[1]]
+        count = 0
+        for t, _ in latest.values():
+            if t >= horizon:
+                count += 1
+        return count
 
     def _note_submission(self, core: Core) -> int:
-        self._recent.append((core.now, core.cid))
+        entry = (core.now, core.cid)
+        self._recent.append(entry)
+        self._latest[core.cid] = entry
         return self._window_concurrency(core.now)
 
     def current_concurrency(self, core: Core) -> int:
@@ -453,6 +472,7 @@ class PerCoreInvalidationQueue:
         self.obs = obs if obs is not None else NULL_OBS
         self.hardware = SharedResource("iommu-invalidation-hw")
         shared_recent: Deque[Tuple[int, int]] = deque()
+        shared_latest: Dict[int, Tuple[int, int]] = {}
         self.shards: List[InvalidationQueue] = []
         for i in range(nqueues):
             shard = InvalidationQueue(
@@ -461,6 +481,7 @@ class PerCoreInvalidationQueue:
                 obs=obs, faults=faults,
                 hardware=self.hardware, pipelined=True)
             shard._recent = shared_recent
+            shard._latest = shared_latest
             self.shards.append(shard)
 
     @property

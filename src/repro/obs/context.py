@@ -151,78 +151,82 @@ class Observability:
         accounted off the clock (no lock event records)."""
         return self.enabled
 
-    def _emit(self, kind: str, t: int, cid: int, **data: object) -> None:
-        """Trace an event, stamped with the ``rid`` of the request
-        active on core ``cid``, if any."""
-        active = self.requests.active.get(cid)
+    def _emit(self, kind: str, t: int, cid: int, active,
+              **data: object) -> None:
+        """Trace an event, stamped with the ``rid`` of ``active``, the
+        request active on core ``cid`` (``None`` when there is none),
+        which the calling event has looked up once for all it records."""
         if active is not None:
             data["rid"] = active.rid
-        self.tracer.emit(kind, t, cid, **data)
+        self.tracer.emit(kind, t, cid, data)
 
     # ------------------------------------------------------------------
     # Spans and requests.  A span that opens while a request is active
-    # on its core becomes a stage of that request.
+    # on its core becomes a stage of that request; the span recorder's
+    # stack holds both.
     # ------------------------------------------------------------------
     def span_begin(self, name: str, core) -> None:
         self.spans.begin(name, core)
-        if core.cid in self.requests.active:
-            self.requests.on_span_begin(core.cid, name, core.now)
 
     def span_end(self, core) -> None:
-        closed = self.spans.end(core)
-        if closed is not None and core.cid in self.requests.active:
-            self.requests.on_span_end(core.cid, closed[0].name, closed[1],
-                                      core.now)
+        self.spans.end(core, self.requests.active.get(core.cid))
 
     def request_begin(self, core, kind: str, **meta: object) -> None:
         """Open a request on ``core``, or fold into the one in flight
         there (which traces nothing)."""
-        folded = core.cid in self.requests.active
-        rid = self.requests.begin(core, kind, **meta)
+        cid = core.cid
+        folded = cid in self.requests.active
+        rid = self.requests.begin(core, kind, self.spans.stack(cid), **meta)
         if not folded:
-            self.tracer.emit(EV_REQ_BEGIN, core.now, core.cid, rid=rid,
-                             req_kind=kind)
+            self.tracer.emit(EV_REQ_BEGIN, core.now, cid,
+                             {"rid": rid, "req_kind": kind})
 
     def request_end(self, core) -> None:
         record = self.requests.end(core)
         if record is not None:
             self.tracer.emit(EV_REQ_END, record.end, core.cid,
-                             rid=record.rid, req_kind=record.kind,
-                             latency_cycles=record.latency)
+                             {"rid": record.rid, "req_kind": record.kind,
+                              "latency_cycles": record.latency})
 
     # ------------------------------------------------------------------
     # DMA lifecycle.
     # ------------------------------------------------------------------
     def dma_mapped(self, core, scheme: str, domain_id, handle) -> None:
         """``dma_map`` returned ``handle``; closes the ``dma_map`` span."""
-        self.span_end(core)
-        self._emit(EV_DMA_MAP, core.now, core.cid, scheme=scheme,
+        active = self.requests.active.get(core.cid)
+        self.spans.end(core, active)
+        self._emit(EV_DMA_MAP, core.now, core.cid, active, scheme=scheme,
                    iova=handle.iova, size=handle.size,
                    direction=handle.direction.value)
-        self.metrics.counter(f"dma.maps:{scheme}").inc()
+        self.metrics.count(f"dma.maps:{scheme}")
         self.exposure.note_dma_map(core.now, scheme, domain_id, handle.iova,
                                    handle.size)
-        self.requests.mark(core, MARK_MAPPED)
+        if active is not None:
+            self.requests.mark(core, MARK_MAPPED, active)
 
     def dma_unmapped(self, core, scheme: str, domain_id, handle) -> None:
         """``dma_unmap`` of ``handle`` returned; closes the ``dma_unmap``
         span."""
-        self.span_end(core)
-        self._emit(EV_DMA_UNMAP, core.now, core.cid, scheme=scheme,
+        active = self.requests.active.get(core.cid)
+        self.spans.end(core, active)
+        self._emit(EV_DMA_UNMAP, core.now, core.cid, active, scheme=scheme,
                    iova=handle.iova, size=handle.size)
-        self.metrics.counter(f"dma.unmaps:{scheme}").inc()
+        self.metrics.count(f"dma.unmaps:{scheme}")
         self.exposure.note_dma_unmap(core.now, scheme, domain_id,
                                      handle.iova, handle.size)
-        self.requests.mark(core, MARK_UNMAPPED)
+        if active is not None:
+            self.requests.mark(core, MARK_UNMAPPED, active)
 
     def dma_copied(self, core, nbytes: int, remote: bool,
                    cycles: int) -> None:
         """A shadow copy finished; closes the ``copy`` span."""
-        self._emit(EV_DMA_COPY, core.now, core.cid, nbytes=nbytes,
+        active = self.requests.active.get(core.cid)
+        self._emit(EV_DMA_COPY, core.now, core.cid, active, nbytes=nbytes,
                    remote=remote, cycles=cycles)
-        self.metrics.histogram("dma.copy_bytes").observe(nbytes)
-        self.requests.mark(core, MARK_COPIED)
-        self.span_end(core)
+        self.metrics.observe("dma.copy_bytes", nbytes)
+        if active is not None:
+            self.requests.mark(core, MARK_COPIED, active)
+        self.spans.end(core, active)
 
     def ring_mapped(self, scheme: str, domain_id: int, device_id: int,
                     kind: str, size: int, page_cycles: int, maps) -> None:
@@ -238,8 +242,9 @@ class Observability:
                                        size, page_cycles, maps)
 
     def dma_bounced(self, core, iova: int, size: int) -> None:
-        self._emit(EV_DMA_BOUNCE, core.now, core.cid, iova=iova, size=size)
-        self.metrics.counter("dma.bounce_maps").inc()
+        self._emit(EV_DMA_BOUNCE, core.now, core.cid,
+                   self.requests.active.get(core.cid), iova=iova, size=size)
+        self.metrics.count("dma.bounce_maps")
 
     def device_translated(self, core) -> None:
         """The device's DMA for ``core``'s request went through."""
@@ -280,10 +285,11 @@ class Observability:
 
     def iommu_fault(self, t: int, domain_id: int, device_id: int, iova: int,
                     is_write: bool, reason: str) -> None:
-        self._emit(EV_IOMMU_FAULT, t, -1, device=device_id,
+        # No core: the device's fault belongs to no request.
+        self._emit(EV_IOMMU_FAULT, t, -1, None, device=device_id,
                    domain=domain_id, iova=iova, write=is_write,
                    reason=reason)
-        self.metrics.counter("iommu.faults").inc()
+        self.metrics.count("iommu.faults")
         self.exposure.note_fault(
             t, domain_id, device_id, iova, is_write, reason,
             open_spans=tuple(sorted(self.spans.open_paths().items())),
@@ -296,19 +302,23 @@ class Observability:
                       waited: int) -> None:
         """``core`` took lock ``name`` after ``waited`` spinning cycles
         behind core ``holder_cid``; closes the ``lock_wait`` span."""
+        active = self.requests.active.get(core.cid)
         self.locks.note_acquire(name, core.cid, holder_cid, waited, core.now)
         if waited:
-            self.metrics.histogram(f"lock.wait_cycles:{name}").observe(waited)
-            self._emit(EV_LOCK_CONTEND, core.now, core.cid, lock=name,
-                       wait_cycles=waited)
-            self.requests.note_lock_wait(core, name, waited)
+            self.metrics.observe(f"lock.wait_cycles:{name}", waited)
+            self._emit(EV_LOCK_CONTEND, core.now, core.cid, active,
+                       lock=name, wait_cycles=waited)
+            if active is not None:
+                self.requests.note_lock_wait(core, name, waited, active)
         else:
-            self._emit(EV_LOCK_ACQUIRE, core.now, core.cid, lock=name)
-        self.span_end(core)
+            self._emit(EV_LOCK_ACQUIRE, core.now, core.cid, active,
+                       lock=name)
+        self.spans.end(core, active)
 
     def lock_released(self, core, name: str, held: int) -> None:
-        self.metrics.histogram(f"lock.hold_cycles:{name}").observe(held)
-        self._emit(EV_LOCK_RELEASE, core.now, core.cid, lock=name,
+        self.metrics.observe(f"lock.hold_cycles:{name}", held)
+        self._emit(EV_LOCK_RELEASE, core.now, core.cid,
+                   self.requests.active.get(core.cid), lock=name,
                    hold_cycles=held)
         self.locks.note_release(name, core.cid, held)
 
@@ -323,7 +333,7 @@ class Observability:
         ``done``, or still unknown).  Completions are monotone in
         occupancy order, so evicting from the head suffices."""
         metrics = self.metrics
-        metrics.series("invalidation.concurrency").sample(t, concurrency)
+        metrics.sample("invalidation.concurrency", t, concurrency)
         inflight = self._inflight.get(hardware)
         if inflight is None:
             inflight = self._inflight[hardware] = deque()
@@ -331,8 +341,8 @@ class Observability:
             inflight.popleft()
         if done is not None:
             inflight.append(done)
-        metrics.series("invalidation.queue_depth").sample(
-            t, len(inflight) + (done is None))
+        metrics.sample("invalidation.queue_depth", t,
+                       len(inflight) + (done is None))
 
     def inv_submitted(self, core, hardware, scope: str, domain_id: int,
                       npages: int, ndesc: int, concurrency: int,
@@ -340,39 +350,44 @@ class Observability:
         """``ndesc`` descriptors and a wait descriptor posted at
         ``submitted_at`` completed at ``done``; closes the
         ``iotlb_invalidate`` span."""
+        active = self.requests.active.get(core.cid)
         observed = done - submitted_at
         metrics = self.metrics
-        metrics.histogram("invalidation.latency_cycles").observe(observed)
+        metrics.observe("invalidation.latency_cycles", observed)
         # One count per descriptor actually posted, under the scope it
         # was posted with.
-        metrics.counter(f"invalidation.submissions:{scope}").inc(ndesc)
+        metrics.count(f"invalidation.submissions:{scope}", ndesc)
         self._sample_queue(hardware, submitted_at, concurrency, done)
-        self._emit(EV_INV_SUBMIT, submitted_at, core.cid, scope=scope,
-                   domain=domain_id, pages=npages, concurrency=concurrency,
-                   descriptors=ndesc)
-        self._emit(EV_INV_COMPLETE, done, core.cid, scope=scope,
+        self._emit(EV_INV_SUBMIT, submitted_at, core.cid, active,
+                   scope=scope, domain=domain_id, pages=npages,
+                   concurrency=concurrency, descriptors=ndesc)
+        self._emit(EV_INV_COMPLETE, done, core.cid, active, scope=scope,
                    latency_cycles=observed)
-        self.requests.mark(core, MARK_INVALIDATED)
-        self.span_end(core)
+        if active is not None:
+            self.requests.mark(core, MARK_INVALIDATED, active)
+        self.spans.end(core, active)
 
     def inv_resubmitted(self, core, hardware, concurrency: int) -> None:
         """A stalled wait descriptor was re-posted at ``core.now``."""
         self._sample_queue(hardware, core.now, concurrency)
 
     def inv_timeout(self, core, scope: str, retry: int) -> None:
-        self._emit(EV_INV_TIMEOUT, core.now, core.cid, scope=scope,
+        self._emit(EV_INV_TIMEOUT, core.now, core.cid,
+                   self.requests.active.get(core.cid), scope=scope,
                    retry=retry)
-        self.metrics.counter("invalidation.timeouts").inc()
+        self.metrics.count("invalidation.timeouts")
 
     def inv_flushed(self, core, batch: int, pages: int, ranged: bool,
                     descriptors: int) -> None:
-        self._emit(EV_INV_FLUSH, core.now, core.cid, batch=batch,
+        self._emit(EV_INV_FLUSH, core.now, core.cid,
+                   self.requests.active.get(core.cid), batch=batch,
                    pages=pages, ranged=ranged, descriptors=descriptors)
-        self.metrics.histogram("invalidation.batch_size").observe(batch)
+        self.metrics.observe("invalidation.batch_size", batch)
 
     def inv_deferred(self, core, scheme: str, pages: int, slot: int,
                      queued: int) -> None:
-        self._emit(EV_INV_DEFER, core.now, core.cid, scheme=scheme,
+        self._emit(EV_INV_DEFER, core.now, core.cid,
+                   self.requests.active.get(core.cid), scheme=scheme,
                    pages=pages, slot=slot, queued=queued)
 
     def deferred_windows(self, windows) -> None:
@@ -385,66 +400,78 @@ class Observability:
     # Shadow pool.
     # ------------------------------------------------------------------
     def pool_occupancy(self, core, in_flight: int) -> None:
-        self.metrics.series("pool.in_flight").sample(core.now, in_flight)
+        self.metrics.sample("pool.in_flight", core.now, in_flight)
 
     def pool_grown(self, core, size_class: int, nbytes: int, nbuffers: int,
                    rights, bytes_allocated: int) -> None:
-        self._emit(EV_POOL_GROW, core.now, core.cid, size_class=size_class,
-                   nbytes=nbytes, nbuffers=nbuffers, rights=rights.name)
-        self.metrics.counter("pool.grows").inc()
-        self.metrics.series("pool.bytes_allocated").sample(core.now,
-                                                           bytes_allocated)
+        self._emit(EV_POOL_GROW, core.now, core.cid,
+                   self.requests.active.get(core.cid),
+                   size_class=size_class, nbytes=nbytes, nbuffers=nbuffers,
+                   rights=rights.name)
+        self.metrics.count("pool.grows")
+        self.metrics.sample("pool.bytes_allocated", core.now,
+                            bytes_allocated)
 
     def pool_shrunk(self, core, size: int, fallback: bool,
                     bytes_allocated: int) -> None:
-        self._emit(EV_POOL_SHRINK, core.now, core.cid, size=size,
+        self._emit(EV_POOL_SHRINK, core.now, core.cid,
+                   self.requests.active.get(core.cid), size=size,
                    fallback=fallback)
-        self.metrics.series("pool.bytes_allocated").sample(core.now,
-                                                           bytes_allocated)
+        self.metrics.sample("pool.bytes_allocated", core.now,
+                            bytes_allocated)
 
     def pool_fallback(self, core, size_class: int, iova: int,
                       rights) -> None:
         self._emit(EV_POOL_FALLBACK, core.now, core.cid,
+                   self.requests.active.get(core.cid),
                    size_class=size_class, iova=iova, rights=rights.name)
-        self.metrics.counter("pool.fallback_allocations").inc()
+        self.metrics.count("pool.fallback_allocations")
 
     # ------------------------------------------------------------------
     # Network, scheduler and fault injection.
     # ------------------------------------------------------------------
     def packet_received(self, core, qid: int, nbytes: int,
                         payload: int) -> None:
-        self._emit(EV_NET_RX, core.now, core.cid, qid=qid, nbytes=nbytes,
-                   payload=payload)
-        self.metrics.counter("net.rx_packets").inc()
+        self._emit(EV_NET_RX, core.now, core.cid,
+                   self.requests.active.get(core.cid), qid=qid,
+                   nbytes=nbytes, payload=payload)
+        self.metrics.count("net.rx_packets")
 
     def chunk_sent(self, core, qid: int, nbytes: int) -> None:
         """A chunk was posted as one descriptor."""
-        self._emit(EV_NET_TX, core.now, core.cid, qid=qid, nbytes=nbytes)
-        self.metrics.counter("net.tx_chunks").inc()
+        self._emit(EV_NET_TX, core.now, core.cid,
+                   self.requests.active.get(core.cid), qid=qid,
+                   nbytes=nbytes)
+        self.metrics.count("net.tx_chunks")
 
     def sched_step(self, core, started_at: int, task: str,
                    units: int) -> None:
         """One scheduler work unit ran; closes the ``step`` span."""
-        self.span_end(core)
-        self._emit(EV_SCHED_STEP, started_at, core.cid, task=task,
+        active = self.requests.active.get(core.cid)
+        self.spans.end(core, active)
+        self._emit(EV_SCHED_STEP, started_at, core.cid, active, task=task,
                    ran_cycles=core.now - started_at, units=units)
 
     def fault_injected(self, core, site: str, consult: int,
                        fire: int) -> None:
-        t = core.now if core is not None else 0
-        cid = core.cid if core is not None else -1
-        self._emit(EV_FAULT_INJECT, t, cid, site=site, consult=consult,
-                   fire=fire)
-        self.metrics.counter(f"faults.injected.{site}").inc()
+        if core is None:
+            t, cid, active = 0, -1, None
+        else:
+            t, cid = core.now, core.cid
+            active = self.requests.active.get(cid)
+        self._emit(EV_FAULT_INJECT, t, cid, active, site=site,
+                   consult=consult, fire=fire)
+        self.metrics.count(f"faults.injected.{site}")
 
     def fault_recovered(self, core, site: str, action: str,
                         **detail: int) -> None:
         """A recovery policy absorbed a fault at ``site`` by ``action``;
         a ``recovered`` detail counts several recoveries at once."""
-        self._emit(EV_FAULT_RECOVER, core.now, core.cid, site=site,
+        self._emit(EV_FAULT_RECOVER, core.now, core.cid,
+                   self.requests.active.get(core.cid), site=site,
                    action=action, **detail)
-        self.metrics.counter(_RECOVERY_COUNTERS[action]).inc(
-            detail.get("recovered", 1))
+        self.metrics.count(_RECOVERY_COUNTERS[action],
+                           detail.get("recovered", 1))
 
     # ------------------------------------------------------------------
     # Phase timeline (per-phase breakdowns for the timeline renderer).
@@ -456,7 +483,7 @@ class Observability:
         if self.phases and self.phases[-1].end is None:
             self.phase_end(t)
         self.phases.append(PhaseRecord(name=name, start=t))
-        self.tracer.emit(EV_PHASE, t, -1, name=name, edge="begin")
+        self.tracer.emit(EV_PHASE, t, -1, {"name": name, "edge": "begin"})
 
     def phase_end(self, t: int, busy_cycles: int = 0,
                   breakdown: Dict[str, int] | None = None) -> None:
@@ -470,7 +497,7 @@ class Observability:
         phase.busy_cycles = busy_cycles
         if breakdown:
             phase.breakdown = dict(breakdown)
-        self.tracer.emit(EV_PHASE, t, -1, name=phase.name, edge="end")
+        self.tracer.emit(EV_PHASE, t, -1, {"name": phase.name, "edge": "end"})
 
 
 class _ExposureOnly(Observability):

@@ -234,8 +234,12 @@ class ExposureAccountant:
     def _sample_surface(self, t: int) -> None:
         if self.metrics is None:
             return
-        total = sum(d.surface_bytes for d in self._domains.values())
-        self.metrics.series("exposure.surface_bytes").sample(t, total)
+        # Every domain's surface_bytes, summed without a call per domain:
+        # this runs on every map, unmap and invalidation.
+        pages = 0
+        for dom in self._domains.values():
+            pages += len(dom.pages) + len(dom.stale)
+        self.metrics.sample("exposure.surface_bytes", t, pages * PAGE_SIZE)
 
     # ------------------------------------------------------------------
     # IOMMU-side lifecycle (page granular).
@@ -349,8 +353,7 @@ class ExposureAccountant:
         dom.stale_peak_window_cycles = max(dom.stale_peak_window_cycles,
                                            window)
         if self.metrics is not None:
-            self.metrics.histogram(
-                "exposure.stale_window_cycles").observe(window)
+            self.metrics.observe("exposure.stale_window_cycles", window)
 
     # ------------------------------------------------------------------
     # Device-side accesses and faults.
@@ -364,7 +367,7 @@ class ExposureAccountant:
         if (iova >> PAGE_SHIFT) in dom.stale:
             dom.stale_accesses += 1
             if self.metrics is not None:
-                self.metrics.counter("exposure.stale_accesses").inc()
+                self.metrics.count("exposure.stale_accesses")
 
     def note_fault(self, t: int, domain_id: int, device_id: int,
                    iova: int, is_write: bool, reason: str,
@@ -414,8 +417,7 @@ class ExposureAccountant:
         dom.scheme = scheme
         excess = self._go_live(dom, t, iova, size)
         if self.metrics is not None:
-            self.metrics.histogram(
-                "exposure.map_excess_bytes").observe(excess)
+            self.metrics.observe("exposure.map_excess_bytes", excess)
 
     def _go_live(self, dom: _DomainExposure, t: int, iova: int,
                  size: int) -> int:

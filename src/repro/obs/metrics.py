@@ -5,10 +5,13 @@ answers "how was it distributed": invalidation-latency percentiles
 (Fig. 8a is a *distribution* claim), per-lock wait profiles, and pool
 occupancy over time (the §6 memory-consumption claim).  All instruments
 are created on demand by name, so instrumented components need no
-registration ceremony::
+registration ceremony.  A write is one registry call::
 
-    obs.metrics.histogram("invalidation.latency_cycles").observe(lat)
-    obs.metrics.series("pool.bytes_allocated").sample(core.now, nbytes)
+    obs.metrics.observe("invalidation.latency_cycles", lat)
+    obs.metrics.sample("pool.bytes_allocated", core.now, nbytes)
+
+and the getters (``counter``, ``histogram``, ``series``) are for
+readers.
 
 Everything here is pure Python bookkeeping in *host* time — recording a
 metric never charges simulated cycles, so metric-enabled runs reproduce
@@ -63,10 +66,13 @@ class CycleHistogram:
             raise ValueError(f"histogram {self.name}: negative value {value}")
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        self.buckets[min(max(int(value) - 1, 0).bit_length(),
-                         _MAX_BUCKETS - 1)] += 1
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        bucket = (value - 1).bit_length() if value > 1 else 0
+        self.buckets[bucket if bucket < _MAX_BUCKETS
+                     else _MAX_BUCKETS - 1] += 1
 
     # ------------------------------------------------------------------
     @property
@@ -192,6 +198,30 @@ class MetricsRegistry:
         return series
 
     # ------------------------------------------------------------------
+    # Writes: one call each, the instrument created on first use.
+    # ------------------------------------------------------------------
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to counter ``name``."""
+        counter = self.counters.get(name)
+        if counter is None:
+            counter = self.counter(name)
+        counter.value += n
+
+    def observe(self, name: str, value: int) -> None:
+        """Record ``value`` in histogram ``name``."""
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histogram(name)
+        hist.observe(value)
+
+    def sample(self, name: str, t: int, value: int) -> None:
+        """Sample ``value`` at ``t`` into time series ``name``."""
+        series = self.time_series.get(name)
+        if series is None:
+            series = self.series(name)
+        series.sample(t, value)
+
+    # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """JSON-friendly dump of every instrument (for RunResult.extras)."""
         return {
@@ -217,6 +247,6 @@ def record_iotlb_stats(metrics: MetricsRegistry, now: int,
     for name, value in sorted(stats.items()):
         if isinstance(value, bool) or not isinstance(value, int):
             continue
-        metrics.counter(f"iotlb.{name}").inc(value)
-    metrics.series("iotlb.hit_rate_ppm").sample(
-        now, int(round(hit_rate * 1_000_000)))
+        metrics.count(f"iotlb.{name}", value)
+    metrics.sample("iotlb.hit_rate_ppm", now,
+                   int(round(hit_rate * 1_000_000)))

@@ -22,19 +22,25 @@ Design constraints, shared with the rest of the layer:
   boundaries, marks and lock waits as events to
   :class:`~repro.obs.context.Observability` under ``obs.enabled``; the
   context calls ``begin``/``end``/``mark`` and traces the
-  ``req.begin``/``req.end`` events.
+  ``req.begin``/``req.end`` events.  Each event looks the core's active
+  request up once and hands it to the span close, the trace stamp and
+  the mark.
 * **Bounded memory.**  Latency reservoirs and the retained-record sample
   use stride-doubling decimation; the slowest requests are kept exactly
   in a bounded top-K heap, so the tail report's exemplars always
   reference real, complete traces.
 
-Stage capture follows the spans: the context hands every span it opens
-and closes to :meth:`RequestRecorder.on_span_begin` /
-:meth:`~RequestRecorder.on_span_end`, and a span that *begins while a
-request is active on its core* becomes a stage of that request, with
-self-time (exclusive of nested stages) computed online.  Spans already
-open when the request begins (e.g. the scheduler's ``step``) are not
-attributed to it.
+Stages are read from the span recorder's per-core stack
+(:class:`~repro.obs.spans.SpanRecorder`), not kept a second time: a
+request records its *base*, the depth of its core's span stack when it
+begins, and a span that *begins while the request is active* sits at or
+above that base and becomes a stage, with self-time (exclusive of
+nested stages) taken from the entry's closed-children counter.  Spans
+already open when the request begins (e.g. the scheduler's ``step``)
+sit below the base and are not attributed to it; when one of them
+closes mid-request, the base drops to the shorter stack, so the next
+span opened there is a stage.  Stages still open when the request ends
+are attributed up to its end, without touching the span stack.
 
 Nesting folds: when a composite request (a memcached transaction) is
 active and the driver begins its own rx/tx request on the same core, the
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # Mirrors repro.sim.units; importing it here would cycle back through
 # repro.sim.engine -> repro.obs.context (same dance as obs.exposure).
@@ -149,20 +155,22 @@ class RequestRecord(NamedTuple):
 class _ActiveRequest:
     """Mutable in-flight request state (one per core at most)."""
 
-    __slots__ = ("rid", "kind", "core", "start", "depth", "meta",
-                 "stage_stack", "stages", "segments", "marks", "locks",
+    __slots__ = ("rid", "kind", "core", "start", "depth", "meta", "spans",
+                 "base", "stages", "segments", "marks", "locks",
                  "top_cycles")
 
     def __init__(self, rid: int, kind: str, core: int, start: int,
-                 meta: Dict[str, object]):
+                 meta: Dict[str, object], spans: Sequence[list]):
         self.rid = rid
         self.kind = kind
         self.core = core
         self.start = start
         self.depth = 0
         self.meta = meta
-        #: Open stages: ``[name, opened_at, child_cycles]`` entries.
-        self.stage_stack: List[List[object]] = []
+        #: The core's open-span stack (the span recorder's own list,
+        #: never modified here); entries from :attr:`base` up are stages.
+        self.spans = spans
+        self.base = len(spans)
         self.stages: Dict[str, int] = {}
         self.segments: List[Tuple[str, int, int, int]] = []
         self.marks: List[Tuple[str, int]] = []
@@ -170,6 +178,23 @@ class _ActiveRequest:
         #: Cycles covered by top-level (depth-0) stages; the remainder of
         #: the latency is :data:`STAGE_UNATTRIBUTED`.
         self.top_cycles = 0
+
+    def close_stage(self, name: str, opened_at: int, t: int, duration: int,
+                    child_cycles: int, depth: int) -> None:
+        """The span recorder popped span ``name`` (open since
+        ``opened_at``, closed at ``t``, ``child_cycles`` of it in closed
+        children), leaving ``depth`` spans open on the core."""
+        depth -= self.base
+        if depth < 0:
+            # Older than the request: no stage, and a lower base.
+            self.base += depth
+            return
+        self.stages[name] = (self.stages.get(name, 0)
+                             + duration - child_cycles)
+        if not depth:
+            self.top_cycles += duration
+        if len(self.segments) < _MAX_SEGMENTS:
+            self.segments.append((name, opened_at, t, depth))
 
 
 class _KindAggregate:
@@ -233,8 +258,10 @@ class RequestRecorder:
     """Assigns request ids and folds spans/marks/locks into them.
 
     One recorder hangs off every :class:`~repro.obs.context.Observability`
-    as ``obs.requests``, which also hands it every span: spans that begin
-    while a request is active on their core become that request's stages.
+    as ``obs.requests``.  Each request reads its stages from its core's
+    open-span stack, which the context passes to :meth:`begin`: spans
+    that begin while a request is active on their core become that
+    request's stages.
     """
 
     def __init__(self) -> None:
@@ -253,13 +280,17 @@ class RequestRecorder:
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
-    def begin(self, core, kind: str, **meta: object) -> int:
+    def begin(self, core, kind: str, spans: Sequence[list] = (),
+              **meta: object) -> int:
         """Open a request of ``kind`` on ``core``; returns its id.
 
-        If a request is already active on the core (a composite request
-        like a memcached transaction wrapping the driver's rx/tx), the
-        call *folds into* it: no new id is assigned and the matching
-        :meth:`end` simply unwinds the nesting.
+        ``spans`` is the core's open-span stack
+        (:meth:`~repro.obs.spans.SpanRecorder.stack`): the spans opened
+        above its current depth are the request's stages.  If a request
+        is already active on the core (a composite request like a
+        memcached transaction wrapping the driver's rx/tx), the call
+        *folds into* it: no new id is assigned, the outer begin's base
+        stands, and the matching :meth:`end` simply unwinds the nesting.
         """
         active = self.active.get(core.cid)
         if active is not None:
@@ -267,9 +298,8 @@ class RequestRecorder:
             return active.rid
         rid = self._next_rid
         self._next_rid += 1
-        self.active[core.cid] = _ActiveRequest(
-            rid=rid, kind=kind, core=core.cid, start=core.now,
-            meta=dict(meta))
+        self.active[core.cid] = _ActiveRequest(rid, kind, core.cid, core.now,
+                                               meta, spans)
         self.started += 1
         return rid
 
@@ -286,16 +316,15 @@ class RequestRecorder:
         # Stages still open at request end (e.g. a scheduler step that
         # outlives the request): attribute what elapsed inside the
         # request so the stage sum + unattributed equals the latency.
-        stack = active.stage_stack
-        while stack:
-            name, opened_at, child = stack.pop()
+        # Innermost first, each also excludes the one inside it.
+        inner = 0
+        for node, opened_at, child_cycles in \
+                reversed(active.spans[active.base:]):
             duration = end - opened_at
-            active.stages[name] = (active.stages.get(name, 0)
-                                   + duration - child)
-            if stack:
-                stack[-1][2] += duration
-            else:
-                active.top_cycles += duration
+            active.stages[node.name] = (active.stages.get(node.name, 0)
+                                        + duration - child_cycles - inner)
+            inner = duration
+        active.top_cycles += inner
         latency = end - active.start
         unattributed = latency - active.top_cycles
         if unattributed > 0:
@@ -320,18 +349,26 @@ class RequestRecorder:
                 self._sample_stride *= 2
         return record
 
-    def mark(self, core, name: str) -> None:
-        """Record a lifecycle mark on the core's active request."""
-        active = self.active.get(core.cid)
-        if active is not None and len(active.marks) < _MAX_MARKS:
+    def mark(self, core, name: str,
+             active: Optional[_ActiveRequest] = None) -> None:
+        """Record a lifecycle mark on the core's active request, which a
+        caller that has looked it up already passes as ``active``."""
+        if active is None:
+            active = self.active.get(core.cid)
+            if active is None:
+                return
+        if len(active.marks) < _MAX_MARKS:
             active.marks.append((name, core.now))
 
-    def note_lock_wait(self, core, lock_name: str, waited: int) -> None:
-        """Attribute a contended lock wait to the active request."""
-        active = self.active.get(core.cid)
-        if active is not None:
-            active.locks[lock_name] = \
-                active.locks.get(lock_name, 0) + waited
+    def note_lock_wait(self, core, lock_name: str, waited: int,
+                       active: Optional[_ActiveRequest] = None) -> None:
+        """Attribute a contended lock wait to the core's active request
+        (``active``, as in :meth:`mark`)."""
+        if active is None:
+            active = self.active.get(core.cid)
+            if active is None:
+                return
+        active.locks[lock_name] = active.locks.get(lock_name, 0) + waited
 
     def current_rid(self, cid: int) -> Optional[int]:
         """The active request id on core ``cid`` (tracer linkage)."""
@@ -341,36 +378,6 @@ class RequestRecorder:
     def active_rids(self) -> Dict[int, int]:
         """Per-core active request ids (fault forensics)."""
         return {cid: active.rid for cid, active in self.active.items()}
-
-    # ------------------------------------------------------------------
-    # Stage capture (every span the context opens and closes).
-    # ------------------------------------------------------------------
-    def on_span_begin(self, cid: int, name: str, t: int) -> None:
-        active = self.active.get(cid)
-        if active is not None:
-            active.stage_stack.append([name, t, 0])
-
-    def on_span_end(self, cid: int, name: str, opened_at: int,
-                    t: int) -> None:
-        active = self.active.get(cid)
-        if active is None:
-            return
-        stack = active.stage_stack
-        if not stack:
-            return      # span opened before the request began
-        top = stack[-1]
-        if top[0] != name or top[1] != opened_at:
-            return      # closing a span that predates the request
-        stack.pop()
-        duration = t - opened_at
-        active.stages[name] = (active.stages.get(name, 0)
-                               + duration - top[2])
-        if stack:
-            stack[-1][2] += duration
-        else:
-            active.top_cycles += duration
-        if len(active.segments) < _MAX_SEGMENTS:
-            active.segments.append((name, opened_at, t, len(stack)))
 
     # ------------------------------------------------------------------
     # Queries.

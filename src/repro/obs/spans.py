@@ -20,8 +20,11 @@ Design constraints, shared with the rest of :mod:`repro.obs`:
   spans with :meth:`~repro.obs.context.Observability.span_begin` and
   :meth:`~repro.obs.context.Observability.span_end` under
   ``obs.enabled``, so the default (disabled) configuration pays one
-  attribute check per site; the context also hands each span to the
-  request recorder.
+  attribute check per site.
+* **One stack.**  The per-core open-span stacks are also where request
+  stages come from (:mod:`repro.obs.requests`): each entry counts the
+  cycles of its closed children, and the context hands :meth:`end` the
+  request active on the core, which takes the closing span as a stage.
 * **Bounded memory.**  Spans aggregate in place into a trie of
   :class:`SpanNode`; memory is O(distinct span paths), independent of
   run length.
@@ -140,8 +143,10 @@ class SpanRecorder:
 
     def __init__(self) -> None:
         self.root = SpanNode("run")
-        #: Per-core stack of ``(node, opened_at)`` for open spans.
-        self._stacks: Dict[int, List[Tuple[SpanNode, int]]] = {}
+        #: Per-core stack of ``[node, opened_at, child_cycles]`` for open
+        #: spans, innermost last; ``child_cycles`` sums the spans closed
+        #: directly inside the entry.
+        self._stacks: Dict[int, List[list]] = {}
         self.opened = 0
         self.closed = 0
 
@@ -154,25 +159,42 @@ class SpanRecorder:
         parent = stack[-1][0] if stack else self.root
         # The child lookup is inlined: this runs for every span.
         node = parent.children.get(name) or parent.child(name)
-        stack.append((node, core.now))
+        stack.append([node, core.now, 0])
         self.opened += 1
 
-    def end(self, core) -> Optional[Tuple[SpanNode, int]]:
-        """Close the innermost open span on ``core``; returns its node
-        and opening clock.
+    def end(self, core, request=None) -> None:
+        """Close the innermost open span on ``core``.
 
-        Tolerates an empty stack (an exception may have unwound past the
-        matching ``begin``); the span is simply not recorded.
+        ``request`` is the request active on the core, if any (an
+        :class:`~repro.obs.requests.RequestRecorder` record in flight);
+        the span closes as one of its stages, or lowers its base when
+        the span is older than the request.  Tolerates an empty stack
+        (an exception may have unwound past the matching ``begin``);
+        the span is simply not recorded.
         """
         stack = self._stacks.get(core.cid)
         if not stack:
-            return None
-        closed = stack.pop()
-        node, opened_at = closed
+            return
+        node, opened_at, child_cycles = stack.pop()
+        now = core.now
+        duration = now - opened_at
         node.count += 1
-        node.total_cycles += core.now - opened_at
+        node.total_cycles += duration
         self.closed += 1
-        return closed
+        depth = len(stack)
+        if depth:
+            stack[-1][2] += duration
+        if request is not None:
+            request.close_stage(node.name, opened_at, now, duration,
+                                child_cycles, depth)
+
+    def stack(self, cid: int) -> List[list]:
+        """Core ``cid``'s open-span stack itself (see ``_stacks``), for
+        a request to read its stages from; callers never modify it."""
+        stack = self._stacks.get(cid)
+        if stack is None:
+            stack = self._stacks[cid] = []
+        return stack
 
     # ------------------------------------------------------------------
     @property
@@ -181,7 +203,7 @@ class SpanRecorder:
 
     def open_paths(self) -> Dict[int, Tuple[str, ...]]:
         """Per-core path of currently-open spans (fault forensics)."""
-        return {cid: tuple(node.name for node, _ in stack)
+        return {cid: tuple(entry[0].name for entry in stack)
                 for cid, stack in self._stacks.items() if stack}
 
     def tree(self) -> SpanNode:

@@ -88,6 +88,9 @@ class TraceEvent(NamedTuple):
         return row
 
 
+_new_tuple = tuple.__new__
+
+
 class NullTracer:
     """Disabled tracer: the default for every benchmark run.
 
@@ -98,7 +101,8 @@ class NullTracer:
 
     enabled = False
 
-    def emit(self, kind: str, t: int, core: int, **data: object) -> None:
+    def emit(self, kind: str, t: int, core: int,
+             data: Dict[str, object]) -> None:
         """Drop the event (interface parity with :class:`RingTracer`)."""
 
     def __len__(self) -> int:
@@ -127,8 +131,12 @@ class RingTracer:
         self.emitted = 0
 
     # ------------------------------------------------------------------
-    def emit(self, kind: str, t: int, core: int, **data: object) -> None:
-        self._ring.append(TraceEvent(t, core, kind, data))
+    def emit(self, kind: str, t: int, core: int,
+             data: Dict[str, object]) -> None:
+        """Record one event; ``data``, its fields, is kept as passed (the
+        caller hands over a dict it built for this event)."""
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        self._ring.append(_new_tuple(TraceEvent, (t, core, kind, data)))
         self.emitted += 1
 
     # ------------------------------------------------------------------

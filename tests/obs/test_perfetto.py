@@ -99,10 +99,13 @@ def test_lock_waiter_counter_tracks():
     obs = Observability.capture(trace_capacity=64)
     # Two overlapping waits on "qi" (waits [50,100] and [80,120]) and
     # one on another lock; an uncontended acquire adds no counter.
-    obs.tracer.emit("lock.contend", 100, 1, lock="qi", wait_cycles=50)
-    obs.tracer.emit("lock.contend", 120, 2, lock="qi", wait_cycles=40)
-    obs.tracer.emit("lock.contend", 10, 3, lock="iova", wait_cycles=5)
-    obs.tracer.emit("lock.acquire", 130, 1, lock="qi")
+    obs.tracer.emit("lock.contend", 100, 1,
+                    {"lock": "qi", "wait_cycles": 50})
+    obs.tracer.emit("lock.contend", 120, 2,
+                    {"lock": "qi", "wait_cycles": 40})
+    obs.tracer.emit("lock.contend", 10, 3,
+                    {"lock": "iova", "wait_cycles": 5})
+    obs.tracer.emit("lock.acquire", 130, 1, {"lock": "qi"})
     counters = [ev for ev in perfetto_trace(obs)["traceEvents"]
                 if ev["ph"] == "C" and ev["name"].startswith("lock.waiters:")]
     assert {ev["name"] for ev in counters} \

@@ -1,10 +1,11 @@
 """Request-scoped tracing: recorder semantics + tail attribution.
 
-The unit tests drive :class:`~repro.obs.requests.RequestRecorder`
-directly with a fake core; the acceptance tests run real workloads and
-assert the paper's causal story — the strict scheme's 16-core RX tail
-is invalidation-lock dominated, while the copy scheme's tail pays for
-the copy itself.
+The unit tests drive :class:`~repro.obs.requests.RequestRecorder` with
+a fake core, directly or, where spans make the stages, through
+:class:`~repro.obs.context.Observability`; the acceptance tests run
+real workloads and assert the paper's causal story — the strict
+scheme's 16-core RX tail is invalidation-lock dominated, while the copy
+scheme's tail pays for the copy itself.
 """
 
 import pytest
@@ -72,18 +73,29 @@ def test_nested_begin_folds_into_enclosing_request():
     assert rec.started == rec.completed == 1
 
 
+def _only_record(obs):
+    (record,) = obs.requests.retained()
+    return record
+
+
 def test_stage_self_time_excludes_nested_stages():
-    rec = RequestRecorder()
+    obs = Observability.capture()
     core = FakeCore()
-    rec.begin(core, REQ_RX)
-    rec.on_span_begin(0, "rx_packet", 0)
-    rec.on_span_begin(0, "dma_unmap", 10)
-    rec.on_span_begin(0, "lock_wait", 20)
-    rec.on_span_end(0, "lock_wait", 20, 50)
-    rec.on_span_end(0, "dma_unmap", 10, 70)
-    rec.on_span_end(0, "rx_packet", 0, 80)
+    obs.request_begin(core, REQ_RX)
+    obs.span_begin("rx_packet", core)
+    core.now = 10
+    obs.span_begin("dma_unmap", core)
+    core.now = 20
+    obs.span_begin("lock_wait", core)
+    core.now = 50
+    obs.span_end(core)                     # lock_wait
+    core.now = 70
+    obs.span_end(core)                     # dma_unmap
+    core.now = 80
+    obs.span_end(core)                     # rx_packet
     core.now = 100
-    record = rec.end(core)
+    obs.request_end(core)
+    record = _only_record(obs)
     assert record.stages["lock_wait"] == 30
     assert record.stages["dma_unmap"] == 30       # 60 total - 30 nested
     assert record.stages["rx_packet"] == 20       # 80 total - 60 nested
@@ -96,24 +108,30 @@ def test_stage_self_time_excludes_nested_stages():
 
 
 def test_span_opened_before_request_is_not_attributed():
-    rec = RequestRecorder()
-    core = FakeCore(now=50)
+    obs = Observability.capture()
+    core = FakeCore()
     # The scheduler's step span opened at t=0, before the request.
-    rec.begin(core, REQ_RX)
-    rec.on_span_end(0, "step", 0, 80)     # closing the pre-existing span
+    obs.span_begin("step", core)
+    core.now = 50
+    obs.request_begin(core, REQ_RX)
+    core.now = 80
+    obs.span_end(core)                     # closing the pre-existing span
     core.now = 100
-    record = rec.end(core)
+    obs.request_end(core)
+    record = _only_record(obs)
     assert "step" not in record.stages
     assert record.stages[STAGE_UNATTRIBUTED] == record.latency
 
 
 def test_open_stage_virtually_closed_at_request_end():
-    rec = RequestRecorder()
+    obs = Observability.capture()
     core = FakeCore()
-    rec.begin(core, REQ_RX)
-    rec.on_span_begin(0, "rx_packet", 10)
+    obs.request_begin(core, REQ_RX)
+    core.now = 10
+    obs.span_begin("rx_packet", core)
     core.now = 100                         # request ends mid-span
-    record = rec.end(core)
+    obs.request_end(core)
+    record = _only_record(obs)
     assert record.stages["rx_packet"] == 90
     assert record.stages[STAGE_UNATTRIBUTED] == 10
     assert sum(record.stages.values()) == record.latency
@@ -213,19 +231,17 @@ def test_tail_report_empty_recorder_returns_none():
 
 
 def test_tail_report_blames_the_dominant_stage():
-    rec = RequestRecorder()
+    obs = Observability.capture()
     core = FakeCore()
     for i in range(50):
         core.now = i * 1000
-        rec.begin(core, REQ_RX)
+        obs.request_begin(core, REQ_RX)
         slow = i >= 45
-        rec.on_span_begin(0, "lock_wait" if slow else "copy", core.now)
-        duration = 500 if slow else 50
-        rec.on_span_end(0, "lock_wait" if slow else "copy",
-                        core.now, core.now + duration)
-        core.now += duration
-        rec.end(core)
-    report = tail_report(rec, kind=REQ_RX, percentile=95.0)
+        obs.span_begin("lock_wait" if slow else "copy", core)
+        core.now += 500 if slow else 50
+        obs.span_end(core)
+        obs.request_end(core)
+    report = tail_report(obs.requests, kind=REQ_RX, percentile=95.0)
     assert report["dominant_stage"] == "lock_wait"
     assert report["dominant_protection_stage"] == "lock_wait"
     assert report["tail_profile"]["lock_wait"] > 0.9

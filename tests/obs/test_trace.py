@@ -18,7 +18,7 @@ from repro.obs.trace import (
 def test_null_tracer_is_inert():
     tracer = NullTracer()
     assert tracer.enabled is False
-    tracer.emit(EV_LOCK_ACQUIRE, 10, 0, name="x")  # must not raise
+    tracer.emit(EV_LOCK_ACQUIRE, 10, 0, {"name": "x"})  # must not raise
     assert len(tracer) == 0
     assert tracer.events() == []
 
@@ -26,7 +26,7 @@ def test_null_tracer_is_inert():
 def test_ring_tracer_records_events():
     tracer = RingTracer(capacity=16)
     assert tracer.enabled is True
-    tracer.emit(EV_DMA_MAP, 100, 2, iova=0xdead, size=1500)
+    tracer.emit(EV_DMA_MAP, 100, 2, {"iova": 0xdead, "size": 1500})
     assert len(tracer) == 1
     (ev,) = tracer.events()
     assert ev == TraceEvent(t=100, core=2, kind=EV_DMA_MAP,
@@ -38,7 +38,7 @@ def test_ring_tracer_records_events():
 def test_ring_evicts_oldest_and_counts_dropped():
     tracer = RingTracer(capacity=4)
     for i in range(10):
-        tracer.emit(EV_LOCK_ACQUIRE, i, 0, seq=i)
+        tracer.emit(EV_LOCK_ACQUIRE, i, 0, {"seq": i})
     assert len(tracer) == 4
     assert tracer.emitted == 10
     assert tracer.dropped == 6
@@ -54,8 +54,8 @@ def test_capacity_must_be_positive():
 def test_events_filter_and_counts_by_kind():
     tracer = RingTracer()
     for t in range(3):
-        tracer.emit(EV_LOCK_ACQUIRE, t, 0)
-    tracer.emit(EV_POOL_GROW, 5, 1, nbytes=4096)
+        tracer.emit(EV_LOCK_ACQUIRE, t, 0, {})
+    tracer.emit(EV_POOL_GROW, 5, 1, {"nbytes": 4096})
     assert len(tracer.events(EV_LOCK_ACQUIRE)) == 3
     assert len(tracer.events(EV_POOL_GROW)) == 1
     assert tracer.counts_by_kind() == {EV_LOCK_ACQUIRE: 3, EV_POOL_GROW: 1}
@@ -64,7 +64,7 @@ def test_events_filter_and_counts_by_kind():
 def test_clear_resets_everything():
     tracer = RingTracer(capacity=2)
     for i in range(5):
-        tracer.emit(EV_LOCK_ACQUIRE, i, 0)
+        tracer.emit(EV_LOCK_ACQUIRE, i, 0, {})
     tracer.clear()
     assert len(tracer) == 0
     assert tracer.emitted == 0
@@ -73,8 +73,8 @@ def test_clear_resets_everything():
 
 def test_jsonl_round_trip(tmp_path):
     tracer = RingTracer()
-    tracer.emit(EV_DMA_MAP, 7, 1, iova=4096, scheme="copy")
-    tracer.emit(EV_POOL_GROW, 9, 0, nbytes=65536)
+    tracer.emit(EV_DMA_MAP, 7, 1, {"iova": 4096, "scheme": "copy"})
+    tracer.emit(EV_POOL_GROW, 9, 0, {"nbytes": 65536})
     rows = [json.loads(line) for line in tracer.to_jsonl().splitlines()]
     assert rows == [
         {"t": 7, "core": 1, "kind": EV_DMA_MAP, "iova": 4096,

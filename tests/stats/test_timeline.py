@@ -57,7 +57,7 @@ def test_render_phase_table():
 def test_render_trace_summary():
     tracer = RingTracer(capacity=2)
     for i in range(5):
-        tracer.emit(EV_DMA_MAP, i, 0)
+        tracer.emit(EV_DMA_MAP, i, 0, {})
     text = render_trace_summary(tracer)
     assert EV_DMA_MAP in text
     assert "retained=2 dropped=3" in text
@@ -67,7 +67,7 @@ def test_render_trace_summary():
 def test_render_full_report():
     obs = Observability.capture()
     obs.phase_begin("measure", 0)
-    obs.tracer.emit(EV_DMA_MAP, 5, 0, size=1500)
+    obs.tracer.emit(EV_DMA_MAP, 5, 0, {"size": 1500})
     obs.metrics.counter("dma.maps:copy").inc()
     obs.phase_end(100, busy_cycles=80)
     text = render_observability_report(obs)

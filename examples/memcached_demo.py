@@ -11,6 +11,7 @@ Run:  python3 examples/memcached_demo.py
 """
 
 from repro import MemcachedConfig, run_memcached
+from repro.stats.export import result_to_row
 from repro.stats.reporting import render_memcached_table
 
 SCHEMES = ("no-iommu", "copy", "identity-deferred", "identity-strict")
@@ -25,7 +26,8 @@ def main() -> None:
             warmup_transactions=50))
     print()
     print(render_memcached_table(
-        results, title="memcached, 8 instances (compare paper Fig. 11)"))
+        {scheme: [result_to_row(r)] for scheme, r in results.items()},
+        title="memcached, 8 instances (compare paper Fig. 11)"))
     print()
     copy, base = results["copy"], results["no-iommu"]
     strict = results["identity-strict"]

@@ -13,7 +13,8 @@ Run:  python3 examples/netperf_campaign.py           (single core)
 import os
 
 from repro import FIGURE_SCHEMES, StreamConfig
-from repro.stats.reporting import render_throughput_table
+from repro.stats.export import result_to_row
+from repro.stats.reporting import render_sweep_table
 from repro.workloads.netperf import run_tcp_stream_rx
 
 SIZES = (64, 1024, 16384, 65536)
@@ -32,8 +33,9 @@ def main() -> None:
             for size in SIZES
         ]
     print()
-    print(render_throughput_table(
-        results,
+    print(render_sweep_table(
+        {scheme: [result_to_row(r) for r in runs]
+         for scheme, runs in results.items()},
         title=f"TCP RX throughput/CPU, {cores} core(s) "
               f"(compare paper Fig. {'3' if cores == 1 else '6'})"))
 

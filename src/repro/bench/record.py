@@ -13,9 +13,10 @@ scale sweep's ``analysis``).
 baseline gate alike.
 
 The bench markdown report embeds the paper-fidelity table
-(:mod:`repro.bench.ledger`), the paper-style text tables and two tables
-computed from the series rows (request-latency tails and per-scheme
-exposure), so a record is readable without tooling.
+(:mod:`repro.bench.ledger`) and, rendered from the series rows, each
+registry figure's paper-style text table, the request-latency tails
+and the per-scheme exposure totals, so a record is readable without
+tooling and its ``.md`` is a pure function of it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.ledger import evaluate, render_fidelity
+from repro.bench.runner import FIGURES
 from repro.obs.spans import SpanNode
 from repro.sim.costmodel import CostModel
 from repro.stats.timeline import render_span_tree
@@ -129,6 +131,14 @@ def row_key(figure: str, row: Dict) -> Tuple[str, ...]:
             f"cores={row.get('cores')}", *params)
 
 
+def scheme_points(figure: Dict) -> Dict[str, List[Dict]]:
+    """A figure's series rows grouped by scheme, in point order."""
+    points: Dict[str, List[Dict]] = {}
+    for row in figure.get("series", ()):
+        points.setdefault(row["scheme"], []).append(row)
+    return points
+
+
 def load_record(path: str) -> Dict:
     """Load and minimally validate a record (fail with a clear message)."""
     try:
@@ -171,6 +181,10 @@ def write_record(record: Dict, out_dir: str, base: str,
 # ----------------------------------------------------------------------
 # Markdown report.
 # ----------------------------------------------------------------------
+#: Each registry figure's text-table renderer, by figure name.
+_RENDERERS = {spec.name: spec.render for spec in FIGURES}
+
+
 def _span_highlights(figure: dict, max_schemes: int = 4) -> str:
     """Per-scheme attribution trees, depth-limited for readability."""
     spans = figure.get("spans", {})
@@ -271,9 +285,10 @@ def render_markdown(record: Dict) -> str:
     for name, figure in record.get("figures", {}).items():
         lines.append(f"## {name}: {figure.get('title', '')}")
         lines.append("")
-        report = figure.get("report")
-        if report:
-            lines.extend(["```text", report.rstrip(), "```", ""])
+        render = _RENDERERS.get(name)
+        if render is not None:
+            lines.extend(["```text", render(scheme_points(figure)).rstrip(),
+                          "```", ""])
         highlights = _span_highlights(figure)
         if highlights:
             lines.extend(["```text", highlights, "```", ""])

@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.ledger import broken, evaluate, render_fidelity
@@ -39,10 +40,11 @@ from repro.dma.registry import FIGURE_SCHEMES
 from repro.obs.spans import SpanNode, merge_span_trees
 from repro.stats.export import result_to_row
 from repro.stats.reporting import (
+    SchemeRows,
     render_breakdown_table,
-    render_latency_table,
     render_memcached_table,
-    render_throughput_table,
+    render_sweep_table,
+    text_table,
 )
 from repro.stats.results import RunResult
 
@@ -56,20 +58,18 @@ def default_results_dir() -> str:
 
 # ----------------------------------------------------------------------
 # The figure registry: a figure is a list of run points plus the
-# renderer of its text table.
+# renderer of its text table, a view of the figure's series rows.
 # ----------------------------------------------------------------------
-Results = Dict[str, List[RunResult]]
-
-
 @dataclass(frozen=True)
 class FigureSpec:
     """One registry entry: a named figure's run points at a scale and the
-    renderer of its text table."""
+    renderer of its text table from its rows grouped by scheme
+    (:func:`repro.bench.record.scheme_points`)."""
 
     name: str
     title: str
     points: Callable[[BenchScale], List[RunPoint]]
-    render: Callable[[Results], str]
+    render: Callable[[SchemeRows], str]
 
 
 def _stream_points(scale: BenchScale, workload: str,
@@ -85,15 +85,6 @@ def _stream_points(scale: BenchScale, workload: str,
             for scheme in schemes for n in cores for size in sizes]
 
 
-def _throughput_table(title: str) -> Callable[[Results], str]:
-    return lambda results: render_throughput_table(results, title=title)
-
-
-def _breakdown_table(title: str) -> Callable[[Results], str]:
-    return lambda results: render_breakdown_table(
-        {scheme: runs[0] for scheme, runs in results.items()}, title=title)
-
-
 def _stream_figure(name: str, title: str, workload: str,
                    multi: bool, breakdown: bool = False) -> FigureSpec:
     def points(scale: BenchScale) -> List[RunPoint]:
@@ -101,9 +92,26 @@ def _stream_figure(name: str, title: str, workload: str,
         return _stream_points(scale, workload, FIGURE_SCHEMES, (cores,),
                               scale.message_sizes(name))
 
-    render = _breakdown_table(title) if breakdown \
-        else _throughput_table(title)
-    return FigureSpec(name, title, points, render)
+    render = render_breakdown_table if breakdown else render_sweep_table
+    return FigureSpec(name, title, points, partial(render, title=title))
+
+
+#: Columns of a one-line-per-point table: header and cell of a row.
+_CORES = ("cores", lambda row: str(row["cores"]))
+_GBPS = ("Gb/s", lambda row: f"{row['throughput_gbps']:.2f}")
+_US_PER_UNIT = ("us/unit", lambda row: f"{row['us_per_unit']:.3f}")
+
+
+def _point_table(title: str, columns: Sequence[tuple]) -> Callable[
+        [SchemeRows], str]:
+    """A renderer printing one line per point: its scheme, then
+    ``columns``."""
+    def render(points: SchemeRows) -> str:
+        return "\n".join([title, *text_table(
+            ["scheme", *(head for head, _ in columns)],
+            ([scheme, *(cell(row) for _, cell in columns)]
+             for scheme, rows in points.items() for row in rows))])
+    return render
 
 
 _FIG01_TITLE = "Figure 1: IOMMU protection cost, RX 16KB, 1 vs N cores"
@@ -112,33 +120,10 @@ _FIG01_TITLE = "Figure 1: IOMMU protection cost, RX 16KB, 1 vs N cores"
 _FIG01_SCHEMES = FIGURE_SCHEMES + ("linux-deferred", "linux-strict")
 
 
-def _render_fig01(results: Results) -> str:
-    lines = [_FIG01_TITLE,
-             f"  {'scheme':<20}{'cores':>6}{'Gb/s':>10}{'us/unit':>10}"]
-    for scheme, runs in results.items():
-        for result in runs:
-            lines.append(f"  {scheme:<20}{result.cores:>6}"
-                         f"{result.throughput_gbps:>10.2f}"
-                         f"{result.us_per_unit:>10.3f}")
-    return "\n".join(lines)
-
-
 def _rr_points(scale: BenchScale, sizes: Sequence[int]) -> List[RunPoint]:
     return [sized_point("rr", scheme, size=size,
                         units=scale.rr_transactions, warmup=scale.rr_warmup)
             for scheme in FIGURE_SCHEMES for size in sizes]
-
-
-def _render_storage(results: Results) -> str:
-    lines = ["Storage (§5.5): block I/O ops/s by block size",
-             f"  {'scheme':<20}{'block':>8}{'ops/s':>12}{'Gb/s':>10}"]
-    for scheme, runs in results.items():
-        for result in runs:
-            tps = result.transactions_per_sec or 0.0
-            lines.append(
-                f"  {scheme:<20}{result.params['block_size']:>8}"
-                f"{tps:>12,.0f}{result.throughput_gbps:>10.2f}")
-    return "\n".join(lines)
 
 
 #: Schemes of the scalable-invalidation figure: the paper's strict
@@ -151,25 +136,6 @@ SCALINV_SCHEMES = ("identity-strict", "identity-strict-percore",
 _FIG_SCALINV_TITLE = ("Scalable invalidation: strict vs per-core queues "
                       "vs copy, RX 16KB core sweep")
 
-
-def _render_scalinv(results: Results) -> str:
-    """Exposure columns ride along in the series rows (every registry
-    run is captured), so the record gates both sides of the trade:
-    throughput scaling *and* stale-window byte·cycles per remedy."""
-    lines = [_FIG_SCALINV_TITLE,
-             f"  {'scheme':<28}{'cores':>6}{'Gb/s':>10}{'us/unit':>10}"
-             f"{'stale byte-cycles':>20}"]
-    for scheme, runs in results.items():
-        for result in runs:
-            exposure = result.extras.get("exposure") or {}
-            stale = exposure.get("stale_byte_cycles", 0)
-            lines.append(f"  {scheme:<28}{result.cores:>6}"
-                         f"{result.throughput_gbps:>10.2f}"
-                         f"{result.us_per_unit:>10.3f}"
-                         f"{stale:>20,}")
-    return "\n".join(lines)
-
-
 #: The registry, in the paper's figure order.
 FIGURES: Tuple[FigureSpec, ...] = (
     FigureSpec(
@@ -177,7 +143,7 @@ FIGURES: Tuple[FigureSpec, ...] = (
         lambda scale: _stream_points(scale, "stream", _FIG01_SCHEMES,
                                      (1, scale.multi_cores),
                                      scale.message_sizes("fig01")),
-        _render_fig01),
+        _point_table(_FIG01_TITLE, (_CORES, _GBPS, _US_PER_UNIT))),
     _stream_figure("fig03", "Figure 3: single-core TCP RX",
                    "stream", multi=False),
     _stream_figure("fig04", "Figure 4: single-core TCP TX",
@@ -193,13 +159,13 @@ FIGURES: Tuple[FigureSpec, ...] = (
     FigureSpec(
         "fig09", "Figure 9: TCP_RR latency",
         lambda scale: _rr_points(scale, scale.message_sizes("fig09")),
-        lambda results: render_latency_table(
-            results, title="Figure 9: TCP_RR latency (netperf TCP_RR)")),
+        partial(render_sweep_table, metric="latency",
+                title="Figure 9: TCP_RR latency (netperf TCP_RR)")),
     FigureSpec(
         "fig10", "Figure 10: TCP_RR CPU breakdown",
         lambda scale: _rr_points(scale, scale.message_sizes("fig10")),
-        _breakdown_table(
-            "Figure 10: TCP_RR CPU breakdown per transaction [us], 64KB")),
+        partial(render_breakdown_table, title=(
+            "Figure 10: TCP_RR CPU breakdown per transaction [us], 64KB"))),
     FigureSpec(
         "fig11", "Figure 11: memcached",
         lambda scale: [sized_point("memcached", scheme,
@@ -207,9 +173,8 @@ FIGURES: Tuple[FigureSpec, ...] = (
                                    units=scale.memcached_tpc,
                                    warmup=scale.memcached_warmup)
                        for scheme in FIGURE_SCHEMES],
-        lambda results: render_memcached_table(
-            {scheme: runs[0] for scheme, runs in results.items()},
-            title="Figure 11: memcached + memslap")),
+        partial(render_memcached_table,
+                title="Figure 11: memcached + memslap")),
     FigureSpec(
         "storage", "Storage block I/O",
         lambda scale: [sized_point("storage", scheme, size=block_size,
@@ -217,13 +182,22 @@ FIGURES: Tuple[FigureSpec, ...] = (
                                    warmup=scale.storage_warmup)
                        for scheme in FIGURE_SCHEMES
                        for block_size in scale.storage_block_sizes],
-        _render_storage),
+        _point_table("Storage (§5.5): block I/O ops/s by block size", (
+            ("block", lambda row: str(row["param_block_size"])),
+            ("ops/s", lambda row: f"{row['transactions_per_sec'] or 0:,.0f}"),
+            _GBPS))),
     FigureSpec(
         "fig_scalinv", _FIG_SCALINV_TITLE,
         lambda scale: _stream_points(scale, "stream", SCALINV_SCHEMES,
                                      scale.scalinv_cores,
                                      scale.message_sizes("fig_scalinv")),
-        _render_scalinv),
+        # Exposure columns ride along in the series rows (every registry
+        # run is captured), so the record gates both sides of the trade:
+        # throughput scaling *and* stale-window byte·cycles per remedy.
+        _point_table(_FIG_SCALINV_TITLE, (
+            _CORES, _GBPS, _US_PER_UNIT,
+            ("stale byte-cycles", lambda row:
+                f"{row.get('exposure_stale_byte_cycles', 0):,}")))),
 )
 
 FIGURE_NAMES = tuple(spec.name for spec in FIGURES)
@@ -260,21 +234,19 @@ def _run_captured(point: RunPoint) -> Tuple[RunResult, SpanNode]:
 def _figure(spec: FigureSpec, points: Sequence[RunPoint],
             runs: Sequence[Tuple[RunResult, SpanNode]]) -> dict:
     """One figure as a view of its points' runs, in point order: one
-    series row per point, one merged span tree per scheme, and the
-    rendered table."""
-    results: Results = {}
+    series row per point and one merged span tree per scheme.  Its text
+    table renders from the rows
+    (:func:`repro.bench.record.render_markdown`), so the figure holds
+    no rendered text."""
     trees: Dict[str, List[SpanNode]] = {}
-    for point, (result, tree) in zip(points, runs):
-        results.setdefault(point.scheme, []).append(result)
+    for point, (_, tree) in zip(points, runs):
         trees.setdefault(point.scheme, []).append(tree)
     return {
         "title": spec.title,
         "series": [dict(result_to_row(result), figure=spec.name)
-                   for scheme_runs in results.values()
-                   for result in scheme_runs],
+                   for result, _ in runs],
         "spans": {scheme: merge_span_trees(scheme_trees).to_dict()
                   for scheme, scheme_trees in trees.items()},
-        "report": spec.render(results),
     }
 
 

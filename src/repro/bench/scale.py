@@ -38,9 +38,9 @@ from repro.bench.points import (
     sized_point,
     throughput_entry,
 )
-from repro.bench.record import build_record, write_record
+from repro.bench.record import build_record, scheme_points, write_record
 from repro.bench.runner import default_results_dir
-from repro.dma.registry import ALL_SCHEMES, PAPER_ALIASES
+from repro.dma.registry import resolve_scheme
 from repro.obs.scaling import (
     analyze_scheme,
     contention_matrix,
@@ -153,15 +153,7 @@ def _sweep_point(point: RunPoint) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 def resolve_schemes(schemes: Sequence[str]) -> List[str]:
     """Canonicalize scheme names (paper aliases allowed), fail fast."""
-    resolved: List[str] = []
-    for name in schemes:
-        canonical = PAPER_ALIASES.get(name, name)
-        if canonical not in ALL_SCHEMES:
-            raise SystemExit(
-                f"error: unknown scheme {name!r}; "
-                f"choices: {', '.join(sorted(ALL_SCHEMES))}")
-        if canonical not in resolved:
-            resolved.append(canonical)
+    resolved = list(dict.fromkeys(resolve_scheme(name) for name in schemes))
     if not resolved:
         raise SystemExit("error: no schemes to sweep")
     return resolved
@@ -208,15 +200,6 @@ def build_sweep(workload: str, schemes: Sequence[str],
         sum(point["wall_cycles"] for point, _ in built),
         sum(seconds for _, seconds in built))}
     return rows, throughput
-
-
-def scheme_points(figure: Dict) -> Dict[str, List[Dict]]:
-    """The ``scale`` figure's series rows grouped by scheme, in sweep
-    order."""
-    points: Dict[str, List[Dict]] = {}
-    for row in figure.get("series", ()):
-        points.setdefault(row["scheme"], []).append(row)
-    return points
 
 
 def build_scale_record(workload: str, schemes: Sequence[str],

@@ -30,7 +30,12 @@ from typing import Iterable, Sequence
 from repro.attacks.audit import audit_all, render_audit_exposure, \
     render_table1
 from repro.bench.points import RunPoint, run_observed, sized_point
-from repro.dma.registry import ALL_SCHEMES, PAPER_ALIASES, scheme_properties
+from repro.dma.registry import (
+    ALL_SCHEMES,
+    PAPER_ALIASES,
+    resolve_scheme,
+    scheme_properties,
+)
 from repro.errors import (
     AllocationError,
     ConfigurationError,
@@ -116,12 +121,10 @@ def _positive_int(value: str) -> int:
 
 
 def _scheme(value: str) -> str:
-    resolved = PAPER_ALIASES.get(value, value)
-    if resolved not in ALL_SCHEMES:
-        raise argparse.ArgumentTypeError(
-            f"unknown scheme {value!r}; choices: "
-            f"{', '.join(ALL_SCHEMES)} (aliases: identity+, identity-)")
-    return resolved
+    try:
+        return resolve_scheme(value)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,7 +525,7 @@ def cmd_chaos(args) -> int:
 
     seeds = tuple(args.seed) if args.seed else (1,)
     if args.schemes is not None:
-        schemes = tuple(_scheme(s.strip())
+        schemes = tuple(resolve_scheme(s.strip())
                         for s in args.schemes.split(",") if s.strip())
         if not schemes:
             raise ConfigurationError(f"empty scheme list {args.schemes!r}")
@@ -618,7 +621,7 @@ def _dispatch(args) -> int:
     if args.command == "diff":
         from repro.obs.diff.command import run_diff
 
-        schemes = [_scheme(s.strip())
+        schemes = [resolve_scheme(s.strip())
                    for s in args.schemes.split(",") if s.strip()]
         mode = "full" if args.full else "quick"
         return run_diff(paths=args.paths, workload=args.workload,

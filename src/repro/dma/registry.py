@@ -129,12 +129,20 @@ ALL_SCHEMES = tuple(_PROPERTIES)
 FIGURE_SCHEMES = ("no-iommu", "copy", "identity-deferred", "identity-strict")
 
 
+def resolve_scheme(name: str) -> str:
+    """The canonical name of scheme ``name``, a paper alias allowed; an
+    unknown name raises :class:`~repro.errors.ConfigurationError`
+    listing every scheme and alias."""
+    canonical = PAPER_ALIASES.get(name, name)
+    if canonical not in _PROPERTIES:
+        raise ConfigurationError(
+            f"unknown scheme {name!r}; choices: {', '.join(ALL_SCHEMES)}; "
+            f"aliases: {', '.join(PAPER_ALIASES)}")
+    return canonical
+
+
 def scheme_properties(name: str) -> SchemeProperties:
-    name = PAPER_ALIASES.get(name, name)
-    try:
-        return _PROPERTIES[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown scheme {name!r}") from None
+    return _PROPERTIES[resolve_scheme(name)]
 
 
 def create_dma_api(name: str, machine: Machine, iommu: Iommu | None,
@@ -146,7 +154,7 @@ def create_dma_api(name: str, machine: Machine, iommu: Iommu | None,
     pass through to scheme-specific constructors (e.g. ``sticky=False``
     or ``size_classes=...`` for ``copy``).
     """
-    name = PAPER_ALIASES.get(name, name)
+    name = resolve_scheme(name)
     api = _build_dma_api(name, machine, iommu, device_id, allocators,
                          **scheme_kwargs)
     # Single rebind point: every scheme observes through the machine's
@@ -221,8 +229,6 @@ def _build_dma_api(name: str, machine: Machine, iommu: Iommu | None,
             SpinLock("iova-depot", machine.cost, obs=machine.obs)),
         "identity": lambda: IdentityIovaAllocator(machine.cost),
     }
-    if iova_kind not in makers or policy not in ("strict", "deferred"):
-        raise ConfigurationError(f"unknown scheme {name!r}")
     iova_allocator = makers[iova_kind]()
     if policy == "strict":
         return StrictZeroCopyDmaApi(machine, iommu, device_id, allocators,

@@ -52,6 +52,7 @@ from repro.faults.plan import (
 from repro.net.packets import build_frame
 from repro.obs.context import Observability
 from repro.sim.units import TCP_MSS
+from repro.stats.reporting import text_table
 from repro.system import System, SystemConfig
 
 #: Named fault mixes for the soak matrix.  Rates are per-consult, so a
@@ -247,7 +248,6 @@ def run_chaos(scheme: str, plan: FaultPlan, *, cores: int = 1,
     system.setup_queues()
 
     machine = system.machine
-    queues = system.config.resolved_queues()
     frame = build_frame(TCP_MSS)
     attacker = AttackerDevice(system.dma_api.port())
     burst_rng = random.Random(site_seed(plan.seed, SITE_ATTACK_BURST) ^
@@ -258,8 +258,8 @@ def run_chaos(scheme: str, plan: FaultPlan, *, cores: int = 1,
 
     injector.start()
     for i in range(units):
-        qid = i % queues
-        core = machine.core(qid % machine.num_cores)
+        qid = i % cores
+        core = machine.core(qid)
         result.rx_offered += 1
         if system.driver.receive_one(core, qid, frame) is not None:
             result.rx_delivered += 1
@@ -340,12 +340,9 @@ def soak_matrix(schemes: Sequence[str] = ALL_SCHEMES,
 
 
 def render_soak_report(rows: Sequence[SoakRow]) -> str:
-    """Human-readable degradation report for a soak matrix."""
-    lines = [
-        f"{'scheme':<20}{'mix':<14}{'seed':>5}{'rx':>7}{'drop%':>8}"
-        f"{'degr%':>8}{'recoveries':>12}  status",
-        "-" * 84,
-    ]
+    """Human-readable degradation report for a soak matrix; each failed
+    run's violations follow the table."""
+    body = []
     for row in rows:
         r = row.result
         dropped = r.rx_offered - r.rx_delivered
@@ -354,14 +351,18 @@ def render_soak_report(rows: Sequence[SoakRow]) -> str:
                       + r.recovery.get("rx_refill_recoveries", 0)
                       + r.recovery.get("tx_ring_recoveries", 0)
                       + r.recovery.get("bounce_maps", 0))
-        status = "ok" if r.ok else "FAIL: " + "; ".join(r.violations)
-        lines.append(
-            f"{r.scheme:<20}{row.mix:<14}{r.seed:>5}{r.rx_delivered:>7}"
-            f"{drop_pct:>8.1f}{row.degradation_pct:>8.1f}"
-            f"{recoveries:>12}  {status}")
-    failures = sum(1 for row in rows if not row.result.ok)
-    lines.append("-" * 84)
-    lines.append(f"{len(rows)} runs, {failures} invariant failure(s)")
+        body.append([r.scheme, row.mix, str(r.seed), str(r.rx_delivered),
+                     f"{drop_pct:.1f}", f"{row.degradation_pct:.1f}",
+                     str(recoveries), "ok" if r.ok else "FAIL"])
+    table = text_table(["scheme", "mix", "seed", "rx", "drop%", "degr%",
+                        "recoveries", "status"], body)
+    rule = "-" * len(table[0])
+    lines = [table[0], rule, *table[1:], rule]
+    failed = [row for row in rows if not row.result.ok]
+    lines.extend(f"FAIL {row.result.scheme} {row.mix} seed "
+                 f"{row.result.seed}: {'; '.join(row.result.violations)}"
+                 for row in failed)
+    lines.append(f"{len(rows)} runs, {len(failed)} invariant failure(s)")
     # The bench throughput section, for soaks: long chaos runs also
     # track simulator speed, so an event-loop regression shows up here
     # before it shows up as a CI timeout.

@@ -82,7 +82,6 @@ class _PageState:
 
     kind: str
     refcount: int
-    installed_at: int
     #: Set when a ``dma_unmap`` returned while the PTE stayed installed
     #: (self-invalidating disarm, shared-page co-location): the OS no
     #: longer considers the buffer device-owned from this instant.
@@ -94,7 +93,6 @@ class _StalePage:
     """A page whose PTE is gone but whose IOTLB entry may survive."""
 
     kind: str
-    unmapped_at: int
     #: When the driver regained ownership (``dma_unmap`` return); the
     #: stale window is measured from here.  ``None`` until the enclosing
     #: ``dma_unmap`` completes.
@@ -277,8 +275,7 @@ class ExposureAccountant:
                 self._finalize_stale(dom, sp, stamp)
             state = pages.get(page)
             if state is None:
-                pages[page] = _PageState(kind=kind, refcount=1,
-                                         installed_at=stamp)
+                pages[page] = _PageState(kind=kind, refcount=1)
             else:
                 state.refcount += 1
                 state.os_released_at = None
@@ -306,8 +303,7 @@ class ExposureAccountant:
             dom.remember(page, unmap_t=stamp)
             if page in cached_pages:
                 dom.stale[page] = _StalePage(
-                    kind=state.kind, unmapped_at=stamp,
-                    released_at=state.os_released_at)
+                    kind=state.kind, released_at=state.os_released_at)
         self._sample_surface(t)
 
     def note_invalidate_pages(self, t: int, domain_id: int,

@@ -2,10 +2,10 @@
 
 from repro.stats.reporting import (
     render_breakdown_table,
-    render_latency_table,
     render_memcached_table,
     render_property_matrix,
-    render_throughput_table,
+    render_sweep_table,
+    text_table,
 )
 from repro.stats.analytical import (
     copy_invalidate_breakeven_bytes,
@@ -25,9 +25,8 @@ from repro.stats.timeline import (
 
 __all__ = [
     "RunResult",
-    "render_throughput_table",
+    "render_sweep_table",
     "render_breakdown_table",
-    "render_latency_table",
     "render_property_matrix",
     "render_memcached_table",
     "predict_rx",
@@ -35,6 +34,7 @@ __all__ = [
     "copy_invalidate_breakeven_bytes",
     "strict_saturation_gbps",
     "result_to_row",
+    "text_table",
     "render_histogram",
     "render_metrics_summary",
     "render_observability_report",

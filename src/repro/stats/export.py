@@ -1,10 +1,10 @@
 """Flatten run results into plain rows for external analysis.
 
-The benchmark harness prints paper-style text tables; this module gives
-downstream users a machine-readable form of the same data — one row per
-:class:`~repro.stats.results.RunResult`, with the breakdown flattened
-into per-category columns.  Bench records, and the record a workload
-command writes with ``--json``, carry these rows.
+One row per :class:`~repro.stats.results.RunResult`, with the
+breakdown flattened into per-category columns.  Bench records, and the
+record a workload command writes with ``--json``, carry these rows, and
+the paper-style text tables (:mod:`repro.stats.reporting`) render from
+them.
 """
 
 from __future__ import annotations

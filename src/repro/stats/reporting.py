@@ -5,6 +5,11 @@ throughput and CPU per message size (Figures 3/4/6/7/9), per-packet time
 breakdowns (Figures 5/8/10), the memcached bars (Figure 11), and the
 Table 1 property matrix.  Everything renders as aligned monospace text —
 the repository's "figures" are these series, per the reproduction brief.
+
+A figure table is a view of its series rows (the
+:func:`repro.stats.export.result_to_row` dicts) grouped by scheme, in
+point order, so a stored record re-renders its own tables.  Every table
+lays its cells out through :func:`text_table`.
 """
 
 from __future__ import annotations
@@ -12,7 +17,23 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence
 
 from repro.hw.cpu import ALL_CATEGORIES
-from repro.stats.results import RunResult
+
+#: A figure's series rows grouped by scheme, in point order.
+SchemeRows = Dict[str, List[dict]]
+
+
+def text_table(header: Sequence[str],
+               rows: Iterable[Sequence[str]]) -> List[str]:
+    """Lay formatted cells out as aligned lines: each column as wide as
+    its widest cell (header included), two spaces apart, the first
+    column left-aligned and the rest right-aligned."""
+    table = [list(header), *(list(row) for row in rows)]
+    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+    return ["  ".join([row[0].ljust(widths[0]),
+                       *(cell.rjust(width)
+                         for cell, width in zip(row[1:], widths[1:]))])
+            .rstrip()
+            for row in table]
 
 
 def _fmt_size(size: int) -> str:
@@ -21,92 +42,76 @@ def _fmt_size(size: int) -> str:
     return f"{size}B"
 
 
-def render_throughput_table(results: Dict[str, List[RunResult]],
-                            param: str = "message_size",
-                            baseline: str = "no-iommu",
-                            title: str = "") -> str:
-    """Render throughput [Gb/s], relative throughput, CPU [%], relative CPU
-    — the four panels of the paper's throughput figures — as one table."""
-    schemes = list(results)
-    sizes = [r.params[param] for r in results[schemes[0]]]
-    base = {r.params[param]: r for r in results.get(baseline, results[schemes[0]])}
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    header = f"{'scheme':<18}" + "".join(
-        f"{_fmt_size(s):>10}" for s in sizes)
-    for panel, getter in (
-        ("throughput [Gb/s]", lambda r, b: f"{r.throughput_gbps:10.2f}"),
-        ("relative throughput", lambda r, b:
-            f"{(r.throughput_gbps / b.throughput_gbps if b.throughput_gbps else 0):10.2f}"),
-        ("cpu [%]", lambda r, b: f"{100 * r.cpu_utilization:10.1f}"),
-        ("relative cpu", lambda r, b:
-            f"{(r.cpu_utilization / b.cpu_utilization if b.cpu_utilization else 0):10.2f}"),
+def _ratio(value: float, base: float) -> float:
+    return value / base if base else 0.0
+
+
+#: The scheme every relative column divides by.
+BASELINE = "no-iommu"
+
+
+#: The headline metric of a sweep: its panel title, row column and
+#: printed decimal places.
+SWEEP_METRICS = {
+    "throughput": ("throughput [Gb/s]", "throughput_gbps", 2),
+    "latency": ("latency [us]", "latency_us", 1),
+}
+
+
+def render_sweep_table(points: SchemeRows, metric: str = "throughput",
+                       title: str = "") -> str:
+    """The four panels of the paper's sweep figures — the metric, the
+    metric relative to :data:`BASELINE`, CPU [%] and relative CPU — with
+    one column per message size: throughput for Figures 3/4/6/7,
+    latency for Figure 9."""
+    label, key, places = SWEEP_METRICS[metric]
+    first = next(iter(points.values()))
+    size = "param_message_size"
+    base = {row[size]: row for row in points.get(BASELINE, first)}
+    header = ["scheme", *(_fmt_size(row[size]) for row in first)]
+    lines: List[str] = [title] if title else []
+    for panel, cell in (
+        (label, lambda row, b: f"{row[key] or 0:.{places}f}"),
+        (f"relative {metric}", lambda row, b:
+            f"{_ratio(row[key] or 0, b[key]):.2f}"),
+        ("cpu [%]", lambda row, b: f"{100 * row['cpu_utilization']:.1f}"),
+        ("relative cpu", lambda row, b:
+            f"{_ratio(row['cpu_utilization'], b['cpu_utilization']):.2f}"),
     ):
         lines.append(f"--- {panel} ---")
-        lines.append(header)
-        for scheme in schemes:
-            row = f"{scheme:<18}"
-            for r in results[scheme]:
-                b = base[r.params[param]]
-                row += getter(r, b)
-            lines.append(row)
+        lines.extend(text_table(header, (
+            [scheme, *(cell(row, base[row[size]]) for row in rows)]
+            for scheme, rows in points.items())))
         lines.append("")
     return "\n".join(lines)
 
 
-def render_breakdown_table(results: Dict[str, RunResult],
-                           title: str = "") -> str:
-    """Per-packet time breakdown in µs (the paper's Figures 5/8/10 bars)."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    schemes = list(results)
-    lines.append(f"{'category':<24}" + "".join(f"{s:>14}" for s in schemes))
-    for cat in ALL_CATEGORIES:
-        row = f"{cat:<24}"
-        for scheme in schemes:
-            row += f"{results[scheme].breakdown_us_per_unit()[cat]:14.3f}"
-        lines.append(row)
-    row = f"{'TOTAL (us/unit)':<24}"
-    for scheme in schemes:
-        row += f"{results[scheme].us_per_unit:14.3f}"
-    lines.append(row)
-    row = f"{'throughput (Gb/s)':<24}"
-    for scheme in schemes:
-        row += f"{results[scheme].throughput_gbps:14.2f}"
-    lines.append(row)
+def render_breakdown_table(points: SchemeRows, title: str = "") -> str:
+    """Per-packet time breakdown in µs (the paper's Figures 5/8/10 bars),
+    one column per row."""
+    columns = [(scheme, row) for scheme, rows in points.items()
+               for row in rows]
+    body = [[category, *(f"{row['us_' + category.replace(' ', '_')]:.3f}"
+                         for _, row in columns)]
+            for category in ALL_CATEGORIES]
+    body.append(["TOTAL (us/unit)",
+                 *(f"{row['us_per_unit']:.3f}" for _, row in columns)])
+    body.append(["throughput (Gb/s)",
+                 *(f"{row['throughput_gbps']:.2f}" for _, row in columns)])
+    lines = [title] if title else []
+    lines.extend(text_table(["category", *(s for s, _ in columns)], body))
     return "\n".join(lines)
 
 
-def render_latency_table(results: Dict[str, List[RunResult]],
-                         param: str = "message_size",
-                         baseline: str = "no-iommu",
-                         title: str = "") -> str:
-    """Latency [µs], relative latency, CPU [%], relative CPU (Figure 9)."""
-    schemes = list(results)
-    sizes = [r.params[param] for r in results[schemes[0]]]
-    base = {r.params[param]: r for r in results.get(baseline, results[schemes[0]])}
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    header = f"{'scheme':<18}" + "".join(f"{_fmt_size(s):>10}" for s in sizes)
-    for panel, getter in (
-        ("latency [us]", lambda r, b: f"{(r.latency_us or 0):10.1f}"),
-        ("relative latency", lambda r, b:
-            f"{((r.latency_us or 0) / b.latency_us if b.latency_us else 0):10.2f}"),
-        ("cpu [%]", lambda r, b: f"{100 * r.cpu_utilization:10.1f}"),
-        ("relative cpu", lambda r, b:
-            f"{(r.cpu_utilization / b.cpu_utilization if b.cpu_utilization else 0):10.2f}"),
-    ):
-        lines.append(f"--- {panel} ---")
-        lines.append(header)
-        for scheme in schemes:
-            row = f"{scheme:<18}"
-            for r in results[scheme]:
-                row += getter(r, base[r.params[param]])
-            lines.append(row)
-        lines.append("")
+def render_memcached_table(points: SchemeRows, title: str = "") -> str:
+    """memcached transactions/s + CPU (Figure 11 bars)."""
+    base = points.get(BASELINE, [{}])[0].get("transactions_per_sec")
+    lines = [title] if title else []
+    lines.extend(text_table(["scheme", "Mtps", "rel", "cpu %"], (
+        [scheme, f"{(row['transactions_per_sec'] or 0.0) / 1e6:.3f}",
+         f"{_ratio(row['transactions_per_sec'] or 0.0, base):.2f}",
+         f"{100 * row['cpu_utilization']:.1f}"]
+        for scheme, rows in points.items() for row in rows)))
     return "\n".join(lines)
 
 
@@ -115,16 +120,21 @@ def render_property_matrix(rows: Sequence[tuple[str, Dict[str, bool]]],
                            title: str = "Table 1") -> str:
     """The Table 1 ✓/✗ matrix (verified empirically by the audit)."""
     columns = list(columns)
-    label_w = max([34] + [len(label) + 2 for label, _ in rows])
-    lines = [title,
-             f"{'scheme':<{label_w}}" + "".join(f"{c:>25}" for c in columns)]
-    for label, props in rows:
-        row = f"{label:<{label_w}}"
-        for col in columns:
-            mark = "yes" if props.get(col) else "-"
-            row += f"{mark:>25}"
-        lines.append(row)
-    return "\n".join(lines)
+    return "\n".join([title, *text_table(["scheme", *columns], (
+        [label, *("yes" if props.get(col) else "-" for col in columns)]
+        for label, props in rows))])
+
+
+#: The exposure report's columns: header and summary key.
+_EXPOSURE_COLUMNS = (
+    ("stale B*cyc", "stale_byte_cycles"),
+    ("max win cyc", "stale_peak_window_cycles"),
+    ("stale hits", "stale_accesses"),
+    ("excess B*cyc", "granularity_excess_byte_cycles"),
+    ("peak excess B", "peak_excess_bytes"),
+    ("surface B", "peak_surface_bytes"),
+    ("faults", "faults"),
+)
 
 
 def render_exposure_report(rows: Sequence[tuple[str, Dict[str, object] | None]],
@@ -134,48 +144,17 @@ def render_exposure_report(rows: Sequence[tuple[str, Dict[str, object] | None]],
     ``rows`` pairs a scheme label with its exposure summary — ``None``
     marks a scheme with no IOMMU domain at all (no-iommu, SWIOTLB),
     where the device's reach is not bounded by translation in the
-    first place.
+    first place; its cells read ``n/a``.
     """
-    label_w = max([34] + [len(label) + 2 for label, _ in rows])
-    lines = [title,
-             f"{'scheme':<{label_w}}{'stale B*cyc':>14}{'max win cyc':>12}"
-             f"{'stale hits':>11}{'excess B*cyc':>14}{'peak excess B':>14}"
-             f"{'surface B':>11}{'faults':>8}"]
-    unprotected = "- unprotected: device reach not bounded by translation -"
-    for label, summary in rows:
-        if summary is None:
-            lines.append(f"{label:<{label_w}}{unprotected:^84}")
-            continue
-        lines.append(
-            f"{label:<{label_w}}"
-            f"{summary.get('stale_byte_cycles', 0):>14}"
-            f"{summary.get('stale_peak_window_cycles', 0):>12}"
-            f"{summary.get('stale_accesses', 0):>11}"
-            f"{summary.get('granularity_excess_byte_cycles', 0):>14}"
-            f"{summary.get('peak_excess_bytes', 0):>14}"
-            f"{summary.get('peak_surface_bytes', 0):>11}"
-            f"{summary.get('faults', 0):>8}")
-    lines.append("")
-    lines.append("stale B*cyc: byte-cycles device-reachable after OS unmap "
-                 "(deferred window); excess B*cyc: OS bytes beyond the "
-                 "requested range (page granularity), integrated over the "
-                 "mapping lifetime.")
-    return "\n".join(lines)
-
-
-def render_memcached_table(results: Dict[str, RunResult],
-                           baseline: str = "no-iommu",
-                           title: str = "") -> str:
-    """memcached transactions/s + CPU (Figure 11 bars)."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    lines.append(f"{'scheme':<20}{'Mtps':>10}{'rel':>8}{'cpu %':>8}")
-    base = results.get(baseline)
-    for scheme, r in results.items():
-        tps = (r.transactions_per_sec or 0.0) / 1e6
-        rel = (tps * 1e6 / base.transactions_per_sec
-               if base and base.transactions_per_sec else 0.0)
-        lines.append(f"{scheme:<20}{tps:>10.3f}{rel:>8.2f}"
-                     f"{100 * r.cpu_utilization:>8.1f}")
-    return "\n".join(lines)
+    return "\n".join([
+        title,
+        *text_table(["scheme", *(head for head, _ in _EXPOSURE_COLUMNS)], (
+            [label, *("n/a" if summary is None else str(summary.get(key, 0))
+                      for _, key in _EXPOSURE_COLUMNS)]
+            for label, summary in rows)),
+        "",
+        "n/a: unprotected, device reach not bounded by translation; "
+        "stale B*cyc: byte-cycles device-reachable after OS unmap "
+        "(deferred window); excess B*cyc: OS bytes beyond the requested "
+        "range (page granularity), integrated over the mapping lifetime.",
+    ])

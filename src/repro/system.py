@@ -35,7 +35,6 @@ class SystemConfig:
     scheme: str = "copy"
     cores: int = 1
     numa_nodes: int = 2
-    nic_queues: Optional[int] = None   # default: one per core
     rx_ring_size: int = 512
     tx_ring_size: int = 512
     rx_buf_size: int = 2048
@@ -48,9 +47,6 @@ class SystemConfig:
     obs: Optional[Observability] = None
     #: Fault injector (see repro.faults); None → disabled.
     faults: Optional[Any] = None
-
-    def resolved_queues(self) -> int:
-        return self.nic_queues if self.nic_queues is not None else self.cores
 
 
 class System:
@@ -82,7 +78,7 @@ class System:
                                  NIC_DEVICE_ID, allocators,
                                  **config.scheme_kwargs)
         nic = Nic(device_id=NIC_DEVICE_ID, port=dma_api.port(),
-                  num_queues=config.resolved_queues(),
+                  num_queues=config.cores,
                   keep_frames=config.keep_frames)
         nic.faults = machine.faults
         driver = NicDriver(machine, allocators, dma_api, nic,
@@ -105,18 +101,16 @@ class System:
         if self._queues_ready:
             return
         with self.machine.obs.exposure_only():
-            for qid in range(self.config.resolved_queues()):
-                core = self.machine.core(qid % self.machine.num_cores)
-                self.driver.setup_queue(core, qid)
+            for qid in range(self.config.cores):
+                self.driver.setup_queue(self.machine.core(qid), qid)
         self._queues_ready = True
 
     def teardown_queues(self) -> None:
         if not self._queues_ready:
             return
         with self.machine.obs.exposure_only():
-            for qid in range(self.config.resolved_queues()):
-                core = self.machine.core(qid % self.machine.num_cores)
-                self.driver.teardown_queue(core, qid)
+            for qid in range(self.config.cores):
+                self.driver.teardown_queue(self.machine.core(qid), qid)
         self._queues_ready = False
 
     @property

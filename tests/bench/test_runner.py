@@ -9,6 +9,7 @@ one span tree per scheme.
 import copy
 import json
 import os
+import re
 
 import pytest
 
@@ -18,14 +19,17 @@ from repro.bench.record import (
     load_record,
     record_basename,
     render_markdown,
+    scheme_points,
     write_record,
 )
 from repro.bench.runner import (
     FIGURE_NAMES,
     FIGURE_SCHEMES,
+    FIGURES,
     build_figures,
     select_figures,
 )
+from repro.dma.registry import ALL_SCHEMES
 from repro.bench.scales import QUICK_SCALE, BenchScale
 from repro.obs.spans import SpanNode
 from repro.sim.costmodel import CostModel
@@ -81,7 +85,8 @@ def test_figure_build_produces_series_and_spans(fig03_data):
     assert set(fig03_data["spans"]) == set(FIGURE_SCHEMES)
     strict = SpanNode.from_dict(fig03_data["spans"]["identity-strict"])
     assert strict.child_cycles > 0
-    assert "Figure 3" in fig03_data["report"]
+    # The record holds facts only: its table renders from the rows.
+    assert set(fig03_data) == {"title", "series", "spans"}
 
 
 def test_record_round_trip(tmp_path, fig03_data):
@@ -102,9 +107,55 @@ def test_record_round_trip(tmp_path, fig03_data):
 
     markdown = render_markdown(record)
     assert "## fig03" in markdown
+    assert "Figure 3: single-core TCP RX" in markdown
     assert "spans — identity-strict" in markdown
+    # The report is a view of the record: re-rendering the loaded JSON
+    # reproduces the written markdown byte for byte.
     with open(md_path) as fh:
-        assert fh.read() == markdown
+        written = fh.read()
+    assert written == markdown
+    assert render_markdown(load_record(json_path)) == written
+
+
+BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                        "benchmarks", "results", "baseline.json")
+
+
+def _glued_scheme(line: str):
+    """The first token of ``line`` that runs a scheme name into the
+    text after it (another scheme, a digit, a word), or ``None``."""
+    names = "|".join(map(re.escape, sorted(ALL_SCHEMES, key=len,
+                                           reverse=True)))
+    for match in re.finditer(rf"(?<!\S)((?:{names})+)(\S*)", line):
+        glued, rest = match.groups()
+        if glued not in ALL_SCHEMES or rest[:1].isalnum():
+            return match.group(0)
+    return None
+
+
+def test_baseline_tables_render_from_rows_with_schemes_apart():
+    """Every figure of the checked-in baseline renders its table from
+    its series rows alone, the report embeds it, and every scheme name
+    a table prints stands as its own token."""
+    record = load_record(BASELINE)
+    markdown = render_markdown(record)
+    for spec in FIGURES:
+        figure = record["figures"][spec.name]
+        assert set(figure) == {"title", "series", "spans"}
+        table = spec.render(scheme_points({"series": figure["series"]}))
+        assert table.rstrip() in markdown
+        printed = [line for line in table.splitlines()
+                   if any(scheme in line for scheme in ALL_SCHEMES)]
+        assert printed, spec.name
+        for line in printed:
+            assert _glued_scheme(line) is None, (spec.name, line)
+
+
+def test_glued_scheme_names_are_caught():
+    assert _glued_scheme("category  copyidentity-deferredidentity-strict")
+    assert _glued_scheme("identity-deferred-boundednone  1")
+    assert _glued_scheme("identity-strict-percore16  37.50")
+    assert _glued_scheme("identity-strict-percore  16  copy_user") is None
 
 
 def test_markdown_carries_latency_and_exposure_tables(fig03_data):
@@ -196,4 +247,6 @@ def test_fig_scalinv_build_tiny():
                    "identity-strict-prefetch"):
         for row in by_scheme[scheme]:
             assert row["exposure_stale_byte_cycles"] == 0
-    assert "stale byte-cycles" in data["report"]
+    table = {spec.name: spec for spec in FIGURES}["fig_scalinv"].render(
+        scheme_points(data))
+    assert "stale byte-cycles" in table

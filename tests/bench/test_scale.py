@@ -13,10 +13,16 @@ import json
 
 import pytest
 
-from repro.bench.record import build_record, load_record, stable_view
+from repro.bench.record import (
+    build_record,
+    load_record,
+    scheme_points,
+    stable_view,
+)
 from repro.bench.regression import moved_paths
-from repro.bench.scale import resolve_cores, resolve_schemes, scheme_points
+from repro.bench.scale import resolve_cores, resolve_schemes
 from repro.cli import main as cli_main
+from repro.errors import ConfigurationError
 
 _SWEEP_ARGS = ["scale", "--workload", "stream",
                "--schemes", "strict,copy",          # paper aliases resolve
@@ -105,7 +111,7 @@ def test_scale_record_structure(sweeps):
 def test_resolve_schemes_aliases_and_dedup():
     assert resolve_schemes(["strict", "identity-strict", "copy"]) \
         == ["identity-strict", "copy"]
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigurationError, match="strict-percore"):
         resolve_schemes(["no-such-scheme"])
     with pytest.raises(SystemExit):
         resolve_schemes([])

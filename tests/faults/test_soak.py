@@ -13,6 +13,8 @@ from repro.faults.plan import (
 )
 from repro.faults.soak import (
     MIXES,
+    ChaosResult,
+    SoakRow,
     mix_plan,
     render_soak_report,
     run_chaos,
@@ -115,6 +117,29 @@ def test_soak_matrix_and_report():
     assert "0 invariant failure(s)" in report
     baseline = next(row for row in rows if row.mix == "none")
     assert baseline.degradation_pct == 0.0
+
+
+def test_soak_report_keeps_scheme_and_mix_apart():
+    """A scheme name wider than any fixed column still leaves its mix a
+    token of its own; a failure's violations follow the table."""
+    def row(scheme, mix, violations=()):
+        result = ChaosResult(scheme=scheme, seed=1, plan_desc="", cores=1,
+                             units=60, rx_delivered=60, rx_offered=60,
+                             violations=list(violations))
+        return SoakRow(result=result, mix=mix, baseline_goodput=0.0)
+
+    report = render_soak_report([
+        row("identity-deferred-bounded", "none"),
+        row("identity-deferred-bounded", "invalidation"),
+        row("copy", "none", ["leaked 1 mapping"])])
+    lines = report.splitlines()
+    assert [line.split()[:2] for line in lines[2:5]] == [
+        ["identity-deferred-bounded", "none"],
+        ["identity-deferred-bounded", "invalidation"],
+        ["copy", "none"]]
+    assert [line.split()[-1] for line in lines[2:5]] == ["ok", "ok", "FAIL"]
+    assert "FAIL copy none seed 1: leaked 1 mapping" in lines
+    assert "3 runs, 1 invariant failure(s)" in lines
 
 
 @pytest.mark.parametrize("scheme", ["identity-strict", "identity-deferred",

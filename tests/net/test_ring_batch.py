@@ -136,8 +136,8 @@ def _traffic(system: System, frames_per_queue: int) -> None:
     cached translations and shadows holding stale lengths."""
     cores = system.machine.num_cores
     for rnd in range(frames_per_queue):
-        for qid in range(system.config.resolved_queues()):
-            core = system.machine.core(qid % cores)
+        for qid in range(cores):
+            core = system.machine.core(qid)
             size = (64, 1400, 4000)[(rnd + qid) % 3]
             system.driver.receive_one(core, qid,
                                       build_frame(size, mtu=8000, seq=rnd))

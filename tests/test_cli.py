@@ -1,17 +1,40 @@
 """CLI tests (python -m repro ...)."""
 
 import json
+import re
 
 import pytest
 
 from repro.bench.record import SCHEMA_VERSION
 from repro.cli import build_parser, main
+from repro.dma.registry import ALL_SCHEMES, PAPER_ALIASES
 
 
 def run_cli(capsys, *argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("argv", [
+    ("stream", "--scheme", "bogus"),
+    ("scale", "--schemes", "bogus", "--cores", "1"),
+    ("chaos", "--schemes", "bogus", "--units", "10"),
+    ("diff", "--workload", "stream", "--schemes", "bogus,copy"),
+])
+def test_unknown_scheme_lists_every_scheme_and_alias(capsys, argv):
+    """One resolver: every command names every scheme and every paper
+    alias, and exits 2 (a usage error, or ConfigurationError)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:          # argparse rejects --scheme itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unknown scheme 'bogus'" in err
+    tokens = set(re.split(r"[\s,;:]+", err))
+    assert "strict-percore" in tokens
+    assert set(ALL_SCHEMES) | set(PAPER_ALIASES) <= tokens
 
 
 def test_schemes_lists_everything(capsys):

@@ -22,16 +22,11 @@ def test_no_iommu_build_skips_iommu():
 
 def test_queues_default_one_per_core():
     system = System.build(SystemConfig(cores=4))
-    assert system.config.resolved_queues() == 4
+    assert system.nic.num_queues == 4
     system.setup_queues()
     for qid in range(4):
         assert qid in system.driver._rx_rings
     system.teardown_queues()
-
-
-def test_explicit_queue_count():
-    system = System.build(SystemConfig(cores=4, nic_queues=2))
-    assert system.config.resolved_queues() == 2
 
 
 def test_numa_nodes_clamped_to_cores():
